@@ -10,7 +10,7 @@ bipartite scaffolding; :mod:`repro.primitives.hits`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -24,11 +24,15 @@ class BipartiteGraph:
     ``n_left..n_left+n_right-1``, edges left -> right in ``graph``.
 
     ``reverse`` (right -> left) is derived lazily via the CSC cache.
+    ``right_ids`` holds the right side's ids in the graph this view was
+    induced from (``right_ids[i]`` is right vertex ``n_left + i``); None
+    for a bipartite graph built directly.
     """
 
     graph: Csr
     n_left: int
     n_right: int
+    right_ids: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n_left + self.n_right != self.graph.n:
@@ -99,18 +103,18 @@ def induced_bipartite(graph: Csr, left: np.ndarray,
     offsets = np.concatenate([[0], np.cumsum(degs)])
     eids = np.repeat(graph.indptr[left] - offsets[:-1], degs) + np.arange(total)
     dsts = graph.indices[eids].astype(np.int64)
+    seg = np.repeat(np.arange(len(left)), degs)
     if right is None:
         right = np.unique(dsts)
+        new_dst = np.searchsorted(right, dsts)
     else:
         right = np.asarray(right, dtype=np.int64)
-    keep = np.isin(dsts, right)
-    seg = np.repeat(np.arange(len(left)), degs)[keep]
-    dsts = dsts[keep]
-    right_index = {int(v): i for i, v in enumerate(right)}
-    new_dst = np.array([right_index[int(v)] for v in dsts], dtype=np.int64) \
-        + len(left)
+        keep = np.isin(dsts, right)
+        seg, dsts = seg[keep], dsts[keep]
+        # any order, duplicates allowed: a repeated id keeps its last position
+        order = np.argsort(right, kind="stable")
+        new_dst = order[np.searchsorted(right[order], dsts, side="right") - 1]
     from ..graph.coo import Coo
 
-    coo = Coo(seg, new_dst, len(left) + len(right))
-    bp = BipartiteGraph(coo.to_csr(), len(left), len(right))
-    return bp
+    coo = Coo(seg, new_dst + len(left), len(left) + len(right))
+    return BipartiteGraph(coo.to_csr(), len(left), len(right), right)

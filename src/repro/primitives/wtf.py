@@ -62,12 +62,11 @@ def who_to_follow(graph: Csr, user: int, *, k: int = 10,
 
     # map authority scores back to original vertex ids
     auth_scores = result.auth[bp.n_left:]
-    right_original = _right_original_ids(graph, hubs)
     already = set(graph.neighbors(user).tolist()) | {user}
     order = np.argsort(-auth_scores, kind="stable")
     recs: List[int] = []
     for i in order:
-        v = int(right_original[i])
+        v = int(bp.right_ids[i])
         if v not in already:
             recs.append(v)
         if len(recs) == k:
@@ -82,12 +81,3 @@ def who_to_follow(graph: Csr, user: int, *, k: int = 10,
                      similar_users=similar.astype(np.int64),
                      elapsed_ms=machine.elapsed_ms() if machine else None,
                      salsa_stats=result.enactor_stats)
-
-
-def _right_original_ids(graph: Csr, hubs: np.ndarray) -> np.ndarray:
-    """The right-side original ids in the order induced_bipartite uses."""
-    degs = graph.degrees_of(hubs)
-    total = int(degs.sum())
-    offsets = np.concatenate([[0], np.cumsum(degs)])
-    eids = np.repeat(graph.indptr[hubs] - offsets[:-1], degs) + np.arange(total)
-    return np.unique(graph.indices[eids].astype(np.int64))

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import atomics
-from repro.simt import Machine
+from repro.simt import Machine, calib
 
 
 def test_atomic_min_basic():
@@ -141,3 +142,70 @@ def test_atomic_min_determinism_any_order():
     perm = np.array([4, 2, 0, 3, 1])
     atomics.atomic_min(b, idx[perm], vals[perm])
     assert np.array_equal(a, b)
+
+
+# -- conflict accounting: histogram and sort regimes against the sort oracle -------------
+
+LIMIT = atomics._HISTOGRAM_CELLS_PER_LANE
+
+
+@st.composite
+def index_vectors(draw):
+    """Address vectors on both sides of ``_charge``'s regime boundary:
+    ``reach`` (max - min) is pinned exactly, from one hot cell through
+    ``LIMIT * lanes`` either side to a 2**40 span."""
+    lanes = draw(st.one_of(st.integers(0, 31), st.integers(32, 2000)))
+    reach = draw(st.sampled_from([
+        0, lanes // 4, lanes, max(0, LIMIT * lanes - 1), LIMIT * lanes,
+        LIMIT * lanes + 1, 16 * lanes, 2**40]))
+    base = draw(st.sampled_from([0, 3, 10_000, -17]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = base + rng.integers(0, reach + 1, size=lanes)
+    if lanes >= 2:
+        idx[0], idx[-1] = base, base + reach
+    if lanes and draw(st.booleans()):  # pile half the lanes on one cell
+        idx[rng.integers(0, lanes, size=lanes // 2)] = idx[lanes // 2]
+    if reach < 2**31 - 10_000 and draw(st.booleans()):
+        idx = idx.astype(np.int32)
+    return idx
+
+
+def _sort_oracle(name, idx):
+    """The counters a sort-based accounting leaves on a fresh machine."""
+    ref = Machine()
+    lanes, conflicts = atomics.conflict_stats(idx)
+    if lanes:
+        _, counts = np.unique(idx, return_counts=True)
+        ref.counters.record_atomics(lanes, conflicts)
+        ref.launch(name, items=lanes,
+                   body_cycles=lanes * calib.C_ATOMIC_THROUGHPUT
+                   + (int(counts.max()) - 1) * calib.C_ATOMIC_CONFLICT)
+    return ref.counters
+
+
+@given(index_vectors(), st.sampled_from(["atomic_add", "atomic_min"]))
+@example(np.array([0, 2**40]), "atomic_add")
+@example(np.array([5, 5, 5, 2**40, 2**40]), "atomic_cas")
+@settings(max_examples=300, deadline=None)
+def test_charge_matches_sort_oracle(idx, name):
+    """Counters, cycles, kernel name and items are what sorting the index
+    vector gives, whichever way ``_charge`` counted the cells."""
+    m = Machine()
+    atomics._charge(m, name, idx)
+    assert m.counters == _sort_oracle(name, idx)
+
+
+@given(index_vectors())
+@settings(max_examples=100, deadline=None)
+def test_atomic_cas_claim_first_lane_per_cell_wins(idx):
+    idx = idx.astype(np.int64) % 5000  # cells of one flag array
+    flags = np.zeros(5000, dtype=bool)
+    flags[idx[::3]] = True  # some cells already claimed
+    before = flags.copy()
+    won = atomics.atomic_cas_claim(flags, idx)
+    first = np.zeros(len(idx), dtype=bool)
+    first[np.unique(idx, return_index=True)[1]] = True
+    assert np.array_equal(won, first & ~before[idx])
+    after = before.copy()
+    after[idx] = True
+    assert np.array_equal(flags, after)

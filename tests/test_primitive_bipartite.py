@@ -6,6 +6,7 @@ import pytest
 
 from repro.graph import generators
 from repro.graph.build import to_networkx
+from repro.graph.coo import Coo
 from repro import primitives as P
 from repro.simt import Machine
 
@@ -236,3 +237,61 @@ def test_bipartite_primitives_charge_machine(bp):
     P.salsa(bp, machine=m, max_iterations=5)
     assert m.counters.kernel_launches > 0
     assert m.counters.atomics_issued > 0
+
+
+# -- the vectorised relabel against the per-edge loop it replaced -----------------------
+
+
+def _induced_bipartite_loop(graph, left, right=None):
+    """Reference: relabel one edge at a time through a dict, so a repeated
+    id in an explicit ``right`` keeps its last position."""
+    left = np.asarray(left, dtype=np.int64)
+    edges = [(i, int(v)) for i, u in enumerate(left)
+             for v in graph.neighbors(int(u))]
+    if right is None:
+        right = np.unique(np.array([v for _, v in edges], dtype=np.int64))
+    right = np.asarray(right, dtype=np.int64)
+    right_index = {int(v): i for i, v in enumerate(right)}
+    edges = [(i, right_index[v] + len(left)) for i, v in edges
+             if v in right_index]
+    coo = Coo([i for i, _ in edges], [v for _, v in edges],
+              len(left) + len(right))
+    return P.BipartiteGraph(coo.to_csr(), len(left), len(right), right)
+
+
+def _assert_same_bipartite(got, want):
+    assert (got.n_left, got.n_right) == (want.n_left, want.n_right)
+    assert np.array_equal(got.graph.indptr, want.graph.indptr)
+    assert np.array_equal(got.graph.indices, want.graph.indices)
+    assert np.array_equal(got.right_ids, want.right_ids)
+
+
+@pytest.mark.parametrize("scale,seed", [(7, 1), (9, 11), (10, 5)])
+def test_induced_bipartite_equals_loop_relabel(scale, seed):
+    g = generators.kronecker(scale, seed=seed, undirected=False)
+    rng = np.random.default_rng(seed)
+    left = rng.permutation(g.n)[:g.n // 8]
+    _assert_same_bipartite(P.induced_bipartite(g, left),
+                           _induced_bipartite_loop(g, left))
+    # an explicit right side: unsorted, with repeats and ids nobody follows
+    right = rng.integers(0, g.n, size=g.n // 2)
+    _assert_same_bipartite(P.induced_bipartite(g, left, right),
+                           _induced_bipartite_loop(g, left, right))
+    empty = np.zeros(0, dtype=np.int64)
+    _assert_same_bipartite(P.induced_bipartite(g, left, empty),
+                           _induced_bipartite_loop(g, left, empty))
+    _assert_same_bipartite(P.induced_bipartite(g, empty),
+                           _induced_bipartite_loop(g, empty))
+
+
+@pytest.mark.parametrize("scale,seed", [(8, 2), (9, 11)])
+def test_wtf_equals_loop_relabel_pipeline(scale, seed, monkeypatch):
+    g = generators.kronecker(scale, seed=seed, undirected=False)
+    users = np.flatnonzero(g.out_degrees > 0)[:12].tolist()
+    got = [P.who_to_follow(g, u, k=10) for u in users]
+    monkeypatch.setattr("repro.primitives.wtf.induced_bipartite",
+                        _induced_bipartite_loop)
+    for r, want in zip(got, (P.who_to_follow(g, u, k=10) for u in users)):
+        assert np.array_equal(r.recommendations, want.recommendations)
+        assert np.array_equal(r.similar_users, want.similar_users)
+        assert np.array_equal(r.circle, want.circle)
