@@ -438,6 +438,14 @@ def cmd_serve(args) -> int:
     from .resilience import RetryPolicy
     from .serve import WorkloadSpec, run_serving, run_sharded_serving
 
+    if args.shards > 0:
+        # run_sharded_serving takes neither: the tier's devices are
+        # --shards x --replicas and its batches run on the default engine
+        for flag, given in (("--engine", args.engine is not None),
+                            ("--devices", args.devices != 1)):
+            if given:
+                args.usage_error(f"{flag} has no effect with --shards "
+                                 "(single-pool serving only)")
     if not (args.dataset or args.generate or args.graph):
         args.generate = "kron:10"  # a default topology for smoke runs
     g = load_graph(args)
@@ -465,8 +473,7 @@ def cmd_serve(args) -> int:
                 cache_bytes=args.cache_mb << 20,
                 retry=RetryPolicy(max_retries=args.max_retries),
                 fault_rate=args.fault_rate,
-                incremental=args.incremental,
-                engine=getattr(args, "engine", None))
+                incremental=args.incremental, engine=args.engine)
     _export_obs(args, observer, extra={"report": report.as_dict()})
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
@@ -623,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="machine-readable report")
     _add_obs_options(p)
-    p.set_defaults(fn=cmd_serve)
+    p.set_defaults(fn=cmd_serve, usage_error=p.error)
 
     p = sub.add_parser("compare", help="run one primitive on every framework")
     p.add_argument("primitive", choices=("bfs", "sssp", "bc", "pagerank", "cc"))

@@ -6,17 +6,30 @@ names batched multi-query execution as the direction that takes a GPU
 graph library from one-shot analytics to a service.  This package is that
 layer for the reproduction:
 
-* :mod:`repro.serve.service` — versioned graphs, requests, completions;
+* :mod:`repro.serve.service` — versioned graphs, requests, completions,
+  and the one query path both tiers use: ``lookup(request, sid=None)``,
+  ``execute(...) -> (results, version)``, ``commit(..., sid=None)``
+  (:class:`~repro.serve.service.ShardedGraphService` adds vertex→shard
+  ownership maps and ``route``);
 * :mod:`repro.serve.batcher` — request coalescing, headlined by true
   batched multi-source BFS/SSSP/PPR (one merged lane-major frontier
   through the existing advance/filter operators, bitwise-equal to
   per-source runs);
 * :mod:`repro.serve.cache` — byte-budgeted LRU result cache keyed on
   graph version (stale results are unreachable by construction);
-* :mod:`repro.serve.scheduler` — bounded-queue admission (typed
-  :class:`~repro.serve.scheduler.Overloaded` shedding), EDF dispatch over
-  simulated devices, transient-fault retry via
-  :class:`~repro.resilience.recovery.RetryPolicy`;
+* :mod:`repro.serve.scheduler` — the one serving event loop
+  (:class:`~repro.serve.scheduler.SchedulerCore`: bounded-queue admission
+  with typed :class:`~repro.serve.scheduler.Overloaded` shedding,
+  batching windows, the EDF take step, streaming-update cache repair,
+  deterministic replay) and its single-pool placement
+  :class:`~repro.serve.scheduler.DeadlineScheduler` (idle-device
+  dispatch, commit at dispatch, transient-fault retry via
+  :class:`~repro.resilience.recovery.RetryPolicy`);
+* :mod:`repro.serve.shard` — the N×R replica tier: shard groups, circuit
+  breakers, ownership maps, fan-out PageRank, kill schedules;
+* :mod:`repro.serve.shard_scheduler` — the routed, replicated placement
+  :class:`~repro.serve.shard_scheduler.ShardScheduler` on the same loop:
+  failover, hedging, kills and shard-map repair, commit at completion;
 * :mod:`repro.serve.workload` — seed-deterministic open/closed-loop
   traffic with Zipfian source popularity.
 

@@ -1,24 +1,36 @@
-"""Admission control and deadline-aware dispatch for the serving layer.
+"""The serving event loop, and its single-pool placement.
 
-A deterministic event-driven loop over *simulated* time:
+:class:`SchedulerCore` is the one deterministic event-driven loop over
+*simulated* time that both serving tiers run:
 
-* **Admission** — a bounded queue.  When ``max_queue`` requests are
-  already waiting, new arrivals are shed with a typed
-  :class:`Overloaded` error (load shedding beats queueing collapse for
-  deadline-bound traffic).
+* **Admission** — a bounded queue per placement group.  When
+  ``max_queue`` requests are already waiting, new arrivals are shed with
+  a typed :class:`Overloaded` error (load shedding beats queueing
+  collapse for deadline-bound traffic).
 * **Batching window** — an admitted request waits up to
   ``batch_window_ms`` for same-primitive batch mates (or until
   ``max_lanes`` are queued), then the group becomes dispatchable.
-* **Dispatch** — earliest-deadline-first over dispatchable groups, onto
-  the lowest-numbered idle device (each device is its own
-  :class:`~repro.simt.machine.Machine`, so service cost is that device's
-  simulated makespan for the batched execution).  Requests whose deadline
-  already passed are dropped rather than executed.
-* **Faults** — a seeded Bernoulli draw per dispatch models a transient
-  mid-request fault; recovery reuses
-  :class:`~repro.resilience.recovery.RetryPolicy`: the device pays the
-  wasted half-execution plus the policy's backoff (charged to the
-  device's simulated clock), then replays.
+* **Take** — the most urgent ready group (earliest deadline first) is
+  drained; requests whose deadline already passed are dropped rather
+  than executed, and requests a fresher cache entry now answers
+  complete as late hits.
+* **Streaming updates** — a graph update either bumps the version
+  (invalidate everything) or, on the incremental path, selects the warm
+  repairable cache entries it would orphan and re-derives them through
+  :func:`~repro.dynamic.incremental.repair_payload`.
+
+A subclass supplies *placement* — where a taken group runs, what a fault
+costs, and when its results become cache-visible.
+:class:`DeadlineScheduler` is the single-pool placement: the
+lowest-numbered idle device (each device is its own
+:class:`~repro.simt.machine.Machine`, so service cost is that device's
+simulated makespan for the batched execution), results committed and
+requests completed *at dispatch*.  A seeded Bernoulli draw per dispatch
+models a transient mid-request fault; recovery reuses
+:class:`~repro.resilience.recovery.RetryPolicy`: the device pays the
+wasted half-execution plus the policy's backoff (charged to the device's
+simulated clock), then replays.  The routed, replicated placement is
+:class:`~repro.serve.shard_scheduler.ShardScheduler`.
 
 Every decision is a pure function of the event sequence and the seed, so
 a replay report is byte-identical across runs.
@@ -29,7 +41,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -42,12 +54,24 @@ from ..obs.spans import (CAT_DYNAMIC, CAT_SERVE, current_observer,
                          span as obs_span)
 from ..resilience.recovery import RetryPolicy
 from ..simt.machine import Machine
-from .batcher import DEFAULT_MAX_LANES, LaneResult, plan_batches
-from .service import Completion, GraphService, Request, key_primitive
+from .batcher import Batch, DEFAULT_MAX_LANES, LaneResult, plan_batches
+from .service import (Completion, GraphService, Request, VersionedGraph,
+                      key_parts, key_primitive)
 
 #: event kinds, in processing order at equal timestamps: graph updates
-#: land before arrivals so a coinciding request sees the new version
-_EV_UPDATE, _EV_ARRIVAL, _EV_FREE, _EV_FLUSH = 0, 1, 2, 3
+#: and topology changes (sharded tier: kill, shard-map repair) land
+#: before request arrivals (a coinciding arrival sees the new version /
+#: the repaired map), and completions land before arrivals (a coinciding
+#: duplicate hits the fresh cache); cache repairs land last so foreground
+#: work at the same tick wins.  The core handles UPDATE, ARRIVAL and
+#: WAKE; the rest belong to the sharded tier
+(_EV_UPDATE, _EV_KILL, _EV_REPAIR, _EV_DONE, _EV_ARRIVAL, _EV_HEDGE,
+ _EV_WAKE, _EV_CACHE_REPAIR) = range(8)
+
+#: a queue key: (graph, primitive, shard) — shard is None in a single pool
+GroupKey = Tuple[str, str, Optional[int]]
+
+OnComplete = Callable[[Request, Completion], Optional[Request]]
 
 
 class Overloaded(RuntimeError):
@@ -95,40 +119,43 @@ class Device:
         return self.busy_until_ms <= now
 
 
-class DeadlineScheduler:
-    """Bounded-queue, EDF-dispatch scheduler over one or more devices."""
+class SchedulerCore:
+    """The event loop both serving tiers run; subclasses add placement.
 
-    def __init__(self, service: GraphService, *, devices: int = 1,
-                 max_queue: int = 64,
-                 batch_window_ms: float = 2.0,
-                 max_lanes: int = DEFAULT_MAX_LANES,
-                 retry: Optional[RetryPolicy] = None,
-                 fault_rate: float = 0.0, seed: int = 0,
-                 incremental: bool = False,
-                 max_repairs_per_update: int = 32):
-        if devices < 1:
-            raise ValueError("need at least one device")
+    A subclass provides ``_dispatch(now)`` (place ready groups, return
+    the completions that produced), ``_land_update`` / ``_queue_repair``
+    (price an incremental update, schedule its cache repairs), its own
+    public ``replay`` seeding any extra events before :meth:`_run`, and
+    registers handlers for those events in ``self._handlers``.
+    """
+
+    def __init__(self, service: GraphService, *, max_queue: int,
+                 batch_window_ms: float, max_lanes: int,
+                 retry: Optional[RetryPolicy], fault_rate: float, seed: int,
+                 incremental: bool, max_repairs_per_update: int):
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if not 0.0 <= fault_rate < 1.0:
             raise ValueError("fault_rate must be in [0, 1)")
         self.service = service
-        self.devices = [Device(i) for i in range(devices)]
-        self.max_queue = max_queue
+        self.max_queue = max_queue          # per placement group
         self.batch_window_ms = batch_window_ms
         self.max_lanes = max_lanes
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_rate = fault_rate
         self._rng = np.random.default_rng(seed)
-        self._queues: Dict[Tuple[str, str], Deque[Request]] = {}
-        self._queued = 0
+        self._queues: Dict[GroupKey, Deque[Request]] = {}
+        self._queued: Dict[Optional[int], int] = {}   # depth per shard
         self.completions: List[Completion] = []
         self.recovered_faults = 0
         self.retry_backoff_ms = 0.0
         self._heap: List[Tuple[float, int, int, object]] = []
         self._seq = 0
-        # streaming-update state: repair jobs run as background work on
-        # idle devices after foreground dispatch each tick
+        self._wakes: Set[float] = set()
+        #: event kind -> handler(payload, now) for a subclass's own events
+        self._handlers: Dict[int, Callable] = {}
+        # streaming-update state: cache repairs are background work the
+        # placement schedules behind the priced cost of landing the update
         self.incremental = incremental
         self.max_repairs_per_update = max_repairs_per_update
         self._repair_jobs: Deque[RepairJob] = deque()
@@ -138,6 +165,8 @@ class DeadlineScheduler:
         self.repair_fallbacks = 0
         self.stale_repairs = 0
         self.repair_ms = 0.0
+        #: priced cost of landing incremental updates: the delta
+        #: apply/compaction on a device, or the broadcast to shard groups
         self.compaction_ms = 0.0
         # per-primitive latency histograms + outcome counters: recorded
         # into the process-wide observer's registry when one is installed
@@ -147,12 +176,28 @@ class DeadlineScheduler:
         self.metrics: MetricsRegistry = observer.metrics \
             if observer is not None else MetricsRegistry()
 
-    def _complete(self, done: Completion) -> Completion:
+    # -- bookkeeping -------------------------------------------------------
+
+    def _push(self, time: float, kind: int, payload) -> None:
+        heapq.heappush(self._heap, (time, kind, self._seq, payload))
+        self._seq += 1
+
+    def _wake(self, time: float) -> None:
+        """Schedule a dispatcher wake-up, deduplicated per timestamp."""
+        if time not in self._wakes:
+            self._wakes.add(time)
+            self._push(time, _EV_WAKE, None)
+
+    def _complete(self, done: Completion,
+                  sid: Optional[int] = None) -> Completion:
         """Record one terminal request outcome (list + metrics)."""
         self.completions.append(done)
         m = self.metrics
         m.counter("repro_serve_requests_total", outcome=done.outcome,
                   primitive=done.primitive).inc()
+        if sid is not None:
+            m.counter("repro_shard_requests_total", outcome=done.outcome,
+                      shard=str(sid)).inc()
         if done.served:
             m.histogram("repro_serve_latency_ms",
                         primitive=done.primitive).observe(done.latency_ms)
@@ -161,40 +206,54 @@ class DeadlineScheduler:
                           primitive=done.primitive).inc()
         return done
 
+    def _shed(self, req: Request, now: float, reason: str,
+              sid: Optional[int] = None) -> Completion:
+        return self._complete(Completion(
+            req.rid, req.primitive, req.arrival_ms, now, "shed",
+            deadline_met=False, reason=reason), sid)
+
     # -- admission ---------------------------------------------------------
 
     def enqueue(self, request: Request, now: float) -> Optional[Completion]:
         """Admit one request at time ``now``.
 
-        Returns a completion immediately for a cache hit, None when the
-        request was queued, and raises :class:`Overloaded` when the
-        bounded queue is full.
+        Returns a completion immediately for a cache hit (or a typed
+        placement shed), None when the request was queued or parked, and
+        raises :class:`Overloaded` when its bounded queue is full.
         """
         self.service.validate(request)
-        if self.service.lookup(request) is not None:
-            done = Completion(request.rid, request.primitive,
-                              request.arrival_ms, now, "cache_hit",
-                              deadline_met=now <= request.absolute_deadline_ms)
-            return self._complete(done)
-        if self._queued >= self.max_queue:
-            raise Overloaded(request.rid, self._queued, self.max_queue)
-        key = (request.graph, request.primitive)
+        sid = self.service.route(request)
+        if self.service.lookup(request, sid) is not None:
+            return self._complete(Completion(
+                request.rid, request.primitive, request.arrival_ms, now,
+                "cache_hit",
+                deadline_met=now <= request.absolute_deadline_ms), sid)
+        return self._admit(request, now, sid)
+
+    def _admit(self, request: Request, now: float,
+               sid: Optional[int]) -> Optional[Completion]:
+        depth = self._queued.get(sid, 0)
+        if depth >= self.max_queue:
+            raise Overloaded(request.rid, depth, self.max_queue)
+        key = (request.graph, request.primitive, sid)
         self._queues.setdefault(key, deque()).append(request)
-        self._queued += 1
-        self._push(now + self.batch_window_ms, _EV_FLUSH, None)
+        self._queued[sid] = depth + 1
+        self._wake(now + self.batch_window_ms)
         return None
+
+    def _enqueue_or_shed(self, req: Request,
+                         now: float) -> Optional[Completion]:
+        try:
+            return self.enqueue(req, now)
+        except Overloaded:
+            return self._shed(req, now, "queue_full",
+                              self.service.route(req))
 
     # -- the replay loop ---------------------------------------------------
 
-    def _push(self, time: float, kind: int, payload) -> None:
-        heapq.heappush(self._heap, (time, kind, self._seq, payload))
-        self._seq += 1
-
-    def replay(self, requests: List[Request],
-               updates: Optional[List[Tuple[float, str, Csr]]] = None,
-               on_complete: Optional[
-                   Callable[[Request, Completion], Optional[Request]]] = None,
-               ) -> List[Completion]:
+    def _run(self, requests: List[Request],
+             updates: Optional[List[Tuple[float, str, Csr]]],
+             on_complete: Optional[OnComplete]) -> List[Completion]:
         """Run the full event loop; returns every request's completion.
 
         ``updates`` are ``(at_ms, graph_name, payload)`` graph-version
@@ -218,23 +277,18 @@ class DeadlineScheduler:
             while self._heap and self._heap[0][0] == now:
                 _, kind, _, payload = heapq.heappop(self._heap)
                 if kind == _EV_UPDATE:
-                    name, update = payload
-                    self._handle_update(name, update, now)
+                    self._handle_update(*payload, now)
                 elif kind == _EV_ARRIVAL:
-                    req = payload
-                    by_rid[req.rid] = req
-                    try:
-                        done = self.enqueue(req, now)
-                    except Overloaded:
-                        done = Completion(req.rid, req.primitive,
-                                          req.arrival_ms, now, "shed",
-                                          deadline_met=False,
-                                          reason="queue_full")
-                        self._complete(done)
+                    by_rid[payload.rid] = payload
+                    done = self._enqueue_or_shed(payload, now)
                     if done is not None:
                         finished.append(done)
-                # _EV_FREE and _EV_FLUSH exist only to wake the dispatcher
+                elif kind != _EV_WAKE:  # a wake only triggers the dispatcher
+                    finished.extend(self._handlers[kind](payload, now) or ())
             finished.extend(self._dispatch(now))
+            # forget this tick's wake only now: wakes requested for `now`
+            # while it ran were still deduplicated
+            self._wakes.discard(now)
             if on_complete is not None:
                 for done in finished:
                     follow = on_complete(by_rid[done.rid], done)
@@ -242,12 +296,80 @@ class DeadlineScheduler:
                         self._push(follow.arrival_ms, _EV_ARRIVAL, follow)
         return self.completions
 
+    def _dispatch(self, now: float) -> List[Completion]:
+        raise NotImplementedError
+
+    # -- taking work off the queues ----------------------------------------
+
+    def _ready_groups(self, now: float) -> List[GroupKey]:
+        ready = []
+        for key, q in self._queues.items():
+            if not q:
+                continue
+            waited = now - q[0].arrival_ms
+            # the 1e-9 slack absorbs float error in arrival + window - now,
+            # so the wake scheduled at exactly arrival + window always
+            # finds its group ready
+            if waited >= self.batch_window_ms - 1e-9 or \
+                    len(q) >= self.max_lanes:
+                ready.append(key)
+        return ready
+
+    def _group_urgency(self, key: GroupKey) -> Tuple:
+        q = self._queues[key]
+        deadline = min(r.absolute_deadline_ms for r in q)
+        priority = min(r.priority for r in q)
+        return (deadline, priority, key)
+
+    def _take(self, key: GroupKey, now: float,
+              finished: List[Completion]) -> List[Request]:
+        """Drain up to ``max_lanes`` requests from a queue, resolving
+        expired deadlines and races with fresher cache entries."""
+        sid = key[2]
+        q = self._queues[key]
+        taken: List[Request] = []
+        while q and len(taken) < self.max_lanes:
+            taken.append(q.popleft())
+        self._queued[sid] -= len(taken)
+        runnable: List[Request] = []
+        for req in taken:
+            if req.absolute_deadline_ms < now:
+                finished.append(self._complete(Completion(
+                    req.rid, req.primitive, req.arrival_ms, now,
+                    "deadline_drop", deadline_met=False,
+                    reason="deadline_passed"), sid))
+            elif self.service.lookup(req, sid) is not None:
+                # an earlier batch filled the cache while this waited
+                finished.append(self._complete(Completion(
+                    req.rid, req.primitive, req.arrival_ms, now,
+                    "cache_hit"), sid))
+            else:
+                runnable.append(req)
+        return runnable
+
+    def _plan(self, primitive: str, runnable: List[Request]) -> List[Batch]:
+        return plan_batches(primitive, [(r.rid, r.params) for r in runnable],
+                            self.max_lanes)
+
+    def _run_batch(self, holder, graph_name: str, batch: Batch,
+                   run: Callable, **labels):
+        """``run(graph_name, batch, machine)`` on a device or replica
+        under a ``serve.batch`` span; returns its value and the simulated
+        execution time."""
+        before = holder.machine.elapsed_ms()
+        with obs_span("serve.batch", CAT_SERVE, holder.machine,
+                      primitive=batch.primitive, graph=graph_name,
+                      lanes=batch.lanes, **labels):
+            out = run(graph_name, batch, holder.machine)
+        return out, holder.machine.elapsed_ms() - before
+
     # -- streaming updates -------------------------------------------------
 
     def _handle_update(self, name: str, payload, now: float) -> None:
-        """Apply one graph update; on the incremental path, charge the
-        delta apply + snapshot to a device and queue repair jobs for the
-        warm repairable cache entries the version bump will orphan."""
+        """Apply one graph update; on the incremental path the placement
+        prices landing the delta (:meth:`_land_update`) and schedules a
+        repair job (:meth:`_queue_repair`) for each warm repairable cache
+        entry the version bump will orphan."""
         csr, batch = unwrap_update(payload)
         self.graph_updates += 1
         kind = "edges" if batch is not None and batch.structural \
@@ -260,7 +382,7 @@ class DeadlineScheduler:
         vg = self.service.graph_version(name)
         old_csr, old_version = vg.csr, vg.version
         # warm entries to repair, MRU first, capped per update
-        targets: List[Tuple[Tuple, object]] = []
+        targets: List[Tuple[Tuple, LaneResult]] = []
         keep = unaffected_primitives(batch)
         for qkey, cached in reversed(
                 self.service.cache.entries_for(name, old_version)):
@@ -269,45 +391,48 @@ class DeadlineScheduler:
                 targets.append((qkey, cached))
                 if len(targets) >= self.max_repairs_per_update:
                     break
-        # the delta apply/compaction is priced work: charge it to the
-        # least-loaded device and extend its busy horizon
-        dev = min(self.devices, key=lambda d: (d.busy_until_ms, d.index))
-        before = dev.machine.elapsed_ms()
-        with obs_span("dynamic.compaction", CAT_DYNAMIC, dev.machine,
-                      graph=name, mutations=batch.size,
-                      device=dev.index):
-            vg = self.service.update_graph(
-                name=name, batch=batch, machine=dev.machine,
-                incremental=True)
-        ms = dev.machine.elapsed_ms() - before
-        self.compaction_ms += ms
-        dev.busy_until_ms = max(dev.busy_until_ms, now) + ms
-        self._push(dev.busy_until_ms, _EV_FREE, dev.index)
+        vg, repair_at = self._land_update(name, batch, now)
         for qkey, cached in targets:
-            self._repair_jobs.append(RepairJob(
-                name, vg.version, qkey, key_primitive(qkey),
-                dict(qkey[1:]), dict(cached.arrays), old_csr, batch))
+            sid, primitive, params = key_parts(qkey)
+            self._queue_repair(RepairJob(
+                name, vg.version, qkey, primitive, params,
+                dict(cached.arrays), old_csr, batch, sid=sid), repair_at)
 
-    def _run_repair(self, device: Device, job: RepairJob,
-                    now: float) -> None:
-        """Execute one background repair on an idle device and commit
-        the repaired payload under the job's target version."""
+    def _land_update(self, name: str, batch: MutationBatch,
+                     now: float) -> Tuple[VersionedGraph, float]:
+        """Apply ``batch`` incrementally, charging what that costs; returns
+        the new version and when its cache repairs may start."""
+        raise NotImplementedError
+
+    def _queue_repair(self, job: RepairJob, at: float) -> None:
+        raise NotImplementedError
+
+    def _superseded(self, job: RepairJob) -> bool:
+        """True (and counted stale) when a later update outran ``job``."""
         vg = self.service.graphs.get(job.graph)
         if vg is None or vg.version != job.version:
-            self.stale_repairs += 1   # a later update superseded this job
-            return
-        before_ms = device.machine.elapsed_ms()
-        before_cy = device.machine.counters.cycles
+            self.stale_repairs += 1
+            return True
+        return False
+
+    def _run_repair(self, job: RepairJob, holder, now: float,
+                    **labels) -> None:
+        """Execute one cache repair on an idle device or replica and
+        commit the repaired payload under the job's target version."""
+        vg = self.service.graphs[job.graph]
+        machine = holder.machine
+        before_ms = machine.elapsed_ms()
+        before_cy = machine.counters.cycles
         view = vg.delta if vg.delta is not None and vg.delta.pending \
             else vg.csr
-        with obs_span("dynamic.repair", CAT_DYNAMIC, device.machine,
+        with obs_span("dynamic.repair", CAT_DYNAMIC, machine,
                       primitive=job.primitive, graph=job.graph,
-                      device=device.index) as sp:
+                      **labels) as sp:
             arrays, incremental = repair_payload(
                 job.primitive, job.params, job.old_arrays, job.old_csr,
-                view, job.batch, machine=device.machine)
+                view, job.batch, machine=machine)
             sp.set(incremental=incremental)
-        ms = device.machine.elapsed_ms() - before_ms
+        ms = machine.elapsed_ms() - before_ms
         payload = LaneResult(arrays)
         self.service.cache.put(job.graph, job.version, job.key, payload,
                                payload.nbytes)
@@ -318,9 +443,9 @@ class DeadlineScheduler:
         self.repair_ms += ms
         self.metrics.counter(
             "repro_repair_cycles_total", primitive=job.primitive).inc(
-            float(device.machine.counters.cycles - before_cy))
-        device.busy_until_ms = max(device.busy_until_ms, now) + ms
-        self._push(device.busy_until_ms, _EV_FREE, device.index)
+            float(machine.counters.cycles - before_cy))
+        holder.busy_until_ms = max(holder.busy_until_ms, now) + ms
+        self._wake(holder.busy_until_ms)
 
     def dynamic_summary(self) -> Dict[str, object]:
         """The ``dynamic`` section of :class:`ServeReport`."""
@@ -342,27 +467,59 @@ class DeadlineScheduler:
             "cache_carried": self.service.cache.stats.carried,
         }
 
+
+class DeadlineScheduler(SchedulerCore):
+    """Bounded-queue, EDF-dispatch scheduler over one or more devices."""
+
+    def __init__(self, service: GraphService, *, devices: int = 1,
+                 max_queue: int = 64,
+                 batch_window_ms: float = 2.0,
+                 max_lanes: int = DEFAULT_MAX_LANES,
+                 retry: Optional[RetryPolicy] = None,
+                 fault_rate: float = 0.0, seed: int = 0,
+                 incremental: bool = False,
+                 max_repairs_per_update: int = 32):
+        if devices < 1:
+            raise ValueError("need at least one device")
+        super().__init__(
+            service, max_queue=max_queue, batch_window_ms=batch_window_ms,
+            max_lanes=max_lanes, retry=retry, fault_rate=fault_rate,
+            seed=seed, incremental=incremental,
+            max_repairs_per_update=max_repairs_per_update)
+        self.devices = [Device(i) for i in range(devices)]
+
+    def replay(self, requests: List[Request],
+               updates: Optional[List[Tuple[float, str, Csr]]] = None,
+               on_complete: Optional[OnComplete] = None,
+               ) -> List[Completion]:
+        """Run the full event loop (see :meth:`SchedulerCore._run`)."""
+        return self._run(requests, updates, on_complete)
+
+    # -- streaming updates -------------------------------------------------
+
+    def _land_update(self, name: str, batch: MutationBatch,
+                     now: float) -> Tuple[VersionedGraph, float]:
+        # the delta apply/compaction is priced work: charge it to the
+        # least-loaded device and extend its busy horizon
+        dev = min(self.devices, key=lambda d: (d.busy_until_ms, d.index))
+        before = dev.machine.elapsed_ms()
+        with obs_span("dynamic.compaction", CAT_DYNAMIC, dev.machine,
+                      graph=name, mutations=batch.size,
+                      device=dev.index):
+            vg = self.service.update_graph(
+                name=name, batch=batch, machine=dev.machine,
+                incremental=True)
+        ms = dev.machine.elapsed_ms() - before
+        self.compaction_ms += ms
+        dev.busy_until_ms = max(dev.busy_until_ms, now) + ms
+        self._wake(dev.busy_until_ms)
+        return vg, now
+
+    def _queue_repair(self, job: RepairJob, at: float) -> None:
+        # run by _dispatch on whatever devices foreground work leaves idle
+        self._repair_jobs.append(job)
+
     # -- dispatch ----------------------------------------------------------
-
-    def _ready_groups(self, now: float) -> List[Tuple[str, str]]:
-        ready = []
-        for key, q in self._queues.items():
-            if not q:
-                continue
-            waited = now - q[0].arrival_ms
-            # the 1e-9 slack absorbs float error in arrival + window - now,
-            # so the flush event scheduled at exactly arrival + window
-            # always finds its group ready
-            if waited >= self.batch_window_ms - 1e-9 or \
-                    len(q) >= self.max_lanes:
-                ready.append(key)
-        return ready
-
-    def _group_urgency(self, key: Tuple[str, str]) -> Tuple:
-        q = self._queues[key]
-        deadline = min(r.absolute_deadline_ms for r in q)
-        priority = min(r.priority for r in q)
-        return (deadline, priority, key)
 
     def _dispatch(self, now: float) -> List[Completion]:
         finished: List[Completion] = []
@@ -374,58 +531,33 @@ class DeadlineScheduler:
             if not ready:
                 break
             key = min(ready, key=self._group_urgency)
-            graph_name, primitive = key
-            q = self._queues[key]
-            taken: List[Request] = []
-            while q and len(taken) < self.max_lanes:
-                taken.append(q.popleft())
-            self._queued -= len(taken)
-            runnable: List[Request] = []
-            for req in taken:
-                if req.absolute_deadline_ms < now:
-                    done = Completion(req.rid, req.primitive, req.arrival_ms,
-                                      now, "deadline_drop",
-                                      deadline_met=False,
-                                      reason="deadline_passed")
-                    finished.append(self._complete(done))
-                elif self.service.lookup(req) is not None:
-                    # an earlier batch filled the cache while this waited
-                    done = Completion(req.rid, req.primitive, req.arrival_ms,
-                                      now, "cache_hit")
-                    finished.append(self._complete(done))
-                else:
-                    runnable.append(req)
-            if not runnable:
-                continue
-            device = idle[0]
-            finished.extend(
-                self._execute(device, graph_name, primitive, runnable, now))
+            runnable = self._take(key, now, finished)
+            if runnable:
+                finished.extend(self._execute(idle[0], key[0], key[1],
+                                              runnable, now))
         # background repair: strictly after foreground work, on whatever
         # devices the EDF pass left idle this tick
         while self._repair_jobs:
             idle = [d for d in self.devices if d.idle(now)]
             if not idle:
                 break
-            self._run_repair(idle[0], self._repair_jobs.popleft(), now)
+            job = self._repair_jobs.popleft()
+            if not self._superseded(job):
+                self._run_repair(job, idle[0], now, device=idle[0].index)
         return finished
 
     def _execute(self, device: Device, graph_name: str, primitive: str,
                  runnable: List[Request], now: float) -> List[Completion]:
-        batches = plan_batches(primitive,
-                               [(r.rid, r.params) for r in runnable],
-                               self.max_lanes)
         by_rid = {r.rid: r for r in runnable}
         out: List[Completion] = []
         start = now
         # solo primitives (wtf) yield one batch per unique query; they
         # serialize back-to-back on the chosen device
-        for batch in batches:
-            before = device.machine.elapsed_ms()
-            with obs_span("serve.batch", CAT_SERVE, device.machine,
-                          primitive=primitive, graph=graph_name,
-                          lanes=batch.lanes, device=device.index):
-                self.service.run_batch(graph_name, batch, device.machine)
-            exec_ms = device.machine.elapsed_ms() - before
+        for batch in self._plan(primitive, runnable):
+            # results are committed (cache-visible) at dispatch
+            _, exec_ms = self._run_batch(device, graph_name, batch,
+                                         self.service.run_batch,
+                                         device=device.index)
             service_ms = exec_ms
             if self.fault_rate and self.retry.max_retries > 0 and \
                     self._rng.random() < self.fault_rate:
@@ -443,12 +575,11 @@ class DeadlineScheduler:
             for q in batch.queries:
                 for rid in q.request_ids:
                     req = by_rid[rid]
-                    done = Completion(
+                    out.append(self._complete(Completion(
                         rid, req.primitive, req.arrival_ms, finish, "ok",
                         batch_lanes=batch.lanes, device=device.index,
-                        deadline_met=finish <= req.absolute_deadline_ms)
-                    out.append(self._complete(done))
+                        deadline_met=finish <= req.absolute_deadline_ms)))
             start = finish
         device.busy_until_ms = start
-        self._push(start, _EV_FREE, device.index)
+        self._wake(start)
         return out

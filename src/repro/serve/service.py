@@ -23,7 +23,8 @@ import numpy as np
 
 from ..dynamic.delta import DeltaCsr, MutationBatch, unaffected_primitives
 from ..graph.csr import Csr
-from .batcher import (Batch, LaneResult, SERVED_PRIMITIVES, execute_batch,
+from .batcher import (Batch, COALESCED_PRIMITIVES, LaneResult,
+                      SERVED_PRIMITIVES, SOLO_PRIMITIVES, execute_batch,
                       query_key)
 from .cache import ResultCache
 from .shard import FANOUT, ShardMap, ShardTier, build_shard_map, route_vertex
@@ -106,6 +107,19 @@ def key_primitive(query_key: Tuple) -> str:
     """The primitive name inside a cache query key, shard-prefixed or not
     (shard keys are ``(("shard", sid), primitive, *params)``)."""
     return query_key[1] if isinstance(query_key[0], tuple) else query_key[0]
+
+
+def key_parts(query_key: Tuple) -> Tuple[int, str, Dict]:
+    """``(shard, primitive, params)`` of a cache query key; the shard is
+    -1 for an unprefixed (single-pool) key."""
+    if isinstance(query_key[0], tuple):
+        return query_key[0][1], query_key[1], dict(query_key[2:])
+    return -1, query_key[0], dict(query_key[1:])
+
+
+def _cache_key(key: Tuple, sid: Optional[int]) -> Tuple:
+    """``key`` as stored: bare in a single pool, shard-prefixed otherwise."""
+    return key if sid is None else (("shard", sid),) + key
 
 
 class GraphService:
@@ -193,16 +207,24 @@ class GraphService:
                 "primitives: " + ", ".join(SERVED_PRIMITIVES))
         self.graph_version(request.graph)
 
-    def lookup(self, request: Request) -> Optional[LaneResult]:
-        """Cache probe against the request's graph at its *current* version."""
-        vg = self.graph_version(request.graph)
-        return self.cache.get(vg.name, vg.version, request.key)
+    def route(self, request: Request) -> Optional[int]:
+        """Owning shard of the request; None — a single pool has no shards."""
+        return None
 
-    def run_batch(self, graph_name: str, batch: Batch,
-                  machine) -> Dict[Tuple, LaneResult]:
-        """Execute one batch on a device machine and cache every lane."""
+    def lookup(self, request: Request,
+               sid: Optional[int] = None) -> Optional[LaneResult]:
+        """Cache probe against the request's graph at its *current*
+        version (under shard ``sid``'s key prefix, when given)."""
+        vg = self.graph_version(request.graph)
+        return self.cache.get(vg.name, vg.version,
+                              _cache_key(request.key, sid))
+
+    def execute(self, graph_name: str, batch: Batch, machine
+                ) -> Tuple[Dict[Tuple, LaneResult], int]:
+        """Execute one batch on a device machine; returns the results
+        plus the graph version they were computed against.  Nothing is
+        cached here — see :meth:`commit`."""
         from ..core.engine import engine as engine_ctx, fallback_log
-        from .batcher import COALESCED_PRIMITIVES, SOLO_PRIMITIVES
 
         vg = self.graph_version(graph_name)
         if self.engine and batch.primitive in (COALESCED_PRIMITIVES
@@ -213,9 +235,27 @@ class GraphService:
             self.engine_fallbacks.extend(fallback_log()[before:])
         else:
             results = execute_batch(vg.csr, batch, machine=machine)
-        for key, payload in results.items():
-            self.cache.put(vg.name, vg.version, key, payload, payload.nbytes)
         self.executed_batches.append((batch.primitive, batch.lanes))
+        return results, vg.version
+
+    def commit(self, graph_name: str, version: int,
+               results: Dict[Tuple, LaneResult],
+               sid: Optional[int] = None) -> None:
+        """Cache an execution's lanes (keyed by owning shard ``sid``, when
+        given) — skipped entirely when the graph has moved past
+        ``version``."""
+        vg = self.graph_version(graph_name)
+        if vg.version != version:
+            return
+        for key, payload in results.items():
+            self.cache.put(vg.name, vg.version, _cache_key(key, sid),
+                           payload, payload.nbytes)
+
+    def run_batch(self, graph_name: str, batch: Batch,
+                  machine) -> Dict[Tuple, LaneResult]:
+        """Execute one batch on a device machine and cache every lane."""
+        results, version = self.execute(graph_name, batch, machine)
+        self.commit(graph_name, version, results)
         return results
 
     # -- reporting ---------------------------------------------------------
@@ -256,9 +296,9 @@ class ShardedGraphService(GraphService):
     stale-unreachable-by-construction contract extends to repairs.
 
     Execution results are **not** cached at dispatch time: the sharded
-    scheduler commits them via :meth:`commit_results` only when the
-    execution actually completes (a hedged loser or a killed replica's
-    in-flight work must never populate the cache).
+    scheduler calls :meth:`~GraphService.commit` only when the execution
+    actually completes (a hedged loser or a killed replica's in-flight
+    work must never populate the cache).
     """
 
     def __init__(self, tier: ShardTier, *, shard_method: str = "contiguous",
@@ -322,38 +362,6 @@ class ShardedGraphService(GraphService):
             raise ValueError(f"request {request.rid}: vertex {vertex} out "
                              f"of range for graph {request.graph!r}")
         return sm.shard_of(vertex)
-
-    # -- query path --------------------------------------------------------
-
-    def _shard_key(self, sid: int, key: Tuple) -> Tuple:
-        return (("shard", sid),) + key
-
-    def lookup_sharded(self, request: Request, sid: int
-                       ) -> Optional[LaneResult]:
-        vg = self.graph_version(request.graph)
-        return self.cache.get(vg.name, vg.version,
-                              self._shard_key(sid, request.key))
-
-    def run_batch_on(self, graph_name: str, batch: Batch, machine
-                     ) -> Tuple[Dict[Tuple, LaneResult], int]:
-        """Execute one batch on a replica's machine; returns the results
-        plus the graph version they were computed against.  Nothing is
-        cached here — see :meth:`commit_results`."""
-        vg = self.graph_version(graph_name)
-        results = execute_batch(vg.csr, batch, machine=machine)
-        self.executed_batches.append((batch.primitive, batch.lanes))
-        return results, vg.version
-
-    def commit_results(self, graph_name: str, version: int, sid: int,
-                       results: Dict[Tuple, LaneResult]) -> None:
-        """Cache a completed execution's lanes, keyed by owning shard —
-        skipped entirely when the graph has moved past ``version``."""
-        vg = self.graph_version(graph_name)
-        if vg.version != version:
-            return
-        for key, payload in results.items():
-            self.cache.put(vg.name, vg.version, self._shard_key(sid, key),
-                           payload, payload.nbytes)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Shard-aware dispatch: routing, failover, hedging, repair.
 
-The sharded serving tier's event loop.  It extends the single-pool
-:class:`~repro.serve.scheduler.DeadlineScheduler` discipline — bounded
-admission, batching windows, EDF dispatch, deterministic replay — with
-the robustness machinery a replicated tier needs:
+The sharded serving tier's placement on the shared event loop.  It runs
+:class:`~repro.serve.scheduler.SchedulerCore` — bounded admission,
+batching windows, the EDF take step, streaming-update repair selection,
+deterministic replay — and adds the robustness machinery a replicated
+tier needs:
 
 * **Routing** — a single-source query goes to the shard group owning its
   source vertex (:meth:`ShardedGraphService.route`); whole-graph queries
@@ -38,36 +39,24 @@ tie-break is total, so same-seed replays are byte-identical.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..dynamic.delta import (REPAIRABLE_PRIMITIVES, unaffected_primitives,
-                             unwrap_update)
-from ..dynamic.incremental import repair_payload
+from ..dynamic.delta import MutationBatch
 from ..graph.csr import Csr
-from ..obs.metrics import MetricsRegistry
 from ..obs.spans import (CAT_DYNAMIC, CAT_SERVE, CAT_SHARD,
-                         current_observer, instant as obs_instant,
-                         span as obs_span)
+                         instant as obs_instant, span as obs_span)
 from ..resilience.recovery import RetryPolicy
-from .batcher import Batch, DEFAULT_MAX_LANES, LaneResult, plan_batches
-from .scheduler import Overloaded, RepairJob
+from .batcher import Batch, DEFAULT_MAX_LANES, LaneResult
+from .scheduler import (_EV_CACHE_REPAIR, _EV_DONE, _EV_HEDGE, _EV_KILL,
+                        _EV_REPAIR, OnComplete, RepairJob, SchedulerCore)
 from .service import (Completion, Request, ShardedGraphService,
-                      key_primitive)
+                      VersionedGraph)
 from .shard import (FANOUT, KillEvent, Replica, fanout_pagerank,
                     repair_bytes)
-
-#: event kinds, in processing order at equal timestamps: graph updates
-#: and topology changes land before request arrivals (a coinciding
-#: arrival sees the new version / the repaired map), and completions
-#: land before arrivals (a coinciding duplicate hits the fresh cache);
-#: cache repairs land last so foreground work at the same tick wins
-(_EV_UPDATE, _EV_KILL, _EV_REPAIR, _EV_DONE, _EV_ARRIVAL, _EV_HEDGE,
- _EV_WAKE, _EV_CACHE_REPAIR) = range(8)
 
 #: minimum recorded durations before hedge delays are trusted
 DEFAULT_HEDGE_MIN_SAMPLES = 8
@@ -103,7 +92,7 @@ class _Inflight:
         return not (self.done or self.cancelled)
 
 
-class ShardScheduler:
+class ShardScheduler(SchedulerCore):
     """Replicated-shard EDF scheduler with failover, hedging and repair."""
 
     def __init__(self, service: ShardedGraphService, *,
@@ -116,124 +105,58 @@ class ShardScheduler:
                  hedge_min_samples: int = DEFAULT_HEDGE_MIN_SAMPLES,
                  incremental: bool = False,
                  max_repairs_per_update: int = 32):
-        if max_queue < 1:
-            raise ValueError("max_queue must be >= 1")
-        if not 0.0 <= fault_rate < 1.0:
-            raise ValueError("fault_rate must be in [0, 1)")
-        self.service = service
+        super().__init__(
+            service, max_queue=max_queue, batch_window_ms=batch_window_ms,
+            max_lanes=max_lanes, retry=retry, fault_rate=fault_rate,
+            seed=seed, incremental=incremental,
+            max_repairs_per_update=max_repairs_per_update)
         self.tier = service.tier
-        self.max_queue = max_queue          # per shard group
-        self.batch_window_ms = batch_window_ms
-        self.max_lanes = max_lanes
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.fault_rate = fault_rate
         self.hedging = hedging and self.tier.replicas_per_shard > 1
         self.hedge_min_samples = max(1, hedge_min_samples)
-        self._rng = np.random.default_rng(seed)
-        self._queues: Dict[Tuple[str, str, int], Deque[Request]] = {}
-        self._queued: Dict[int, int] = {}   # per shard group (and FANOUT)
         self._parked: Dict[int, List[Request]] = {}
         self._inflight: Dict[int, _Inflight] = {}
         self._eid = 0
         self._durations: Dict[str, List[float]] = {}
-        self.completions: List[Completion] = []
-        self.recovered_faults = 0
-        self.retry_backoff_ms = 0.0
         self.failovers = 0
         self.hedges_launched = 0
         self.hedges_won = 0
         self.hedge_waste_ms = 0.0
-        self.repairs = 0
+        self.repairs = 0            # shard-map repairs, not cache repairs
         self.killed_replicas = 0
-        self.shard_down_shed = 0
-        self._heap: List[Tuple[float, int, int, object]] = []
-        self._seq = 0
-        self._wakes: Set[float] = set()
-        # streaming-update state: cache repairs run shard-local, priced
-        # behind the delta-broadcast interconnect transfer ("repairs"
-        # above are shard-map repairs; these repair cache *entries*)
-        self.incremental = incremental
-        self.max_repairs_per_update = max_repairs_per_update
-        self.graph_updates = 0
-        self.incremental_updates = 0
-        self.cache_repairs_incremental = 0
-        self.cache_repair_fallbacks = 0
-        self.stale_cache_repairs = 0
-        self.cache_repair_ms = 0.0
-        self.update_broadcast_ms = 0.0
-        observer = current_observer()
-        self.metrics: MetricsRegistry = observer.metrics \
-            if observer is not None else MetricsRegistry()
+        self._handlers = {
+            _EV_KILL: self._handle_kill, _EV_REPAIR: self._handle_repair,
+            _EV_DONE: self._handle_done, _EV_HEDGE: self._handle_hedge,
+            _EV_CACHE_REPAIR: self._handle_cache_repair}
 
-    # -- bookkeeping -------------------------------------------------------
-
-    def _push(self, time: float, kind: int, payload) -> None:
-        heapq.heappush(self._heap, (time, kind, self._seq, payload))
-        self._seq += 1
-
-    def _wake(self, time: float) -> None:
-        """Schedule a dispatcher wake-up, deduplicated per timestamp."""
-        if time not in self._wakes:
-            self._wakes.add(time)
-            self._push(time, _EV_WAKE, None)
-
-    def _complete(self, done: Completion, sid: int) -> Completion:
-        self.completions.append(done)
-        m = self.metrics
-        m.counter("repro_serve_requests_total", outcome=done.outcome,
-                  primitive=done.primitive).inc()
-        m.counter("repro_shard_requests_total", outcome=done.outcome,
-                  shard=str(sid)).inc()
-        if done.served:
-            m.histogram("repro_serve_latency_ms",
-                        primitive=done.primitive).observe(done.latency_ms)
-            if not done.deadline_met:
-                m.counter("repro_serve_deadline_misses_total",
-                          primitive=done.primitive).inc()
-        return done
-
-    def _shed(self, req: Request, now: float, reason: str,
-              sid: int) -> Completion:
-        if reason == "shard_down":
-            self.shard_down_shed += 1
-        return self._complete(Completion(
-            req.rid, req.primitive, req.arrival_ms, now, "shed",
-            deadline_met=False, reason=reason), sid)
+    @property
+    def shard_down_shed(self) -> int:
+        return sum(1 for c in self.completions if c.reason == "shard_down")
 
     # -- admission ---------------------------------------------------------
 
-    def enqueue(self, request: Request, now: float) -> Optional[Completion]:
-        """Admit one request at ``now``.
+    def _admit(self, request: Request, now: float,
+               sid: int) -> Optional[Completion]:
+        """Queue under the owning shard's bound — unless that shard is
+        down: then park behind a repair that beats the deadline, else
+        shed with the typed ``shard_down`` reason."""
+        target = self._down_target(sid)
+        if target is None:
+            return super()._admit(request, now, sid)
+        repaired = self.tier.repairing.get(target)
+        parked = self._parked.setdefault(target, [])
+        if repaired is not None and \
+                request.absolute_deadline_ms >= repaired and \
+                len(parked) < self.max_queue:
+            parked.append(request)
+            return None
+        return self._shed(request, now, "shard_down", sid)
 
-        Returns a completion for a cache hit or a shard-down shed, None
-        when queued or parked, and raises :class:`Overloaded` when the
-        owning shard's bounded queue is full.
-        """
-        self.service.validate(request)
-        sid = self.service.route(request)
-        if self.service.lookup_sharded(request, sid) is not None:
-            met = now <= request.absolute_deadline_ms
-            return self._complete(Completion(
-                request.rid, request.primitive, request.arrival_ms, now,
-                "cache_hit", deadline_met=met), sid)
-        down_sid = self._down_target(sid)
-        if down_sid is not None:
-            repaired = self.tier.repairing.get(down_sid)
-            parked = self._parked.setdefault(down_sid, [])
-            if repaired is not None and \
-                    request.absolute_deadline_ms >= repaired and \
-                    len(parked) < self.max_queue:
-                parked.append(request)
-                return None
-            return self._shed(request, now, "shard_down", sid)
-        if self._queued.get(sid, 0) >= self.max_queue:
-            raise Overloaded(request.rid, self._queued.get(sid, 0),
-                             self.max_queue)
-        key = (request.graph, request.primitive, sid)
-        self._queues.setdefault(key, deque()).append(request)
-        self._queued[sid] = self._queued.get(sid, 0) + 1
-        self._wake(now + self.batch_window_ms)
-        return None
+    def _admit_all(self, requests: List[Request], now: float,
+                   sid: int) -> List[Completion]:
+        """Park-or-shed work that was queued or in flight on a shard
+        whose last replica died."""
+        done = [self._admit(req, now, sid) for req in requests]
+        return [d for d in done if d is not None]
 
     def _down_target(self, sid: int) -> Optional[int]:
         """The dead shard this request is blocked on, if any.
@@ -256,85 +179,21 @@ class ShardScheduler:
     def replay(self, requests: List[Request],
                updates: Optional[List[Tuple[float, str, Csr]]] = None,
                kills: Optional[List[KillEvent]] = None,
-               on_complete: Optional[
-                   Callable[[Request, Completion], Optional[Request]]] = None,
+               on_complete: Optional[OnComplete] = None,
                ) -> List[Completion]:
-        """Run the full event loop; returns every request's completion."""
-        by_rid: Dict[int, Request] = {}
-        for req in requests:
-            by_rid[req.rid] = req
-            self._push(req.arrival_ms, _EV_ARRIVAL, req)
-        for at_ms, name, payload in updates or []:
-            self._push(at_ms, _EV_UPDATE, (name, payload))
+        """Run the full event loop (see :meth:`SchedulerCore._run`) with
+        ``kills`` as scheduled permanent replica losses."""
         for kill in kills or []:
             self._push(kill.at_ms, _EV_KILL, kill)
-
-        while self._heap:
-            now = self._heap[0][0]
-            finished: List[Completion] = []
-            while self._heap and self._heap[0][0] == now:
-                _, kind, _, payload = heapq.heappop(self._heap)
-                if kind == _EV_UPDATE:
-                    name, update = payload
-                    self._handle_update(name, update, now)
-                elif kind == _EV_CACHE_REPAIR:
-                    self._handle_cache_repair(payload, now)
-                elif kind == _EV_KILL:
-                    finished.extend(self._handle_kill(payload, now))
-                elif kind == _EV_REPAIR:
-                    finished.extend(self._handle_repair(payload, now))
-                elif kind == _EV_DONE:
-                    finished.extend(self._handle_done(payload, now))
-                elif kind == _EV_ARRIVAL:
-                    req = payload
-                    by_rid[req.rid] = req
-                    try:
-                        done = self.enqueue(req, now)
-                    except Overloaded:
-                        done = self._shed(req, now, "queue_full",
-                                          self.service.route(req))
-                    if done is not None:
-                        finished.append(done)
-                elif kind == _EV_HEDGE:
-                    self._handle_hedge(payload, now)
-                # _EV_WAKE exists only to trigger the dispatcher
-            finished.extend(self._dispatch(now))
-            if on_complete is not None:
-                for done in finished:
-                    follow = on_complete(by_rid[done.rid], done)
-                    if follow is not None:
-                        self._push(follow.arrival_ms, _EV_ARRIVAL, follow)
-        return self.completions
+        return self._run(requests, updates, on_complete)
 
     # -- streaming updates -------------------------------------------------
 
-    def _handle_update(self, name: str, payload, now: float) -> None:
-        """Apply one graph update.  On the incremental path the mutation
-        delta is broadcast to every live shard group over the
-        interconnect (same pricing as a shard-map repair transfer), and
-        shard-local cache repairs are scheduled once the broadcast
-        lands."""
-        csr, batch = unwrap_update(payload)
-        self.graph_updates += 1
-        kind = "edges" if batch is not None and batch.structural \
-            else "weights"
-        self.metrics.counter("repro_graph_updates_total", kind=kind).inc()
-        if not (self.incremental and batch is not None):
-            self.service.update_graph(csr, name)
-            return
-        self.incremental_updates += 1
-        vg = self.service.graph_version(name)
-        old_csr, old_version = vg.csr, vg.version
-        # shard-keyed warm entries to repair, MRU first, capped
-        targets: List[Tuple[Tuple, LaneResult]] = []
-        keep = unaffected_primitives(batch)
-        for qkey, cached in reversed(
-                self.service.cache.entries_for(name, old_version)):
-            prim = key_primitive(qkey)
-            if prim in REPAIRABLE_PRIMITIVES and prim not in keep:
-                targets.append((qkey, cached))
-                if len(targets) >= self.max_repairs_per_update:
-                    break
+    def _land_update(self, name: str, batch: MutationBatch,
+                     now: float) -> Tuple[VersionedGraph, float]:
+        """The mutation delta is broadcast to every live shard group over
+        the interconnect (same pricing as a shard-map repair transfer);
+        shard-local cache repairs start once the broadcast lands."""
         with obs_span("dynamic.compaction", CAT_DYNAMIC, graph=name,
                       mutations=batch.size):
             vg = self.service.update_graph(name=name, batch=batch,
@@ -343,108 +202,34 @@ class ShardScheduler:
         volume = max(1, batch.size) * 3 * 8
         msgs = max(1, len(self.tier.live_sids()))
         bcast_ms = self.tier.interconnect.transfer_ms(volume, msgs)
-        self.update_broadcast_ms += bcast_ms
-        for qkey, cached in targets:
-            sid = qkey[0][1] if isinstance(qkey[0], tuple) else -1
-            params = dict(qkey[2:]) if isinstance(qkey[0], tuple) \
-                else dict(qkey[1:])
-            self._push(now + bcast_ms, _EV_CACHE_REPAIR, RepairJob(
-                name, vg.version, qkey, key_primitive(qkey), params,
-                dict(cached.arrays), old_csr, batch, sid=sid))
+        self.compaction_ms += bcast_ms
+        return vg, now + bcast_ms
+
+    def _queue_repair(self, job: RepairJob, at: float) -> None:
+        self._push(at, _EV_CACHE_REPAIR, job)
 
     def _handle_cache_repair(self, job: RepairJob, now: float) -> None:
         """Run one cache repair on a replica of the owning shard group
         (any live group for fan-out entries); a busy replica defers the
         job to its free time rather than preempting foreground work."""
-        vg = self.service.graphs.get(job.graph)
-        if vg is None or vg.version != job.version:
-            self.stale_cache_repairs += 1
+        if self._superseded(job):
             return
-        if job.sid == FANOUT or job.sid < 0:
-            live = self.tier.live_sids()
-            if not live:
-                self.stale_cache_repairs += 1
-                return
-            group = self.tier.groups[min(live)]
-        else:
-            group = self.tier.groups[job.sid]
-            if group.down:
-                self.stale_cache_repairs += 1
-                return
-        got = group.pick(now)
-        if got is None:
-            self.stale_cache_repairs += 1
+        sid = job.sid
+        if sid < 0:         # a fan-out entry: any live group can repair it
+            sid = min(self.tier.live_sids(), default=None)
+        got = None if sid is None else self.tier.groups[sid].pick(now)
+        if got is None:     # no live replica left to repair on
+            self.stale_repairs += 1
             return
         replica, at = got
         if at > now:
             self._push(at, _EV_CACHE_REPAIR, job)
             return
         replica.begin_dispatch(now)
-        before_ms = replica.machine.elapsed_ms()
-        before_cy = replica.machine.counters.cycles
-        view = vg.delta if vg.delta is not None and vg.delta.pending \
-            else vg.csr
-        with obs_span("dynamic.repair", CAT_DYNAMIC, replica.machine,
-                      primitive=job.primitive, graph=job.graph,
-                      shard=job.sid, replica=replica.name) as sp:
-            arrays, incremental = repair_payload(
-                job.primitive, job.params, job.old_arrays, job.old_csr,
-                view, job.batch, machine=replica.machine)
-            sp.set(incremental=incremental)
-        ms = replica.machine.elapsed_ms() - before_ms
-        payload = LaneResult(arrays)
-        self.service.cache.put(job.graph, job.version, job.key, payload,
-                               payload.nbytes)
-        if incremental:
-            self.cache_repairs_incremental += 1
-        else:
-            self.cache_repair_fallbacks += 1
-        self.cache_repair_ms += ms
-        self.metrics.counter(
-            "repro_repair_cycles_total", primitive=job.primitive).inc(
-            float(replica.machine.counters.cycles - before_cy))
-        replica.busy_until_ms = max(replica.busy_until_ms, now) + ms
-        self._wake(replica.busy_until_ms)
-
-    def dynamic_summary(self) -> Dict[str, object]:
-        """The report's ``dynamic`` section (same keys as the
-        single-pool scheduler's, so tooling reads either)."""
-        if not self.graph_updates:
-            return {}
-        compactions = sum(
-            vg.delta.compactions for vg in self.service.graphs.values()
-            if vg.delta is not None)
-        return {
-            "updates": self.graph_updates,
-            "updates_incremental": self.incremental_updates,
-            "repairs_incremental": self.cache_repairs_incremental,
-            "repair_fallbacks": self.cache_repair_fallbacks,
-            "stale_repairs": self.stale_cache_repairs,
-            "pending_repairs": 0,
-            "repair_ms": self.cache_repair_ms,
-            "compaction_ms": self.update_broadcast_ms,
-            "compactions": compactions,
-            "cache_carried": self.service.cache.stats.carried,
-        }
+        self._run_repair(job, replica, now, shard=job.sid,
+                         replica=replica.name)
 
     # -- dispatch ----------------------------------------------------------
-
-    def _ready_groups(self, now: float) -> List[Tuple[str, str, int]]:
-        ready = []
-        for key, q in self._queues.items():
-            if not q:
-                continue
-            waited = now - q[0].arrival_ms
-            if waited >= self.batch_window_ms - 1e-9 or \
-                    len(q) >= self.max_lanes:
-                ready.append(key)
-        return ready
-
-    def _group_urgency(self, key: Tuple[str, str, int]) -> Tuple:
-        q = self._queues[key]
-        deadline = min(r.absolute_deadline_ms for r in q)
-        priority = min(r.priority for r in q)
-        return (deadline, priority, key)
 
     def _dispatch(self, now: float) -> List[Completion]:
         finished: List[Completion] = []
@@ -457,31 +242,6 @@ class ShardScheduler:
                     break  # queues changed; recompute readiness
             if not dispatched:
                 return finished
-
-    def _take(self, key: Tuple[str, str, int], now: float,
-              finished: List[Completion]) -> List[Request]:
-        """Drain up to ``max_lanes`` requests from a queue, resolving
-        expired deadlines and races with fresher cache entries."""
-        graph_name, primitive, sid = key
-        q = self._queues[key]
-        taken: List[Request] = []
-        while q and len(taken) < self.max_lanes:
-            taken.append(q.popleft())
-        self._queued[sid] -= len(taken)
-        runnable: List[Request] = []
-        for req in taken:
-            if req.absolute_deadline_ms < now:
-                finished.append(self._complete(Completion(
-                    req.rid, req.primitive, req.arrival_ms, now,
-                    "deadline_drop", deadline_met=False,
-                    reason="deadline_passed"), sid))
-            elif self.service.lookup_sharded(req, sid) is not None:
-                finished.append(self._complete(Completion(
-                    req.rid, req.primitive, req.arrival_ms, now,
-                    "cache_hit"), sid))
-            else:
-                runnable.append(req)
-        return runnable
 
     def _try_dispatch(self, key: Tuple[str, str, int], now: float,
                       finished: List[Completion]) -> bool:
@@ -496,10 +256,7 @@ class ShardScheduler:
             # the kill handler drained this queue; any stragglers follow
             # the same park-or-shed path
             runnable = self._take(key, now, finished)
-            for req in runnable:
-                done = self._park_or_shed(req, sid, now)
-                if done is not None:
-                    finished.append(done)
+            finished.extend(self._admit_all(runnable, now, sid))
             return True
         got = group.pick(now)
         if got is None:  # pragma: no cover - down handled above
@@ -521,10 +278,7 @@ class ShardScheduler:
         live = self.tier.live_sids()
         if not live:
             runnable = self._take(key, now, finished)
-            for req in runnable:
-                done = self._park_or_shed(req, FANOUT, now)
-                if done is not None:
-                    finished.append(done)
+            finished.extend(self._admit_all(runnable, now, FANOUT))
             return True
         chosen = self.tier.fanout_pick(now)
         if chosen is None:
@@ -545,26 +299,6 @@ class ShardScheduler:
             chosen, graph_name, primitive, runnable, now))
         return True
 
-    def _park_or_shed(self, req: Request, sid: int,
-                      now: float) -> Optional[Completion]:
-        """Shard-down disposition: park behind a repair that beats the
-        deadline, else shed with the typed ``shard_down`` reason."""
-        target = self._down_target(sid)
-        if target is None:
-            # repaired while queued: requeue under the new owner
-            try:
-                return self.enqueue(req, now)
-            except Overloaded:
-                return self._shed(req, now, "queue_full", sid)
-        repaired = self.tier.repairing.get(target)
-        parked = self._parked.setdefault(target, [])
-        if repaired is not None and \
-                req.absolute_deadline_ms >= repaired and \
-                len(parked) < self.max_queue:
-            parked.append(req)
-            return None
-        return self._shed(req, now, "shard_down", sid)
-
     # -- execution ---------------------------------------------------------
 
     def _execute_single(self, sid: int, replica: Replica, graph_name: str,
@@ -572,21 +306,16 @@ class ShardScheduler:
                         now: float) -> List[Completion]:
         """Run one shard-local group on a replica, resolving the
         transient-fault/failover chain, then leave it in flight."""
-        batches = plan_batches(primitive,
-                               [(r.rid, r.params) for r in runnable],
-                               self.max_lanes)
+        batches = self._plan(primitive, runnable)
         replica.begin_dispatch(now)
         payloads: List[Tuple[Batch, Dict, int]] = []
         exec_total = 0.0
         for batch in batches:
-            before = replica.machine.elapsed_ms()
-            with obs_span("serve.batch", CAT_SERVE, replica.machine,
-                          primitive=primitive, graph=graph_name,
-                          lanes=batch.lanes, shard=sid,
-                          replica=replica.name):
-                results, version = self.service.run_batch_on(
-                    graph_name, batch, replica.machine)
-            exec_total += replica.machine.elapsed_ms() - before
+            # executed now, committed (cache-visible) only at _EV_DONE
+            (results, version), exec_ms = self._run_batch(
+                replica, graph_name, batch, self.service.execute,
+                shard=sid, replica=replica.name)
+            exec_total += exec_ms
             payloads.append((batch, results, version))
 
         cur, start, attempt = replica, now, 0
@@ -598,23 +327,15 @@ class ShardScheduler:
             cur.on_failure(t_fault)
             cur.busy_until_ms = t_fault
             if attempt >= self.retry.max_retries:
-                out = []
-                for req in runnable:
-                    out.append(self._complete(Completion(
-                        req.rid, req.primitive, req.arrival_ms, t_fault,
-                        "failed", deadline_met=False,
-                        reason="retries_exhausted"), sid))
-                return out
+                return self._fail_all(runnable, t_fault, sid)
             backoff = self.retry.backoff_ms(attempt)
             self.recovered_faults += 1
             self.retry_backoff_ms += backoff
             got = self.tier.groups[sid].pick(t_fault + backoff,
                                              prefer_not=cur)
             if got is None:  # pragma: no cover - kills arrive via events
-                out = []
-                for req in runnable:
-                    out.append(self._shed(req, t_fault, "shard_down", sid))
-                return out
+                return [self._shed(req, t_fault, "shard_down", sid)
+                        for req in runnable]
             nxt, at = got
             start = max(t_fault + backoff, at)
             nxt.begin_dispatch(start)
@@ -629,23 +350,31 @@ class ShardScheduler:
 
         finish = start + exec_total
         cur.busy_until_ms = finish
-        infl = _Inflight(self._eid, sid, graph_name, primitive,
-                         list(runnable), cur, start=start, finish=finish,
-                         dispatched=now, exec_ms=exec_total,
-                         payloads=payloads, attempt=attempt)
-        self._inflight[self._eid] = infl
-        self._push(finish, _EV_DONE, self._eid)
-        self._eid += 1
-        self._maybe_schedule_hedge(infl)
+        self._maybe_schedule_hedge(self._launch(_Inflight(
+            self._eid, sid, graph_name, primitive, list(runnable), cur,
+            start=start, finish=finish, dispatched=now, exec_ms=exec_total,
+            payloads=payloads, attempt=attempt)))
         return []
+
+    def _fail_all(self, requests: List[Request], at: float,
+                  sid: int) -> List[Completion]:
+        return [self._complete(Completion(
+            req.rid, req.primitive, req.arrival_ms, at, "failed",
+            deadline_met=False, reason="retries_exhausted"), sid)
+            for req in requests]
+
+    def _launch(self, infl: _Inflight) -> _Inflight:
+        """Register an execution as in flight until its ``_EV_DONE``."""
+        self._inflight[infl.eid] = infl
+        self._push(infl.finish, _EV_DONE, infl.eid)
+        self._eid += 1
+        return infl
 
     def _execute_fanout(self, chosen: Dict[int, Replica], graph_name: str,
                         primitive: str, runnable: List[Request],
                         now: float) -> List[Completion]:
         """Run a whole-graph group across one replica per live shard."""
-        batches = plan_batches(primitive,
-                               [(r.rid, r.params) for r in runnable],
-                               self.max_lanes)
+        batches = self._plan(primitive, runnable)
         vg = self.service.graph_version(graph_name)
         sm = self.service.shard_map(graph_name)
         machines = {s: r.machine for s, r in chosen.items()}
@@ -679,15 +408,9 @@ class ShardScheduler:
             # live group — there is no sibling set to fail over to)
             t_fault = start + 0.5 * exec_total
             if attempt >= self.retry.max_retries:
-                out = []
-                for req in runnable:
-                    out.append(self._complete(Completion(
-                        req.rid, req.primitive, req.arrival_ms, t_fault,
-                        "failed", deadline_met=False,
-                        reason="retries_exhausted"), FANOUT))
                 for rep in chosen.values():
                     rep.busy_until_ms = t_fault
-                return out
+                return self._fail_all(runnable, t_fault, FANOUT)
             backoff = self.retry.backoff_ms(attempt)
             self.recovered_faults += 1
             self.retry_backoff_ms += backoff
@@ -697,15 +420,11 @@ class ShardScheduler:
         finish = start + exec_total
         for rep in chosen.values():
             rep.busy_until_ms = finish
-        infl = _Inflight(self._eid, FANOUT, graph_name, primitive,
-                         list(runnable), None,
-                         fanout_replicas=dict(chosen), start=start,
-                         finish=finish, dispatched=now,
-                         exec_ms=exec_total, payloads=payloads,
-                         partial=partial, attempt=attempt)
-        self._inflight[self._eid] = infl
-        self._push(finish, _EV_DONE, self._eid)
-        self._eid += 1
+        self._launch(_Inflight(
+            self._eid, FANOUT, graph_name, primitive, list(runnable), None,
+            fanout_replicas=dict(chosen), start=start, finish=finish,
+            dispatched=now, exec_ms=exec_total, payloads=payloads,
+            partial=partial, attempt=attempt))
         return []
 
     # -- hedging -----------------------------------------------------------
@@ -741,17 +460,13 @@ class ShardScheduler:
         # the duplicate redoes the primary's work on its own clock; the
         # reply bytes are the primary's deterministic results either way
         rep.machine.stall_ms("shard_hedge", infl.exec_ms)
-        hedge = _Inflight(self._eid, infl.sid, infl.graph, infl.primitive,
-                          infl.requests, rep, start=now,
-                          finish=now + infl.exec_ms, dispatched=now,
-                          exec_ms=infl.exec_ms, payloads=infl.payloads,
-                          attempt=infl.attempt, partner=infl,
-                          is_hedge=True)
+        hedge = self._launch(_Inflight(
+            self._eid, infl.sid, infl.graph, infl.primitive, infl.requests,
+            rep, start=now, finish=now + infl.exec_ms, dispatched=now,
+            exec_ms=infl.exec_ms, payloads=infl.payloads,
+            attempt=infl.attempt, partner=infl, is_hedge=True))
         infl.partner = hedge
         rep.busy_until_ms = hedge.finish
-        self._inflight[self._eid] = hedge
-        self._push(hedge.finish, _EV_DONE, self._eid)
-        self._eid += 1
         self.hedges_launched += 1
         obs_instant("shard.hedge", CAT_SHARD, rep.machine, shard=infl.sid,
                     primitive=infl.primitive, source=infl.replica.name,
@@ -785,9 +500,8 @@ class ShardScheduler:
         # execution never populates it; partial (degraded) fan-out ranks
         # are never cached at all, so a post-repair ask recomputes fully
         if not infl.partial:
-            for batch, results, version in infl.payloads:
-                self.service.commit_results(infl.graph, version, infl.sid,
-                                            results)
+            for _batch, results, version in infl.payloads:
+                self.service.commit(infl.graph, version, results, infl.sid)
         outcome = "partial" if infl.partial else "ok"
         reason = "degraded" if infl.partial else ""
         device = infl.replica.device_id if infl.replica is not None else -1
@@ -872,12 +586,7 @@ class ShardScheduler:
         if got is None:
             # last replica died with this in flight: park behind the
             # repair (scheduled by the caller) or shed typed shard_down
-            out = []
-            for req in infl.requests:
-                done = self._park_or_shed(req, infl.sid, now)
-                if done is not None:
-                    out.append(done)
-            return out
+            return self._admit_all(infl.requests, now, infl.sid)
         rep, at = got
         start = max(now + backoff, at)
         rep.begin_dispatch(start)
@@ -886,15 +595,12 @@ class ShardScheduler:
         obs_instant("shard.failover", CAT_SHARD, rep.machine,
                     shard=infl.sid, source=infl.replica.name,
                     target=rep.name, cause="replica_killed")
-        redo = _Inflight(self._eid, infl.sid, infl.graph, infl.primitive,
-                         infl.requests, rep, start=start,
-                         finish=start + infl.exec_ms,
-                         dispatched=infl.dispatched, exec_ms=infl.exec_ms,
-                         payloads=infl.payloads, attempt=infl.attempt)
+        redo = self._launch(_Inflight(
+            self._eid, infl.sid, infl.graph, infl.primitive, infl.requests,
+            rep, start=start, finish=start + infl.exec_ms,
+            dispatched=infl.dispatched, exec_ms=infl.exec_ms,
+            payloads=infl.payloads, attempt=infl.attempt))
         rep.busy_until_ms = redo.finish
-        self._inflight[self._eid] = redo
-        self._push(redo.finish, _EV_DONE, self._eid)
-        self._eid += 1
         self._maybe_schedule_hedge(redo)
         return []
 
@@ -920,10 +626,7 @@ class ShardScheduler:
             drained = list(q)
             q.clear()
             self._queued[sid] = self._queued.get(sid, 0) - len(drained)
-            for req in drained:
-                done = self._park_or_shed(req, sid, now)
-                if done is not None:
-                    finished.append(done)
+            finished.extend(self._admit_all(drained, now, sid))
         return finished
 
     def _handle_repair(self, sid: int, now: float) -> List[Completion]:
@@ -936,16 +639,9 @@ class ShardScheduler:
         self.service.rebuild_maps()
         obs_instant("shard.repair_done", CAT_SHARD, shard=sid,
                     cascade=len(self.tier.dead_order))
-        finished: List[Completion] = []
-        for req in self._parked.pop(sid, []):
-            try:
-                done = self.enqueue(req, now)
-            except Overloaded:
-                done = self._shed(req, now, "queue_full",
-                                  self.service.route(req))
-            if done is not None:
-                finished.append(done)
-        return finished
+        done = [self._enqueue_or_shed(req, now)
+                for req in self._parked.pop(sid, [])]
+        return [d for d in done if d is not None]
 
     # -- reporting ---------------------------------------------------------
 

@@ -131,6 +131,16 @@ def test_serve_json_deterministic(capsys):
     assert payload["hit_rate"] > 0
 
 
+@pytest.mark.parametrize("extra", [("--engine", "fused"), ("--devices", "2")])
+def test_serve_shards_rejects_single_pool_flags(extra, capsys):
+    """--shards used to ignore these silently; now it is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("serve", "--generate", "kron:8", "--requests", "10",
+                "--shards", "2", *extra)
+    assert exc.value.code == 2
+    assert f"{extra[0]} has no effect with --shards" in capsys.readouterr().err
+
+
 def test_serve_closed_loop_with_faults(capsys):
     assert run_cli("serve", "--generate", "kron:9", "--requests", "60",
                    "--seed", "3", "--mode", "closed", "--clients", "4",

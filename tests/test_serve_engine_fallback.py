@@ -9,7 +9,8 @@ import numpy as np
 from repro.graph import generators
 from repro.obs import observe
 from repro.serve.batcher import plan_batches
-from repro.serve.service import GraphService
+from repro.serve.service import GraphService, ShardedGraphService
+from repro.serve.shard import ShardTier
 from repro.simt import Machine
 
 
@@ -75,3 +76,20 @@ def test_laned_batches_stay_pooled_and_record_nothing():
     svc, replies = _run_service("la", [("bfs", {"src": 0})])
     assert not svc.engine_fallbacks
     assert replies
+
+
+def test_sharded_service_runs_the_same_engine_dispatch():
+    """One ``execute`` for both tiers: the sharded service dispatches its
+    ``engine`` (and records fallbacks) exactly as the single pool does."""
+    g = _graph()
+    user = int(g.out_degrees.argmax())
+    svc = ShardedGraphService(ShardTier(2, 1))
+    svc.engine = "la"
+    svc.load_graph(g)
+    batch = plan_batches("wtf", [(0, {"user": user})])[0]
+    results, version = svc.execute("default", batch, Machine())
+    assert version == 0
+    assert any("no linear-algebra lowering" in reason
+               for _, reason in svc.engine_fallbacks)
+    _, r_p = _run_service(None, [("wtf", {"user": user})])
+    _assert_replies_equal(results, r_p)

@@ -6,8 +6,9 @@ import pytest
 
 from repro.resilience import RetryPolicy
 from repro.serve import (DeadlineScheduler, GraphService, Overloaded, Request,
-                         ServeReport, WorkloadSpec, build_workload,
-                         run_serving, zipf_popularity)
+                         ServeReport, ShardScheduler, ShardTier,
+                         ShardedGraphService, WorkloadSpec, build_workload,
+                         parse_kill_schedule, run_serving, zipf_popularity)
 
 
 def _service(graph):
@@ -172,15 +173,106 @@ def test_report_is_byte_identical_across_runs(kron_graph):
     assert r1.as_dict() == r2.as_dict()
 
 
-def test_report_accounts_for_every_request(kron_graph):
-    spec = WorkloadSpec(requests=100, seed=3)
-    r = run_serving(kron_graph, spec)
-    assert r.requests == 100
-    assert r.served + r.shed + r.deadline_drops == 100
+def _replay_single(graph, spec, **kw):
+    service = GraphService()
+    service.load_graph(graph)
+    sched = DeadlineScheduler(service, seed=spec.seed, **kw)
+    w = build_workload(graph, spec)
+    done = sched.replay(w.initial_requests, updates=w.updates,
+                        on_complete=w.driver)
+    return w, sched, ServeReport.from_replay(
+        done, service, recovered_faults=sched.recovered_faults,
+        metrics=sched.metrics, dynamic=sched.dynamic_summary())
+
+
+def _replay_sharded(graph, spec, **kw):
+    service = ShardedGraphService(ShardTier(4, 2))
+    service.load_graph(graph)
+    sched = ShardScheduler(service, seed=spec.seed, max_queue=4, **kw)
+    w = build_workload(graph, spec)
+    done = sched.replay(w.initial_requests, updates=w.updates,
+                        kills=parse_kill_schedule("2:0:1,4:3:*", 4, 2),
+                        on_complete=w.driver)
+    return w, sched, ServeReport.from_replay(
+        done, service, recovered_faults=sched.recovered_faults,
+        metrics=sched.metrics, shard=sched.shard_summary(),
+        dynamic=sched.dynamic_summary())
+
+
+#: tier -> (replay, WorkloadSpec kwargs); the sharded rows run a bursty
+#: stream into 4-slot queues under a kill schedule that takes out one
+#: replica and one whole group, so every non-served outcome shows up
+_TIERS = {
+    "single": (_replay_single, dict(requests=100, seed=3)),
+    "sharded": (_replay_sharded,
+                dict(requests=120, seed=7, arrival_rate_rps=20000.0)),
+}
+_SCENARIOS = {
+    "no_faults": (dict(), dict()),
+    "faults": (dict(), dict(fault_rate=0.3)),
+    "incremental": (dict(updates=3, update_interval_ms=2.0,
+                         update_kind="edges", delta_frac=0.01),
+                    dict(incremental=True)),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+@pytest.mark.parametrize("tier", sorted(_TIERS))
+def test_report_accounts_for_every_request(tier, scenario, kron_weighted):
+    replay, spec_kw = _TIERS[tier]
+    more_spec, sched_kw = _SCENARIOS[scenario]
+    w, sched, r = replay(kron_weighted,
+                         WorkloadSpec(**spec_kw, **more_spec), **sched_kw)
+    done = sched.completions
+    offered = [req.rid for req in w.initial_requests]
+    # every offered rid completes exactly once ...
+    assert sorted(c.rid for c in done) == sorted(offered)
+    assert r.requests == len(offered) == spec_kw["requests"]
+    # ... under exactly one outcome ("served" here = executed, outcome ok)
+    outcomes = {o: sum(1 for c in done if c.outcome == o)
+                for o in ("ok", "cache_hit", "shed", "deadline_drop",
+                          "failed", "partial")}
+    assert sum(outcomes.values()) == len(offered)
+    assert (outcomes["cache_hit"], outcomes["shed"],
+            outcomes["deadline_drop"], outcomes["failed"],
+            outcomes["partial"]) == (r.cache_hits, r.shed, r.deadline_drops,
+                                     r.failed, r.partials)
+    d = r.as_dict()
+    assert d["served"] + d["shed"] + d["deadline_drops"] + d["failed"] \
+        == d["requests"]
+    assert d["served"] == outcomes["ok"] + outcomes["cache_hit"] \
+        + outcomes["partial"]
+    assert sum(sum(h.values()) for h in d["by_primitive"].values()) \
+        == d["requests"]
+    non_served = d["shed"] + d["deadline_drops"] + d["failed"]
+    assert sum(sum(h.values()) for h in d["shed_reasons"].values()) \
+        == non_served
+    legal = {"queue_full", "deadline_passed"} if tier == "single" else \
+        {"queue_full", "deadline_passed", "shard_down", "retries_exhausted"}
+    for reasons in d["shed_reasons"].values():
+        assert set(reasons) <= legal
     assert r.hit_rate > 0.0
     assert r.stale_hits == 0
     assert r.executed_batches == sum(
         c for hist in r.batch_histogram.values() for c in hist.values())
+    if tier == "single":
+        assert d["failed"] == 0 and d["shard"] == {}
+    else:
+        assert d["shard"]["killed_replicas"] == 3
+    assert (r.recovered_faults > 0) == (scenario == "faults")
+    if scenario == "incremental":
+        assert d["dynamic"]["updates_incremental"] == 3
+        assert d["dynamic"]["repairs_incremental"] > 0
+
+
+@pytest.mark.parametrize("tier", sorted(_TIERS))
+def test_wake_dedup_set_is_forgotten_tick_by_tick(tier, kron_weighted):
+    """A wake time leaves the dedup set once its tick has run (the set
+    used to keep one float per distinct wake for the life of a replay)."""
+    replay, spec_kw = _TIERS[tier]
+    _, sched, _ = replay(kron_weighted, WorkloadSpec(**spec_kw))
+    assert not sched._heap
+    assert not sched._wakes
 
 
 def test_overload_sheds_under_burst(kron_graph):
