@@ -1,7 +1,7 @@
 """Wall-clock benchmark: linear-algebra backend vs the pooled library loop.
 
 Measures real elapsed time (``machine=None`` — no simulated-cost
-accounting) for BFS / SSSP / PageRank on an RMAT graph and a road grid,
+accounting) for BFS / SSSP / PageRank / CC on an RMAT graph and a road grid,
 with the la engine (masked SpMV/SpMSpV over frozen CSR/CSC) vs pooled
 operator execution, and writes ``benchmarks/BENCH_la.json``.
 
@@ -13,9 +13,9 @@ rounds of each subprocess's own min — the least-noise estimator of a
 deterministic workload's true cost.
 
 Identity is verified once per cell in the driver under the backend's
-documented equivalence contract (DESIGN §16): BFS labels and SSSP
-distances must be bitwise-equal to pooled; PageRank ranks must agree to
-allclose(rtol=1e-9, atol=1e-12).  Kernel counters are *not* compared —
+documented equivalence contract (DESIGN §16): BFS labels, SSSP distances
+and CC component ids must be bitwise-equal to pooled; PageRank ranks must
+agree to allclose(rtol=1e-9, atol=1e-12).  Kernel counters are *not* compared —
 the la backend charges semiring products, not operator launches.  A la
 run that fell back to the library loop would pass identity trivially,
 so the driver also asserts the la dispatch actually happened (no
@@ -64,10 +64,11 @@ GRAPHS = {
         "road80": {"kind": "road", "width": 80, "height": 80, "seed": 1},
     },
 }
-PRIMITIVES = ("bfs", "sssp", "pagerank")
+PRIMITIVES = ("bfs", "sssp", "pagerank", "cc")
 
 # which output arrays the contract pins bitwise vs to tolerance
-BITWISE_ARRAYS = {"bfs": ("labels",), "sssp": ("labels",)}
+BITWISE_ARRAYS = {"bfs": ("labels",), "sssp": ("labels",),
+                  "cc": ("component_ids",)}
 TOLERANCE_ARRAYS = {"pagerank": ("rank",)}
 
 
@@ -84,7 +85,7 @@ def build_graph(spec: dict):
 def make_runner(primitive: str, graph, machine_factory=lambda: None):
     """A zero-arg callable running one full primitive invocation."""
     from repro.graph.build import with_random_weights
-    from repro.primitives import bfs, pagerank, sssp
+    from repro.primitives import bfs, cc, pagerank, sssp
 
     if primitive == "bfs":
         return lambda: bfs(graph, 0, machine=machine_factory(),
@@ -95,6 +96,8 @@ def make_runner(primitive: str, graph, machine_factory=lambda: None):
     if primitive == "pagerank":
         return lambda: pagerank(graph, machine=machine_factory(),
                                 max_iterations=PR_ITERATIONS)
+    if primitive == "cc":
+        return lambda: cc(graph, machine=machine_factory())
     raise ValueError(f"unknown primitive {primitive!r}")
 
 

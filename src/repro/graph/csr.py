@@ -12,7 +12,7 @@ edge-source expansion used by edge frontiers.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,8 @@ class ArtifactCache:
     read-only — they are shared across every problem on the graph.
     """
 
-    __slots__ = ("_g", "_out_degrees", "_iota_n", "_iota_m", "_weights64")
+    __slots__ = ("_g", "_out_degrees", "_iota_n", "_iota_m", "_weights64",
+                 "_segments")
 
     def __init__(self, g: "Csr"):
         self._g = g
@@ -42,6 +43,7 @@ class ArtifactCache:
         self._iota_n: Optional[np.ndarray] = None
         self._iota_m: Optional[np.ndarray] = None
         self._weights64: Optional[np.ndarray] = None
+        self._segments: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @staticmethod
     def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -86,6 +88,18 @@ class ArtifactCache:
     @property
     def edge_sources(self) -> np.ndarray:
         return self._g.edge_sources
+
+    @property
+    def segments(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(rows, starts)``: the vertices that own at least
+        one edge, ascending, and the edge id each one's list starts at —
+        the ``ufunc.reduceat`` segmentation of ``indices`` by row (rows
+        without edges own no segment, so none is ever empty)."""
+        if self._segments is None:
+            rows = np.flatnonzero(self.out_degrees)
+            self._segments = (self._frozen(rows),
+                              self._frozen(self._g.indptr[rows]))
+        return self._segments
 
 
 class Csr:

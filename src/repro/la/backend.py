@@ -43,7 +43,7 @@ from ..core.fused import _transpose_ones
 from ..obs.spans import CAT_LA, current_observer, span as obs_span
 from ..simt import calib
 from .semiring import (BOOL_OR_AND, MIN_PLUS, MIN_SELECT, PLUS_TIMES,
-                       Semiring, spmspv, spmv)
+                       Scratch, Semiring, spmspv, spmv)
 
 EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -101,6 +101,7 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
     n = g.n
     f = frontier.items
     in_frontier = np.zeros(n, dtype=bool)
+    scratch = Scratch(en.workspace)
     it = 0
     maxit = en.max_iterations
     while len(f) and (maxit is None or it < maxit):
@@ -113,13 +114,13 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
         mode = policy.choose(g, nf, frontier_edges, P.num_unvisited)
         visited = labels >= 0
         if mode == "push":
-            ne = frontier_edges or int(g.degrees_of(f).sum())
             out = spmspv(g, f, np.ones(nf, dtype=bool), BOOL_OR_AND,
                          mask=visited, mask_complement=True,
-                         witness=preds is not None)
+                         witness=preds is not None, scratch=scratch)
             ids = out[0]
             wit = out[2] if preds is not None else None
-            _charge_product(machine, "la_spmspv[bool_or_and]", ne, it)
+            _charge_product(machine, "la_spmspv[bool_or_and]",
+                            scratch.lanes, it)
         else:
             rows = np.flatnonzero(~visited)
             ne = int(g.csc.degrees_of(rows).sum())
@@ -159,12 +160,13 @@ def _run_sssp(en, frontier: Frontier) -> Frontier:
     preds = P.preds
     weights = P.weights
     f = frontier.items
+    scratch = Scratch(en.workspace)
     it = 0
     while len(f):
-        ne = int(g.degrees_of(f).sum())
         ids, vals, wit = spmspv(g, f, labels[f], MIN_PLUS,
-                                edge_values=weights, witness=True)
-        _charge_product(machine, "la_spmspv[min_plus]", ne, it)
+                                edge_values=weights, witness=True,
+                                scratch=scratch)
+        _charge_product(machine, "la_spmspv[min_plus]", scratch.lanes, it)
         if len(ids):
             improved = vals < labels[ids]
             ids, vals, wit = ids[improved], vals[improved], wit[improved]
@@ -238,6 +240,7 @@ def _run_pagerank(en, frontier: Frontier) -> Frontier:
     damping, tol = P.damping, P.tolerance
     T = _transpose_ones(g)  # None without scipy; the push path covers it
     xbuf = np.empty(n) if T is not None else None
+    scratch = Scratch(en.workspace)
     f = frontier.items
     it = 0
     maxit = en.max_iterations
@@ -266,7 +269,7 @@ def _run_pagerank(en, frontier: Frontier) -> Frontier:
             _charge_product(machine, "la_spmv[plus_times]", ne, it)
         else:
             ids, vals = spmspv(g, f if not full else iota_n, contrib,
-                               PLUS_TIMES)
+                               PLUS_TIMES, scratch=scratch)
             res = np.zeros(n)
             res[ids] = vals
             _charge_product(machine, "la_spmspv[plus_times]", ne, it)

@@ -17,11 +17,14 @@ Two product shapes, matching Gunrock's push/pull duality:
   masked output rows (``advance_pull`` over a dense frontier).
 
 Both return deterministic results: output ids ascending, reductions
-over a fixed lane order.  The plus-times monoid accumulates in *lane
-order* (via ``np.bincount``) rather than ``np.add.reduceat`` — numpy's
-reduceat uses pairwise summation, which is not bitwise-identical to the
-operator engines' segmented-sum lowering; min/or monoids are exact in
-any order and reduce with ``ufunc.reduceat``.
+independent of how the lanes were grouped.  No product sorts lanes it
+does not have to (DESIGN §16 "Kernels"): a whole-matrix product reads
+the CSC's cached row segments, a sparse one scatters into lent dense
+accumulators, and only few lanes on a huge graph are sorted.  The
+plus-times monoid accumulates in *lane order* (``np.bincount``) in every
+regime — ``np.add.reduceat`` sums pairwise, which is not bitwise-
+identical to the operator engines' segmented-sum lowering; min/or
+monoids are exact in any order.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+
+from ..obs.spans import CAT_LA, annotate, current_observer
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -83,18 +88,63 @@ SEMIRINGS = {s.name: s for s in (MIN_PLUS, BOOL_OR_AND, PLUS_TIMES,
                                  MIN_SELECT)}
 
 
+#: The scatter reduction ends in an O(n) compaction scan of the touched
+#: bitmap, so a product with few lanes on a huge graph keeps the sort
+#: path: scatter runs while ``n <= _SCATTER_VERTICES_PER_LANE * lanes``.
+#: Measured with lent accumulators (min-plus + witness, random
+#: destinations): scatter wins up to n/lanes ~ 170 at n = 90 000 and
+#: ~ 120-460 at n = 10**6; almost-sorted lanes (road grids) sort cheaply,
+#: and there the two are within 25 % of each other from n/lanes ~ 20 up.
+_SCATTER_VERTICES_PER_LANE = 128
+
+
+class Scratch:
+    """Dense accumulators a runner lends its products for one run.
+
+    Each buffer holds its fill value in every slot between products:
+    the borrower resets exactly the slots it wrote (the sparse-clear
+    discipline of :meth:`Workspace.bitmap_scatter`), so a product costs
+    no ``np.full(n, ...)``.  Backed by the problem's pooled
+    :class:`~repro.core.workspace.Workspace`; a product called without
+    one gets throwaway arrays.  ``lanes`` reports the edge lanes the
+    last product expanded — what the runners charge the cost model.
+    """
+
+    __slots__ = ("_ws", "_held", "lanes")
+
+    def __init__(self, workspace=None):
+        self._ws = workspace
+        self._held = {}
+        self.lanes = 0
+
+    def dense(self, role: str, n: int, dtype, fill) -> np.ndarray:
+        buf = self._held.get(role)
+        if buf is None:
+            buf = np.full(n, fill, dtype=dtype) if self._ws is None else \
+                self._ws.take("la_" + role, n, dtype, fill=fill)
+            self._held[role] = buf
+        return buf
+
+
+def _note(shape: str, semiring: Semiring, reduce: str) -> None:
+    """Count the reduction regime a product took (observer installed)."""
+    ob = current_observer()
+    if ob is not None:
+        ob.metrics.counter("repro_la_products_total", shape=shape,
+                           semiring=semiring.name, reduce=reduce).inc()
+        annotate(CAT_LA, reduce=reduce)
+
+
 def _expand(graph, x_ids: np.ndarray):
-    """Edge lanes of the rows in ``x_ids``: (eids, dst, src, degs, ne)."""
+    """Edge lanes of the rows in ``x_ids``: (eids, dst, degs, ne)."""
     degs = graph.degrees_of(x_ids)
     ne = int(degs.sum())
     if ne == 0:
-        return _EMPTY_IDS, _EMPTY_IDS, _EMPTY_IDS, degs, 0
-    offsets = np.concatenate(([0], np.cumsum(degs)))[:-1]
-    starts = graph.indptr[x_ids].astype(np.int64)
-    eids = np.repeat(starts - offsets, degs) + np.arange(ne, dtype=np.int64)
-    dst = graph.indices[eids].astype(np.int64)
-    src = np.repeat(x_ids, degs)
-    return eids, dst, src, degs, ne
+        return _EMPTY_IDS, _EMPTY_IDS, degs, 0
+    offsets = np.cumsum(degs) - degs
+    eids = np.repeat(graph.indptr[x_ids] - offsets, degs) \
+        + np.arange(ne, dtype=np.int64)
+    return eids, graph.indices[eids], degs, ne
 
 
 def _empty(semiring: Semiring, witness: bool):
@@ -108,7 +158,8 @@ def spmspv(graph, x_ids, x_vals, semiring: Semiring, *,
            edge_values: Optional[np.ndarray] = None,
            mask: Optional[np.ndarray] = None,
            mask_complement: bool = False,
-           witness: bool = False) -> Tuple[np.ndarray, ...]:
+           witness: bool = False,
+           scratch: Optional[Scratch] = None) -> Tuple[np.ndarray, ...]:
     """Masked sparse-vector × sparse-matrix product (push).
 
     ``x_ids`` (ascending vertex ids) and ``x_vals`` form the sparse
@@ -116,43 +167,106 @@ def spmspv(graph, x_ids, x_vals, semiring: Semiring, *,
     its vertex and ⊕-reduces per destination.  ``mask`` is a dense
     boolean vertex array selecting admissible destinations
     (``mask_complement=True`` selects where the mask is False — the
-    structural-complement form used for visited sets).
+    structural-complement form used for visited sets).  ``scratch`` is
+    lent by the backend's runners; it never changes the result.
 
     Returns ``(ids, vals)`` with ids strictly ascending — or, with
     ``witness=True``, ``(ids, vals, wit)`` where ``wit[i]`` is the
     smallest source id among lanes achieving ``vals[i]`` (the
     deterministic parent/predecessor witness).
+
+    The per-destination reduction takes one of three regimes, chosen
+    from the support, ``n`` and the lane count alone (DESIGN §16):
+    ``segments`` (whole-matrix product read off the CSC), ``scatter``
+    (dense accumulator + touched bitmap) or ``sort`` (few lanes, huge
+    ``n``).
     """
+    plus = semiring.add is np.add
+    if witness and plus:
+        raise ValueError("witness is not defined for plus-times")
+    n = graph.n
+    x_vals = np.asarray(x_vals, dtype=semiring.dtype)
+    if scratch is None:
+        scratch = Scratch()
+    iota = graph.artifacts.iota_n
+    if (mask is None and not witness and edge_values is None and not plus
+            and (x_ids is iota or (len(x_ids) == n
+                                   and np.array_equal(x_ids, iota)))):
+        # y = xᵀA over every row: the CSC *is* the lanes grouped by
+        # destination, and its segment starts are cached per graph
+        csc = graph.csc
+        ids, starts = csc.artifacts.segments
+        scratch.lanes = csc.m
+        _note("spmspv", semiring, "segments")
+        return ids, semiring.add.reduceat(x_vals[csc.indices], starts)
     x_ids = np.asarray(x_ids, dtype=np.int64)
-    eids, dst, src, degs, ne = _expand(graph, x_ids)
+    eids, dst, degs, ne = _expand(graph, x_ids)
+    scratch.lanes = ne
     if ne == 0:
         return _empty(semiring, witness)
-    xl = np.repeat(np.asarray(x_vals, dtype=semiring.dtype), degs)
     ev = None if edge_values is None else np.asarray(edge_values)[eids]
-    vals = semiring.mul(xl, ev)
+    vals = semiring.mul(np.repeat(x_vals, degs), ev)
+    src = np.repeat(x_ids, degs) if witness else None
     if mask is not None:
         keep = ~mask[dst] if mask_complement else mask[dst]
-        dst, src, vals = dst[keep], src[keep], vals[keep]
+        dst, vals = dst[keep], vals[keep]
         if len(dst) == 0:
             return _empty(semiring, witness)
-    if semiring.add is np.add:
-        # lane-order accumulation: bitwise-identical to the operator
-        # engines' segmented sums (reduceat would sum pairwise)
-        ids = np.unique(dst)
-        dense = np.bincount(dst, weights=vals, minlength=graph.n)
-        out = dense[ids].astype(semiring.dtype)
         if witness:
-            raise ValueError("witness is not defined for plus-times")
-        return ids, out
+            src = src[keep]
+    scatter = n <= _SCATTER_VERTICES_PER_LANE * len(dst)
+    _note("spmspv", semiring, "scatter" if scatter else "sort")
+    if scatter:
+        hit = scratch.dense("hit", n, np.bool_, False)
+        hit[dst] = True
+        ids = np.flatnonzero(hit)
+        hit[ids] = False
+    elif plus:
+        ids = np.unique(dst)
+    else:
+        return _reduce_sorted(dst, vals, src, semiring)
+    if plus:
+        # lane-order accumulation: bitwise-identical to the operator
+        # engines' segmented sums (reduceat would sum pairwise); ids are
+        # the destinations touched, not the non-zero sums
+        dense = np.bincount(dst, weights=vals, minlength=n)
+        return ids, dense[ids].astype(semiring.dtype, copy=False)
+    acc = scratch.dense(semiring.name, n, semiring.dtype, semiring.identity)
+    if semiring.add is np.logical_or:
+        acc[dst[vals]] = True
+    else:
+        semiring.add.at(acc, dst, vals)
+    out = acc[ids]
+    if witness:
+        # smallest achieving source per destination: lanes of an
+        # ascending support are in ascending source order, so the first
+        # achieving lane wins — one reversed scatter (last write sticks)
+        achieved = vals == acc[dst]
+        d, s = dst[achieved], src[achieved]
+        wbuf = scratch.dense("wit", n, np.int64, INT64_MAX)
+        if (x_ids[1:] >= x_ids[:-1]).all():
+            wbuf[d[::-1]] = s[::-1]
+        else:
+            np.minimum.at(wbuf, d, s)
+        wit = wbuf[ids]
+        wbuf[ids] = INT64_MAX
+    acc[ids] = semiring.identity
+    return (ids, out, wit) if witness else (ids, out)
+
+
+def _reduce_sorted(dst, vals, src, semiring: Semiring):
+    """The few-lanes regime of an order-insensitive monoid: stable sort
+    by destination + ``reduceat`` (``src`` is None without a witness)."""
     order = np.argsort(dst, kind="stable")
-    sd, sv, ss = dst[order], vals[order], src[order]
+    sd, sv = dst[order], vals[order]
     ids, starts = np.unique(sd, return_index=True)
     out = semiring.add.reduceat(sv, starts)
-    if not witness:
+    if src is None:
         return ids, out
     counts = np.diff(np.append(starts, len(sd)))
     achieved = sv == np.repeat(out, counts)
-    wit = np.minimum.reduceat(np.where(achieved, ss, INT64_MAX), starts)
+    wit = np.minimum.reduceat(
+        np.where(achieved, src[order], INT64_MAX), starts)
     return ids, out, wit
 
 
@@ -175,31 +289,29 @@ def spmv(graph, x: np.ndarray, semiring: Semiring, *,
     csc = graph.csc
     n = graph.n
     y = np.full(n, semiring.identity, dtype=semiring.dtype)
+    wit = np.full(n, -1, dtype=np.int64) if witness else None
     if mask is None:
-        rows = np.arange(n, dtype=np.int64)
+        # every row: the CSC arrays are the lanes, its cached segments
+        # the reduction structure
+        ids, starts = csc.artifacts.segments
+        srcs = csc.indices
+        degs = csc.out_degrees[ids] if witness else None
     else:
         rows = np.flatnonzero(~mask if mask_complement else mask)
-    wit = np.full(n, -1, dtype=np.int64) if witness else None
-    if len(rows) == 0:
+        _, srcs, degs, _ = _expand(csc, rows)
+        live = degs > 0
+        ids, degs = rows[live], degs[live]
+        # lanes are grouped by ascending row, so the segment starts are
+        # the exclusive prefix sum of the degrees just gathered
+        starts = np.cumsum(degs) - degs
+    if len(ids) == 0:
         return (y, wit) if witness else y
-    degs = csc.degrees_of(rows)
-    ne = int(degs.sum())
-    if ne == 0:
-        return (y, wit) if witness else y
-    offsets = np.concatenate(([0], np.cumsum(degs)))[:-1]
-    starts = csc.indptr[rows].astype(np.int64)
-    eids = np.repeat(starts - offsets, degs) + np.arange(ne, dtype=np.int64)
-    srcs = csc.indices[eids].astype(np.int64)
-    rowlanes = np.repeat(rows, degs)
+    _note("spmv", semiring, "segments")
     lane_vals = np.asarray(x, dtype=semiring.dtype)[srcs]
-    # rowlanes is grouped by ascending row already; np.unique recovers
-    # the segment starts (zero-degree rows simply never appear)
-    ids, seg_starts = np.unique(rowlanes, return_index=True)
-    y[ids] = semiring.add.reduceat(lane_vals, seg_starts)
+    y[ids] = semiring.add.reduceat(lane_vals, starts)
     if not witness:
         return y
-    counts = np.diff(np.append(seg_starts, ne))
-    achieved = lane_vals == np.repeat(y[ids], counts)
+    achieved = lane_vals == np.repeat(y[ids], degs)
     wit[ids] = np.minimum.reduceat(
-        np.where(achieved, srcs, INT64_MAX), seg_starts)
+        np.where(achieved, srcs, INT64_MAX), starts)
     return y, wit

@@ -277,6 +277,14 @@ def instant(name: str, cat: str, machine=None, **attrs) -> None:
         ob.instant(name, cat, machine, **attrs)
 
 
+def annotate(cat: str, **attrs) -> None:
+    """Add attributes to the innermost open span when it is a ``cat``
+    span — for code that runs inside a region it did not open."""
+    ob = _OBSERVER
+    if ob is not None and ob._stack and ob._stack[-1].cat == cat:
+        ob._stack[-1].set(**attrs)
+
+
 def notify_kernel(machine, name: str, cycles: float, items: int,
                   iteration: int) -> None:
     """The machine-side hook: one call per recorded kernel launch."""

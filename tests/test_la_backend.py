@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from engines import run_all_engines
+from la_reference import spmspv_reference, spmv_reference
 from repro.core.engine import clear_fallbacks, engine, last_fallback
 from repro.graph import from_edges
 from repro.graph.build import with_random_weights
 from repro.la import (BOOL_OR_AND, MIN_PLUS, MIN_SELECT, PLUS_TIMES,
                       SEMIRING_OF, SEMIRINGS, spmspv, spmv)
+from repro.la.semiring import _SCATTER_VERTICES_PER_LANE, Scratch
 from repro.simt import Machine
 
 
@@ -150,6 +152,237 @@ def test_spmspv_empty_frontier_and_witness_rejection():
     assert len(ids) == 0 and len(vals) == 0
     with pytest.raises(ValueError):
         spmspv(g, np.array([0]), np.array([1.0]), PLUS_TIMES, witness=True)
+    # the rejection is an argument check: it comes before any product
+    # work, so even an input the product would choke on raises it
+    with pytest.raises(ValueError, match="witness"):
+        spmspv(g, np.array([99]), np.array([1.0]), PLUS_TIMES, witness=True)
+
+
+# -- sort-free kernels vs the sort-based reference (tests/la_reference.py) ----
+
+
+def _same(got, want):
+    """Bitwise: same arity, dtypes, shapes and values."""
+    got = got if isinstance(got, tuple) else (got,)
+    want = want if isinstance(want, tuple) else (want,)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _semiring_inputs(draw, semiring, k, m):
+    """(x_vals, edge_values-or-None) for ``k`` support rows, ``m`` edges,
+    from small value pools: ties (witness), exact zeros, cancellation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if semiring is BOOL_OR_AND:
+        xv = rng.random(k) < 0.7
+        ev = rng.choice([0.0, 1.0, 2.5], size=m)
+    elif semiring is MIN_SELECT:
+        xv = rng.integers(0, 10, size=k)
+        ev = np.arange(m, dtype=np.float64)     # ignored by select-first
+    else:
+        # (inf only under min-plus: inf * 0.0 would be NaN)
+        top = [np.inf] if semiring is MIN_PLUS else []
+        xv = rng.choice([0.0, 1.0, -1.0, 2.0, 0.1, 0.7] + top, size=k)
+        ev = rng.choice([0.0, 0.5, 1.0, 3.0], size=m)
+    return xv.astype(semiring.dtype), (ev if draw(st.booleans()) else None)
+
+
+@st.composite
+def product_cases(draw):
+    n, edges = draw(edge_lists(max_n=20, max_m=70))
+    # pad with isolated vertices so that some cases have few lanes on a
+    # big n (the sort regime) — small graphs alone never leave scatter
+    n += draw(st.sampled_from([0, 3, 200 * _SCATTER_VERTICES_PER_LANE]))
+    g = from_edges(edges, n=n, undirected=draw(st.booleans()))
+    semiring = draw(st.sampled_from(sorted(SEMIRINGS.values(),
+                                           key=lambda s: s.name)))
+    support = draw(st.sampled_from(
+        ["iota", "arange", "sparse", "single", "shuffled", "shuffled"]))
+    if support == "iota":
+        x_ids = g.artifacts.iota_n
+    elif support == "arange":
+        x_ids = np.arange(n, dtype=np.int64)
+    elif support == "single":
+        x_ids = np.array([draw(st.integers(0, n - 1))], dtype=np.int64)
+    else:
+        x_ids = np.array(draw(st.permutations(range(min(n, 24)))),
+                         dtype=np.int64)[:draw(st.integers(1, 24))]
+        if support == "sparse":
+            x_ids.sort()
+    xv, ev = _semiring_inputs(draw, semiring, len(x_ids), g.m)
+    masking = draw(st.sampled_from(["none", "mask", "complement"]))
+    mask = None
+    if masking != "none":
+        mask = np.zeros(n, dtype=bool)
+        mask[:24] = draw(st.lists(st.booleans(), min_size=24,
+                                  max_size=24))[:n]
+    witness = semiring is not PLUS_TIMES and draw(st.booleans())
+    return g, x_ids, xv, semiring, dict(
+        edge_values=ev, mask=mask, mask_complement=masking == "complement",
+        witness=witness)
+
+
+@given(product_cases(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_spmspv_matches_sort_based_reference(case, lend):
+    g, x_ids, xv, semiring, kw = case
+    want = spmspv_reference(g, x_ids, xv, semiring, **kw)
+    if not lend:
+        _same(spmspv(g, x_ids, xv, semiring, **kw), want)
+        return
+    # lent accumulators are reset sparsely: after a product that wrote
+    # the ⊕-smallest values everywhere, this one must find identity in
+    # every slot — and must leave it so for a repeat
+    scratch = Scratch()
+    low = {"min_plus": -9.0, "min_select": -9, "bool_or_and": True,
+           "plus_times": 9.0}[semiring.name]
+    spmspv(g, np.arange(g.n), np.full(g.n, low), semiring,
+           witness=kw["witness"], scratch=scratch)
+    for _ in range(2):
+        _same(spmspv(g, x_ids, xv, semiring, scratch=scratch, **kw), want)
+        assert scratch.lanes == int(g.degrees_of(x_ids).sum())
+
+
+@given(product_cases())
+@settings(max_examples=200, deadline=None)
+def test_spmv_matches_sort_based_reference(case):
+    g, x_ids, xv, semiring, kw = case
+    x = np.full(g.n, semiring.identity, dtype=semiring.dtype)
+    x[x_ids] = xv
+    kw = {k: kw[k] for k in ("mask", "mask_complement", "witness")}
+    _same(spmv(g, x, semiring, **kw), spmv_reference(g, x, semiring, **kw))
+
+
+def test_products_on_degenerate_graphs_keep_dtypes():
+    """Every early return hands back ``semiring.dtype`` values and int64
+    ids: no edges at all, a zero-degree support, a mask admitting
+    nothing — through the whole-matrix and the sparse path alike."""
+    edgeless = from_edges([], n=5, undirected=False)
+    g = from_edges([(0, 1), (0, 2)], n=5, undirected=False)
+    nothing = np.zeros(5, dtype=bool)
+    for semiring in SEMIRINGS.values():
+        xv = np.ones(5, dtype=semiring.dtype)
+        for wit in (False, semiring is not PLUS_TIMES):
+            for graph, x_ids, kw in (
+                    (edgeless, edgeless.artifacts.iota_n, {}),
+                    (edgeless, np.arange(5), {}),
+                    (g, np.array([3, 4]), {}),
+                    (g, g.artifacts.iota_n, {"mask": nothing}),
+                    (g, np.array([0]), {"mask": ~nothing,
+                                        "mask_complement": True})):
+                vals = xv[:len(x_ids)]
+                got = spmspv(graph, x_ids, vals, semiring, witness=wit, **kw)
+                _same(got, spmspv_reference(graph, x_ids, vals, semiring,
+                                            witness=wit, **kw))
+                assert all(len(a) == 0 for a in got)
+                assert got[0].dtype == np.int64
+                assert got[1].dtype == semiring.dtype
+            for graph, kw in ((edgeless, {}), (g, {"mask": nothing})):
+                _same(spmv(graph, xv, semiring, witness=wit, **kw),
+                      spmv_reference(graph, xv, semiring, witness=wit, **kw))
+
+
+def test_witness_is_smallest_source_for_a_non_ascending_support():
+    """First-write-wins needs ascending lanes; a shuffled support must
+    still get the smallest achieving source, lent scratch or not."""
+    g = from_edges([(5, 7), (2, 7), (6, 7), (6, 1), (2, 1)], n=8,
+                   undirected=False)
+    x_ids = np.array([5, 6, 2], dtype=np.int64)
+    for semiring, xv in ((BOOL_OR_AND, np.ones(3, dtype=bool)),
+                         (MIN_PLUS, np.array([1.0, 1.0, 1.0])),
+                         (MIN_SELECT, np.array([4, 4, 4]))):
+        for scratch in (None, Scratch()):
+            ids, _, wit = spmspv(g, x_ids, xv, semiring, witness=True,
+                                 scratch=scratch)
+            assert ids.tolist() == [1, 7] and wit.tolist() == [2, 2]
+            ids, _, wit = spmspv(g, np.sort(x_ids), xv, semiring,
+                                 witness=True, scratch=scratch)
+            assert ids.tolist() == [1, 7] and wit.tolist() == [2, 2]
+
+
+def test_plus_times_ids_are_touched_not_nonzero():
+    """Contributions that are exactly 0.0, and ones that cancel to 0.0,
+    still put their destination in ``ids``."""
+    g = from_edges([(0, 3), (1, 4), (2, 4), (1, 5)], n=6, undirected=False)
+    x_ids = np.array([0, 1, 2], dtype=np.int64)
+    xv = np.array([0.0, 1.0, -1.0])
+    ids, vals = spmspv(g, x_ids, xv, PLUS_TIMES)
+    assert ids.tolist() == [3, 4, 5]
+    assert vals.tolist() == [0.0, 0.0, 1.0]
+    _same((ids, vals), spmspv_reference(g, x_ids, xv, PLUS_TIMES))
+
+
+def _products_counted(ob, **labels):
+    want = set(labels.items())
+    return sum(v for k, v in ob.metrics.as_dict().items()
+               if k.startswith("repro_la_products_total{") and want <= {
+                   tuple(p.split("=")) for p in
+                   k[k.index("{") + 1:-1].replace('"', "").split(",")})
+
+
+def test_reduction_regime_boundary_is_counted():
+    """Scatter runs while n <= K * lanes; one lane fewer sorts.  Asserted
+    through ``repro_la_products_total`` and the enclosing la span."""
+    from repro.obs import observe
+    from repro.obs.spans import CAT_LA
+
+    lanes = 4
+    n = _SCATTER_VERTICES_PER_LANE * lanes
+    # vertex v in (0, 1, 2) has out-degree lanes - 1 + v
+    edges = [(v, 10 + v * 10 + j) for v in range(3)
+             for j in range(lanes - 1 + v)]
+    g = with_random_weights(from_edges(edges, n=n, undirected=False), seed=3)
+    w = g.artifacts.weights64
+    for v, regime in ((0, "sort"), (1, "scatter"), (2, "scatter")):
+        x_ids, xv = np.array([v], dtype=np.int64), np.array([1.5])
+        for semiring, kw in ((MIN_PLUS, dict(edge_values=w, witness=True)),
+                             (PLUS_TIMES, {})):
+            with observe() as ob:
+                with ob.span("la:probe", CAT_LA) as sp:
+                    got = spmspv(g, x_ids, xv, semiring, **kw)
+            assert _products_counted(ob) == 1
+            assert _products_counted(ob, shape="spmspv", reduce=regime,
+                                     semiring=semiring.name) == 1
+            assert sp.args["reduce"] == regime
+            _same(got, spmspv_reference(g, x_ids, xv, semiring, **kw))
+            assert len(got[0]) == lanes - 1 + v
+
+
+def test_whole_matrix_and_pull_products_are_counted_as_segments():
+    from repro.obs import observe
+
+    g = _line_graph()
+    labels = np.arange(g.n, dtype=np.int64)
+    with observe() as ob:
+        spmspv(g, g.artifacts.iota_n, labels, MIN_SELECT)
+        # the support decides, not the object: equal by value is whole too
+        spmspv(g, np.arange(g.n, dtype=np.int64), labels, MIN_SELECT)
+        # ... and a permutation of every vertex is not
+        spmspv(g, np.arange(g.n, dtype=np.int64)[::-1], labels, MIN_SELECT)
+        spmv(g, np.ones(g.n), PLUS_TIMES)
+        spmv(g, np.ones(g.n, dtype=bool), BOOL_OR_AND,
+             mask=np.zeros(g.n, dtype=bool))       # admits nothing
+    assert _products_counted(ob, shape="spmspv", reduce="segments") == 2
+    assert _products_counted(ob, shape="spmspv", reduce="scatter") == 1
+    assert _products_counted(ob, shape="spmv", reduce="segments") == 1
+    assert _products_counted(ob) == 4
+    # and with no observer installed nothing is recorded anywhere
+    spmspv(g, g.artifacts.iota_n, labels, MIN_SELECT)
+    assert _products_counted(ob) == 4
+
+
+def test_segment_cache_is_frozen_and_off_the_byte_count(tiny_graph):
+    g = tiny_graph
+    before = g.nbytes() + g.csc.nbytes()
+    rows, starts = g.csc.artifacts.segments
+    assert g.csc.artifacts.segments[0] is rows      # built once
+    assert not rows.flags.writeable and not starts.flags.writeable
+    assert rows.tolist() == [0, 1, 2, 3, 4]          # 5 is isolated
+    assert starts.tolist() == g.csc.indptr[:5].tolist()
+    assert g.nbytes() + g.csc.nbytes() == before
+    assert "segments" not in g.csc.edge_props
 
 
 def test_semiring_registry_covers_primitives():
