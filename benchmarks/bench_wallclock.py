@@ -101,9 +101,9 @@ def make_runner(primitive: str, graph, machine_factory=lambda: None):
 # --------------------------------------------------------------------------
 
 def run_cell_child(spec: dict) -> None:
-    from repro.core.workspace import set_pooling
+    from repro.core.engine import set_engine
 
-    set_pooling(bool(spec["pooled"]))
+    set_engine("pooled" if spec["pooled"] else "unpooled")
     graph = build_graph(spec["graph"])
     run = make_runner(spec["primitive"], graph)
     run()  # warmup: artifact caches, numpy setup, allocator steady state
@@ -141,13 +141,13 @@ def verify_identity(primitive: str, graph_spec: dict) -> dict:
     """Bitwise output + simulated-counter identity, pooled vs unpooled."""
     import numpy as np
 
-    from repro.core.workspace import pooling
+    from repro.core.engine import engine
     from repro.simt.machine import Machine
 
     graph = build_graph(graph_spec)
     results = {}
     for mode in (True, False):
-        with pooling(mode):
+        with engine("pooled" if mode else "unpooled"):
             machine = Machine()
             res = make_runner(primitive, graph,
                               machine_factory=lambda: machine)()

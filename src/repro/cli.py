@@ -357,7 +357,7 @@ def cmd_run(args) -> int:
     src = args.src if args.src is not None else int(g.out_degrees.argmax())
     machine = Machine()
     ctx = sanitize(strict=True) if args.sanitize else nullcontext()
-    # --engine overrides REPRO_ENGINE / REPRO_POOLING for this run; the
+    # --engine overrides REPRO_ENGINE for this run; the
     # default (None) keeps whatever the environment selected.
     eng_ctx = engine(args.engine) if getattr(args, "engine", None) \
         else nullcontext()
@@ -554,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the linear-algebra (masked SpMV/SpMSpV) backend "
                         "(both fall back to pooled when a run has no "
                         "specialization); "
-                        "default honors REPRO_ENGINE / REPRO_POOLING")
+                        "default honors REPRO_ENGINE")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output: counters, timings, and "
                         "crc32 checksums of every result array")

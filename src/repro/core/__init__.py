@@ -3,8 +3,7 @@
 from .frontier import Frontier, FrontierKind
 from .functor import AllPassFunctor, Functor
 from .problem import ProblemBase
-from .workspace import (Workspace, pooling, pooling_enabled, set_pooling,
-                        workspace_of)
+from .workspace import Workspace, pooling_enabled, workspace_of
 from .enactor import EnactorBase, EnactorStats, TraceEvent
 from .direction import DirectionOptimizer, FixedDirection
 from . import atomics, loadbalance, operators
@@ -14,7 +13,7 @@ from .operators import (advance, compute, filter_frontier, neighbor_reduce,
 
 __all__ = [
     "Frontier", "FrontierKind", "Functor", "AllPassFunctor", "ProblemBase",
-    "Workspace", "pooling", "pooling_enabled", "set_pooling", "workspace_of",
+    "Workspace", "pooling_enabled", "workspace_of",
     "EnactorBase", "EnactorStats", "TraceEvent",
     "DirectionOptimizer", "FixedDirection",
     "atomics", "loadbalance", "operators",

@@ -42,21 +42,20 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.sanitizer import current_sanitizer
-from ..obs.spans import CAT_FUSED, current_observer, span as obs_span
+from ..obs.spans import CAT_FUSED
 from ..simt import calib
 from ..simt.primitives import unique_by_sort
 from . import atomics
-from .engine import engine_mode, record_fallback
+from .engine import Backend, dispatch
 from .frontier import Frontier, FrontierKind
-from .operators.advance import _charge_advance, advance as _op_advance
+from .operators.advance import advance as _op_advance
+from .superstep import (EMPTY, bfs_direction, charge_push, frontier_degrees,
+                        rank_commit, rank_contribution, run_supersteps)
 
 try:
     import scipy.sparse as _sp
 except ImportError:                      # pragma: no cover - env-dependent
     _sp = None
-
-EMPTY = np.zeros(0, dtype=np.int64)
 
 #: reserved key in the per-graph plan cache for the 0/1 transpose matrix
 _T_KEY = "__transpose_ones__"
@@ -77,6 +76,18 @@ def _transpose_ones(graph):
              csc.indptr.astype(np.int64)), shape=(graph.n, graph.n))
         cache[_T_KEY] = T
     return T
+
+
+def transpose_product(T, n: int, f: np.ndarray, contrib: np.ndarray,
+                      full: bool) -> np.ndarray:
+    """``T @ x`` with ``x`` the frontier's contributions scattered into a
+    dense vector: per-cell accumulation in stored (CSC = ascending edge
+    id) order, identical to the lane-order atomic add."""
+    if not full:
+        x = np.zeros(n)
+        x[f] = contrib
+        contrib = x
+    return T @ contrib
 
 
 # ------------------------------------------------------------ shared kernels
@@ -127,47 +138,28 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
     machine = P.machine
     ws = P.workspace
     lb = en.lb
-    plan = en._fused_plan
-    coarse = plan.regimes.coarse_edges
+    coarse = en._fused_plan.regimes.coarse_edges
     indptr, indices = g.indptr, g.indices
-    indptr1 = indptr[1:]
     labels, preds = P.labels, (P.preds if P.record_preds else None)
     heur = en.heuristics
     wave = heur.wave_size
     warp = heur.warp_size
     hist_mask = heur.history_size - 1
-    policy = en.direction
     n = g.n
-    f = frontier.items
-    it = 0
-    maxit = en.max_iterations
     if heur._discovered is None or len(heur._discovered) < n:
         heur._discovered = np.zeros(n, dtype=bool)
     disc = heur._discovered
     hist = heur._ensure()
     warp_ramp = np.arange(min(4096, max(1, n)), dtype=np.int64) // warp
-    while len(f) and (maxit is None or it < maxit):
+
+    def step(f, it):
+        nonlocal warp_ramp
         depth = it + 1
-        nf = len(f)
-        degs = None
-        frontier_edges = 0
-        if policy.needs_frontier_stats(g, nf):
-            # satellite fix: the unvisited recount and degree sum happen
-            # only on steps where the policy's cheap guard already passed
-            P.num_unvisited = int(np.count_nonzero(labels < 0))
-            degs = indptr1[f]
-            degs = degs - indptr[f]
-            frontier_edges = int(degs.sum())
-        mode = policy.choose(g, nf, frontier_edges, P.num_unvisited)
+        mode, degs, ne = bfs_direction(en.direction, P, f)
         if mode == "push":
             if degs is None:
-                degs = indptr1[f]
-                degs = degs - indptr[f]
-                frontier_edges = int(degs.sum())
-            ne = frontier_edges
-            if machine is not None:
-                with machine.fused(f"advance_push[{lb.name}]", it):
-                    _charge_advance(P, degs, lb, "advance_push", ne, it)
+                degs, ne = frontier_degrees(g, f)
+            charge_push(P, lb, degs, ne, it)
             if ne == 0:
                 out_items = EMPTY
             else:
@@ -232,22 +224,14 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
                     kk = hist[slots] != chunk
                     keep[s:s + wave] &= kk
                     hist[slots[kk]] = chunk[kk]
-            f = out_items[keep]
-        else:
-            f = out_items
-        _charge_filter(machine, it, k, len(f), heuristics=True)
-        it += 1
-        en.iteration = it
-        if machine is not None:
-            machine.counters.iterations = it
-    return Frontier(f)
+            out_items = out_items[keep]
+        _charge_filter(machine, it, k, len(out_items), heuristics=True)
+        return out_items
+
+    return Frontier(run_supersteps(en, frontier.items, step))
 
 
 # ------------------------------------------------------------------- SSSP
-
-def _precheck_sssp(en) -> Optional[str]:
-    return None
-
 
 def _run_sssp(en, frontier: Frontier) -> Frontier:
     P = en.problem
@@ -256,34 +240,20 @@ def _run_sssp(en, frontier: Frontier) -> Frontier:
     ws = P.workspace
     lb = en.lb
     indptr, indices = g.indptr, g.indices
-    indptr1 = indptr[1:]
     labels, preds, weights = P.labels, P.preds, P.weights
     pile = en.pile
-    delta = pile.delta if pile is not None else None
-    level = pile.level if pile is not None else 0
-    f = frontier.items
-    far = EMPTY
-    it = 0
-    maxit = en.max_iterations
-    while len(f) and (maxit is None or it < maxit):
-        nf = len(f)
-        degs = indptr1[f]
-        degs = degs - indptr[f]
-        ne = int(degs.sum())
+
+    def step(f, it):
+        degs, ne = frontier_degrees(g, f)
         wd = EMPTY
         if ne == 0:
-            if machine is not None:
-                with machine.fused(f"advance_push[{lb.name}]", it):
-                    _charge_advance(P, degs, lb, "advance_push", 0, it)
+            charge_push(P, lb, degs, 0, it)
         else:
             excl, eids = _expand(ws, indptr, f, degs, ne)
             dsts = indices[eids]
             new_label = labels[f].repeat(degs)
             np.add(new_label, weights[eids], out=new_label)
-            if machine is not None:
-                with machine.fused(f"advance_push[{lb.name}]", it):
-                    _charge_advance(P, degs, lb, "advance_push", ne, it)
-                    atomics._charge(machine, "atomic_min", dsts)
+            charge_push(P, lb, degs, ne, it, ("atomic_min", dsts))
             won = new_label < labels[dsts]
             widx = won.nonzero()[0]
             if len(widx):
@@ -310,208 +280,55 @@ def _run_sssp(en, frontier: Frontier) -> Frontier:
         # not — the "unique" kernel record must exist either way
         out = unique_by_sort(wd, machine)
         if pile is None:
-            f = out
-        else:
-            if len(out):
-                prio = labels[out]
-                if machine is not None:
-                    machine.map_kernel("near_far_split", len(out),
-                                       calib.C_COMPACT_PER_ELEM, iteration=it)
-                nm = prio < level * delta
-                near = out[nm]
-                if len(near) < len(out):
-                    far_new = out[~nm]
-                    far = far_new if len(far) == 0 \
-                        else np.concatenate([far, far_new])
-            else:
-                near = EMPTY
-            while len(near) == 0 and len(far):
-                level += 1
-                if machine is not None:
-                    machine.map_kernel("near_far_split", len(far),
-                                       calib.C_COMPACT_PER_ELEM, iteration=it)
-                prio = labels[far]
-                nm = prio < level * delta
-                near = far[nm]
-                far = far[~nm]
-            f = near
-        it += 1
-        en.iteration = it
-        if machine is not None:
-            machine.counters.iterations = it
-    if pile is not None:
-        # leave the pile consistent with how the library loop ends
-        pile.level = level
-    return Frontier(f)
+            return out
+        pile.push(Frontier(out), it)
+        return pile.pop_near(it).items
+
+    return Frontier(run_supersteps(en, frontier.items, step))
 
 
-# --------------------------------------------------------------- PageRank
-
-def _precheck_pagerank(en) -> Optional[str]:
-    return None
-
+# ------------------------------------------------------- PageRank and PPR
 
 def _run_pagerank(en, frontier: Frontier) -> Frontier:
+    """Shared PageRank/PPR loop (the two differ only in the problem's
+    initial residual and frontier)."""
     P = en.problem
     g = P.graph
     machine = P.machine
-    ws = P.workspace
     lb = en.lb
-    plan = en._fused_plan
+    regimes = en._fused_plan.regimes
     n = g.n
-    indptr, indices = g.indptr, g.indices
-    indptr1 = indptr[1:]
-    art = g.artifacts
-    iota_n = art.iota_n
-    rank, residual = P.rank, P.residual
-    degrees = P.degrees
-    damping, tol = P.damping, P.tolerance
-    use_spmv = plan.regimes.use_spmv
-    spmv_min = plan.regimes.spmv_min_edges
-    T = _transpose_ones(g) if use_spmv else None
-    f = frontier.items
-    it = 0
-    maxit = en.max_iterations
-    contrib_buf = np.empty(n)
-    spmv_buf = np.empty(n) if T is not None else None
-    while len(f) and (maxit is None or it < maxit):
-        full = f is iota_n or (len(f) == n and np.array_equal(f, iota_n))
+    indices = g.indices
+    T = _transpose_ones(g) if regimes.use_spmv else None
+
+    def step(f, it):
+        contrib, full = rank_contribution(P, f)
         if full:
-            degs, ne, dst_lanes = art.out_degrees, g.m, indices
-            np.multiply(residual, damping, out=contrib_buf)
-            np.divide(contrib_buf, degrees, out=contrib_buf)
-            contrib = contrib_buf
+            degs, ne = g.artifacts.out_degrees, g.m
         else:
-            degs = indptr1[f]
-            degs = degs - indptr[f]
-            ne = int(degs.sum())
-            dst_lanes = None
-            contrib = residual[f]
-            np.multiply(contrib, damping, out=contrib)
-            np.divide(contrib, degrees[f], out=contrib)
+            degs, ne = frontier_degrees(g, f)
+        spmv = T is not None and ne >= regimes.spmv_min_edges
+        # the destination lanes price the atomics and feed the bincount;
+        # an uncharged SpMV step never needs them
+        lanes = EMPTY
+        if ne and (machine is not None or not spmv):
+            lanes = indices if full else \
+                indices[_expand(P.workspace, g.indptr, f, degs, ne)[1]]
+        charge_push(P, lb, degs, ne, it, ("atomic_add", lanes))
         if machine is not None:
-            if dst_lanes is None and ne:
-                _, eids = _expand(ws, indptr, f, degs, ne)
-                dst_lanes = indices[eids]
-            with machine.fused(f"advance_push[{lb.name}]", it):
-                _charge_advance(P, degs, lb, "advance_push", ne, it)
-                if ne:
-                    atomics._charge(machine, "atomic_add", dst_lanes)
             machine.counters.record_frontier(0)
         if ne == 0:
             res = np.zeros(n)
-        elif T is not None and ne >= spmv_min:
-            # 0/1 transpose SpMV: per-cell accumulation in stored (CSC =
-            # ascending edge id) order, identical to the lane-order add
-            if full:
-                res = T @ contrib
-            else:
-                spmv_buf.fill(0.0)
-                spmv_buf[f] = contrib
-                res = T @ spmv_buf
+        elif spmv:
+            res = transpose_product(T, n, f, contrib, full)
         else:
-            if dst_lanes is None:
-                _, eids = _expand(ws, indptr, f, degs, ne)
-                dst_lanes = indices[eids]
             vals = contrib[g.edge_sources] if full else contrib.repeat(degs)
-            res = np.bincount(dst_lanes, weights=vals, minlength=n)
-        np.add(rank, res, out=rank)
-        np.copyto(residual, res)
-        keep = res > tol
-        nk = int(np.count_nonzero(keep))
-        if nk == n:
-            f = iota_n
-        elif nk == 0:
-            f = EMPTY
-        else:
-            f = iota_n[keep]
+            res = np.bincount(lanes, weights=vals, minlength=n)
+        f, nk = rank_commit(P, res)
         _charge_filter(machine, it, n, nk)
-        it += 1
-        en.iteration = it
-        if machine is not None:
-            machine.counters.iterations = it
-    return Frontier(f)
+        return f
 
-
-# -------------------------------------------------------------------- PPR
-
-def _precheck_ppr(en) -> Optional[str]:
-    return None
-
-
-def _run_ppr(en, frontier: Frontier) -> Frontier:
-    P = en.problem
-    g = P.graph
-    machine = P.machine
-    ws = P.workspace
-    lb = en.lb
-    plan = en._fused_plan
-    n = g.n
-    indptr, indices = g.indptr, g.indices
-    indptr1 = indptr[1:]
-    art = g.artifacts
-    iota_n = art.iota_n
-    rank, residual = P.rank, P.residual
-    degrees = P.degrees
-    damping, tol = P.damping, P.tolerance
-    use_spmv = plan.regimes.use_spmv
-    spmv_min = plan.regimes.spmv_min_edges
-    T = _transpose_ones(g) if use_spmv else None
-    spmv_buf = np.empty(n) if T is not None else None
-    f = frontier.items
-    it = 0
-    maxit = en.max_iterations
-    while len(f) and (maxit is None or it < maxit):
-        full = len(f) == n and (f is iota_n or np.array_equal(f, iota_n))
-        if full:
-            degs, ne, dst_lanes = art.out_degrees, g.m, indices
-            contrib = residual * damping
-            np.divide(contrib, degrees, out=contrib)
-        else:
-            degs = indptr1[f]
-            degs = degs - indptr[f]
-            ne = int(degs.sum())
-            dst_lanes = None
-            contrib = residual[f]
-            contrib = contrib * damping
-            np.divide(contrib, degrees[f], out=contrib)
-        if machine is not None:
-            if dst_lanes is None and ne:
-                _, eids = _expand(ws, indptr, f, degs, ne)
-                dst_lanes = indices[eids]
-            with machine.fused(f"advance_push[{lb.name}]", it):
-                _charge_advance(P, degs, lb, "advance_push", ne, it)
-                if ne:
-                    atomics._charge(machine, "atomic_add", dst_lanes)
-            machine.counters.record_frontier(0)
-        if ne == 0:
-            res = np.zeros(n)
-        elif T is not None and ne >= spmv_min:
-            if full:
-                res = T @ contrib
-            else:
-                spmv_buf.fill(0.0)
-                spmv_buf[f] = contrib
-                res = T @ spmv_buf
-        else:
-            if dst_lanes is None:
-                _, eids = _expand(ws, indptr, f, degs, ne)
-                dst_lanes = indices[eids]
-            vals = contrib[g.edge_sources] if full else contrib.repeat(degs)
-            res = np.bincount(dst_lanes, weights=vals, minlength=n)
-        # commit (the all-vertices filter), elementwise: the routed
-        # library path fancy-indexes with arange(n), which is the same
-        np.add(rank, res, out=rank)
-        np.copyto(residual, res)
-        keep = res > tol
-        nk = int(np.count_nonzero(keep))
-        f = iota_n[keep] if 0 < nk < n else (iota_n.copy() if nk == n else EMPTY)
-        _charge_filter(machine, it, n, nk)
-        it += 1
-        en.iteration = it
-        if machine is not None:
-            machine.counters.iterations = it
-    return Frontier(f)
+    return Frontier(run_supersteps(en, frontier.items, step))
 
 
 # --------------------------------------------------------------------- CC
@@ -529,10 +346,8 @@ def _run_cc(en, frontier: Frontier) -> Frontier:
     cid = P.component_ids
     edge_sources, indices = g.edge_sources, g.indices
     n = g.n
-    f = frontier.items
-    it = 0
-    maxit = en.max_iterations
-    while len(f) and (maxit is None or it < maxit):
+
+    def step(f, it):
         # hook: cond (endpoints in different components) + atomic_min
         srcs = edge_sources[f]
         dsts = indices[f]
@@ -553,7 +368,6 @@ def _run_cc(en, frontier: Frontier) -> Frontier:
             hi = None
         _charge_filter(machine, it, len(f), len(surv),
                        atomic=None if hi is None else ("atomic_min", hi))
-        f = surv
         # pointer jumping to a fixpoint (integer ops: trivially exact)
         vf = np.arange(n, dtype=np.int64)
         while len(vf):
@@ -564,18 +378,13 @@ def _run_cc(en, frontier: Frontier) -> Frontier:
             nvf = vf[keep]
             _charge_filter(machine, it, len(vf), len(nvf))
             vf = nvf
-        it += 1
-        en.iteration = it
-        if machine is not None:
-            machine.counters.iterations = it
-    return Frontier(f, FrontierKind.EDGE)
+        return surv
+
+    return Frontier(run_supersteps(en, frontier.items, step),
+                    FrontierKind.EDGE)
 
 
 # --------------------------------------------------------------------- BC
-
-def _precheck_bc(en) -> Optional[str]:
-    return None
-
 
 def _run_bc(en, frontier: Frontier) -> Frontier:
     P = en.problem
@@ -584,23 +393,15 @@ def _run_bc(en, frontier: Frontier) -> Frontier:
     ws = P.workspace
     lb = en.lb
     indptr, indices = g.indptr, g.indices
-    indptr1 = indptr[1:]
     labels, sigma = P.labels, P.sigma
     n = g.n
-    f = frontier.items
-    it = 0
-    maxit = en.max_iterations
-    while len(f) and (maxit is None or it < maxit):
+
+    def step(f, it):
         depth = it + 1
-        nf = len(f)
-        degs = indptr1[f]
-        degs = degs - indptr[f]
-        ne = int(degs.sum())
+        degs, ne = frontier_degrees(g, f)
         out = EMPTY
         if ne == 0:
-            if machine is not None:
-                with machine.fused(f"advance_push[{lb.name}]", it):
-                    _charge_advance(P, degs, lb, "advance_push", 0, it)
+            charge_push(P, lb, degs, 0, it)
         else:
             _, eids = _expand(ws, indptr, f, degs, ne)
             dsts = indices[eids]
@@ -611,18 +412,16 @@ def _run_bc(en, frontier: Frontier) -> Frontier:
             else:
                 kd = dsts[keep]
                 kvals = sigma[f].repeat(degs)[keep]
-            if machine is not None:
-                with machine.fused(f"advance_push[{lb.name}]", it):
-                    _charge_advance(P, degs, lb, "advance_push", ne, it)
-                    atomics._charge(machine, "atomic_add", kd)
-                    atomics._charge(machine, "atomic_max", kd)
+            charge_push(P, lb, degs, ne, it,
+                        ("atomic_add", kd), ("atomic_max", kd))
             if len(kd):
                 if len(kd) < n // 8:
                     np.add.at(sigma, kd, kvals)
                 else:
                     # sigma cells at this depth start at +0.0, so the
                     # bincount partial sums associate identically
-                    sigma += np.bincount(kd, weights=kvals, minlength=n)
+                    np.add(sigma, np.bincount(kd, weights=kvals,
+                                              minlength=n), out=sigma)
                 # every admitted cell holds -1: the constant-depth
                 # atomic_max is a plain scatter
                 labels[kd] = depth
@@ -632,75 +431,49 @@ def _run_bc(en, frontier: Frontier) -> Frontier:
         out = unique_by_sort(out, machine)
         if len(out):
             en.level_frontiers.append(Frontier(out))
-        f = out
-        it += 1
-        en.iteration = it
-        if machine is not None:
-            machine.counters.iterations = it
-    return Frontier(f)
+        return out
+
+    return Frontier(run_supersteps(en, frontier.items, step))
 
 
 # ------------------------------------------------------------- dispatcher
 
-#: primitive name -> (precheck, runner)
-RUNNERS: Dict[str, Tuple[Callable, Callable]] = {
-    "bfs": (_precheck_bfs, _run_bfs),
-    "sssp": (_precheck_sssp, _run_sssp),
-    "pagerank": (_precheck_pagerank, _run_pagerank),
-    "ppr": (_precheck_ppr, _run_ppr),
-    "cc": (_precheck_cc, _run_cc),
-    "bc": (_precheck_bc, _run_bc),
+#: primitive name -> runner
+RUNNERS: Dict[str, Callable] = {
+    "bfs": _run_bfs,
+    "sssp": _run_sssp,
+    "pagerank": _run_pagerank,
+    "ppr": _run_pagerank,
+    "cc": _run_cc,
+    "bc": _run_bc,
 }
 
+#: configurations of a fusable primitive whose schedule has no runner
+PRECHECKS: Dict[str, Callable] = {"bfs": _precheck_bfs, "cc": _precheck_cc}
 
-def _count_dispatch(primitive: str, engine_label: str) -> None:
-    ob = current_observer()
-    if ob is not None:
-        ob.metrics.counter("repro_fused_dispatch_total",
-                           primitive=primitive, engine=engine_label).inc()
+
+def _prepare(enactor, name: str):
+    """Compile (or fetch) the plan; refuse what it or the primitive's
+    precheck blocks, else attach it for the runner."""
+    from ..analysis.plan import plan_for
+    plan = plan_for(name, enactor.problem.graph)
+    if not plan.fusable:
+        return "; ".join(plan.blocked) or "analysis verdict: not fusable", {}
+    precheck = PRECHECKS.get(name)
+    reason = precheck(enactor) if precheck is not None else None
+    if reason is None:
+        enactor._fused_plan = plan
+    return reason, dict(fused_ops=",".join(s.name for s in plan.stages),
+                        stage_count=len(plan.stages))
+
+
+FUSED = Backend(name="fused", runners=RUNNERS, span_category=CAT_FUSED,
+                prepare=_prepare,
+                no_runner="no fused runner for primitive '{name}'",
+                needs_pooled="fused plans require the pooled workspace")
 
 
 def try_fused(enactor, frontier: Frontier) -> Optional[Frontier]:
-    """Run ``enactor``'s loop through its fused plan, or return None.
-
-    None means "take the library path": either the engine is not in
-    fused mode (silent), or it is but this run cannot be specialized —
-    in which case the (primitive, reason) pair is recorded on the
-    fallback log and the dispatch counter gets an ``engine="pooled"``
-    sample, per the fallback contract.
-    """
-    if engine_mode() != "fused":
-        return None
-    name = enactor.primitive_name
-    entry = RUNNERS.get(name)
-    reason: Optional[str] = None
-    plan = None
-    if entry is None:
-        reason = f"no fused runner for primitive '{name}'"
-    elif not enactor.workspace.pooled:
-        reason = "fused plans require the pooled workspace"
-    elif enactor.sanitize or current_sanitizer() is not None:
-        reason = "sanitizer active: library operators carry the kernel scopes"
-    elif enactor.injector is not None or enactor.checkpoints is not None:
-        reason = "resilience hooks active: fault windows exist only in the library loop"
-    else:
-        from ..analysis.plan import plan_for
-        plan = plan_for(name, enactor.problem.graph)
-        if not plan.fusable:
-            reason = "; ".join(plan.blocked) or "analysis verdict: not fusable"
-        else:
-            reason = entry[0](enactor)
-    if reason is not None:
-        record_fallback(name, reason)
-        _count_dispatch(name, "pooled")
-        return None
-    enactor._fused_plan = plan
-    _count_dispatch(name, "fused")
-    machine = enactor.problem.machine
-    sp = obs_span(f"fused:{name}", CAT_FUSED, machine, primitive=name,
-                  fused_ops=",".join(s.name for s in plan.stages),
-                  stage_count=len(plan.stages))
-    with sp:
-        out = entry[1](enactor, frontier)
-        sp.set(iterations=enactor.iteration)
-    return out
+    """Run ``enactor``'s loop through its fused plan, or None to take the
+    library path (:func:`repro.core.engine.dispatch` records why)."""
+    return dispatch(FUSED, enactor, frontier)

@@ -27,50 +27,28 @@ Pooling invariants (see DESIGN.md §10):
   identical arrays and identical simulated-cycle counters; the property
   tests in ``tests/test_property_based.py`` enforce this.
 
-The global pooling switch (:func:`set_pooling` / :func:`pooling` /
-``REPRO_POOLING=0``) is captured by each :class:`Workspace` at
-construction time — i.e. per problem — so a single benchmark process can
-build pooled and unpooled problems side by side.
+Whether to pool follows the engine selection (:mod:`repro.core.engine`:
+every engine but ``unpooled`` pools) and is captured by each
+:class:`Workspace` at construction time — i.e. per problem — so a single
+benchmark process can build pooled and unpooled problems side by side.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+
+from .engine import engine_mode
 
 #: minimum backing-buffer length; avoids churning tiny buffers while a
 #: frontier ramps up from a single source vertex
 _MIN_CAPACITY = 1024
 
-_env = os.environ.get("REPRO_POOLING", "1").strip().lower()
-_POOLING_ENABLED: bool = _env not in ("0", "false", "off", "no")
-
 
 def pooling_enabled() -> bool:
     """Whether new Workspaces (new problems) default to pooled mode."""
-    return _POOLING_ENABLED
-
-
-def set_pooling(enabled: bool) -> bool:
-    """Set the global pooling default; returns the previous value."""
-    global _POOLING_ENABLED
-    prev = _POOLING_ENABLED
-    _POOLING_ENABLED = bool(enabled)
-    return prev
-
-
-@contextmanager
-def pooling(enabled: bool) -> Iterator[None]:
-    """Scoped pooling toggle: problems built inside the block capture
-    the given mode (the benchmark's pooled-vs-unpooled A/B switch)."""
-    prev = set_pooling(enabled)
-    try:
-        yield
-    finally:
-        set_pooling(prev)
+    return engine_mode() != "unpooled"
 
 
 def _capacity_for(size: int) -> int:

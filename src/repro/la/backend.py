@@ -2,12 +2,12 @@
 
 ``try_la`` is the engine hook :meth:`EnactorBase._try_backend` calls
 when ``--engine la`` is selected.  Each supported primitive has a
-(precheck, runner) pair, exactly like :mod:`repro.core.fused`: the
-precheck returns a fallback reason (configurations whose schedule the
-LA lowering cannot reproduce take the pooled library loop, with the
-reason recorded on the engine fallback log), the runner executes the
-whole primitive as a loop of semiring products over the frozen CSR/CSC
-artifacts.
+runner, exactly like :mod:`repro.core.fused`, that executes the whole
+primitive as a loop of semiring products over the frozen CSR/CSC
+artifacts; configurations whose schedule the LA lowering cannot
+reproduce have a precheck that returns the fallback reason (they take
+the pooled library loop, the reason recorded on the engine fallback
+log).
 
 Equivalence contract (DESIGN §16) against the operator engines:
 
@@ -32,20 +32,19 @@ reaches ``n``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..analysis.sanitizer import current_sanitizer
-from ..core.engine import engine_mode, record_fallback
+from ..core.engine import Backend, dispatch
 from ..core.frontier import Frontier, FrontierKind
-from ..core.fused import _transpose_ones
-from ..obs.spans import CAT_LA, current_observer, span as obs_span
+from ..core.fused import _transpose_ones, transpose_product
+from ..core.superstep import (EMPTY, bfs_direction, frontier_degrees,
+                              rank_commit, rank_contribution, run_supersteps)
+from ..obs.spans import CAT_LA
 from ..simt import calib
 from .semiring import (BOOL_OR_AND, MIN_PLUS, MIN_SELECT, PLUS_TIMES,
                        Scratch, Semiring, spmspv, spmv)
-
-EMPTY = np.zeros(0, dtype=np.int64)
 
 #: primitive -> the semiring its lowering reduces over (DESIGN §16 table)
 SEMIRING_OF: Dict[str, Semiring] = {
@@ -77,19 +76,7 @@ def _charge_commit(machine, n_items: int, frontier_out: int,
     machine.counters.record_frontier(frontier_out)
 
 
-def _step(en, machine, it: int) -> int:
-    it += 1
-    en.iteration = it
-    if machine is not None:
-        machine.counters.iterations = it
-    return it
-
-
 # --------------------------------------------------------------------- BFS
-
-def _precheck_bfs(en) -> Optional[str]:
-    return None
-
 
 def _run_bfs(en, frontier: Frontier) -> Frontier:
     P = en.problem
@@ -97,24 +84,14 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
     machine = P.machine
     labels = P.labels
     preds = P.preds if P.record_preds else None
-    policy = en.direction
-    n = g.n
-    f = frontier.items
-    in_frontier = np.zeros(n, dtype=bool)
+    in_frontier = np.zeros(g.n, dtype=bool)
     scratch = Scratch(en.workspace)
-    it = 0
-    maxit = en.max_iterations
-    while len(f) and (maxit is None or it < maxit):
-        depth = it + 1
-        nf = len(f)
-        frontier_edges = 0
-        if policy.needs_frontier_stats(g, nf):
-            P.num_unvisited = int(np.count_nonzero(labels < 0))
-            frontier_edges = int(g.degrees_of(f).sum())
-        mode = policy.choose(g, nf, frontier_edges, P.num_unvisited)
+
+    def step(f, it):
+        mode, _, _ = bfs_direction(en.direction, P, f)
         visited = labels >= 0
         if mode == "push":
-            out = spmspv(g, f, np.ones(nf, dtype=bool), BOOL_OR_AND,
+            out = spmspv(g, f, np.ones(len(f), dtype=bool), BOOL_OR_AND,
                          mask=visited, mask_complement=True,
                          witness=preds is not None, scratch=scratch)
             ids = out[0]
@@ -133,13 +110,13 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
             ids = np.flatnonzero(y)
             wit = wit_dense[ids] if preds is not None else None
             _charge_product(machine, "la_spmv[bool_or_and]", ne, it)
-        labels[ids] = depth
+        labels[ids] = it + 1
         if preds is not None and len(ids):
             preds[ids] = wit
         _charge_commit(machine, len(ids), len(ids), it)
-        f = ids
-        it = _step(en, machine, it)
-    return Frontier(f)
+        return ids
+
+    return Frontier(run_supersteps(en, frontier.items, step))
 
 
 # -------------------------------------------------------------------- SSSP
@@ -159,10 +136,9 @@ def _run_sssp(en, frontier: Frontier) -> Frontier:
     labels = P.labels
     preds = P.preds
     weights = P.weights
-    f = frontier.items
     scratch = Scratch(en.workspace)
-    it = 0
-    while len(f):
+
+    def step(f, it):
         ids, vals, wit = spmspv(g, f, labels[f], MIN_PLUS,
                                 edge_values=weights, witness=True,
                                 scratch=scratch)
@@ -173,9 +149,9 @@ def _run_sssp(en, frontier: Frontier) -> Frontier:
             labels[ids] = vals
             preds[ids] = wit
         _charge_commit(machine, len(ids), len(ids), it)
-        f = ids
-        it = _step(en, machine, it)
-    return Frontier(f)
+        return ids
+
+    return Frontier(run_supersteps(en, frontier.items, step))
 
 
 # ---------------------------------------------------------------------- CC
@@ -195,36 +171,28 @@ def _run_cc(en, frontier: Frontier) -> Frontier:
     g = P.graph
     machine = P.machine
     cid = P.component_ids
-    n = g.n
-    it = 0
-    if g.m:
-        all_ids = g.artifacts.iota_n
-        rev = g.csc
-        while True:
-            # symmetric Jacobi sweep: min over out- and in-neighbors
-            ids_out, min_out = spmspv(g, all_ids, cid, MIN_SELECT)
-            ids_in, min_in = spmspv(rev, all_ids, cid, MIN_SELECT)
-            new = cid.copy()
-            new[ids_out] = np.minimum(new[ids_out], min_out)
-            new[ids_in] = np.minimum(new[ids_in], min_in)
-            changed = int(np.count_nonzero(new != cid))
-            np.copyto(cid, new)
-            _charge_product(machine, "la_spmspv[min_select]", 2 * g.m, it)
-            _charge_commit(machine, n, changed, it)
-            it = _step(en, machine, it)
-            if changed == 0:
-                break
+    all_ids = g.artifacts.iota_n
+    rev = g.csc
+
+    def step(ids, it):
+        # symmetric Jacobi sweep: min over out- and in-neighbors
+        ids_out, min_out = spmspv(g, ids, cid, MIN_SELECT)
+        ids_in, min_in = spmspv(rev, ids, cid, MIN_SELECT)
+        new = cid.copy()
+        new[ids_out] = np.minimum(new[ids_out], min_out)
+        new[ids_in] = np.minimum(new[ids_in], min_in)
+        changed = int(np.count_nonzero(new != cid))
+        np.copyto(cid, new)
+        _charge_product(machine, "la_spmspv[min_select]", 2 * g.m, it)
+        _charge_commit(machine, g.n, changed, it)
+        return ids if changed else EMPTY
+
+    # every round sweeps the whole matrix until one changes nothing
+    run_supersteps(en, all_ids if g.m else EMPTY, step)
     return Frontier(EMPTY, FrontierKind.EDGE)
 
 
 # -------------------------------------------------------- PageRank and PPR
-
-def _precheck_pagerank(en) -> Optional[str]:
-    return None
-
-
-_precheck_ppr = _precheck_pagerank
-
 
 def _run_pagerank(en, frontier: Frontier) -> Frontier:
     """Shared PageRank/PPR loop: same residual schedule as the operator
@@ -234,112 +202,61 @@ def _run_pagerank(en, frontier: Frontier) -> Frontier:
     g = P.graph
     machine = P.machine
     n = g.n
-    iota_n = g.artifacts.iota_n
-    rank, residual = P.rank, P.residual
-    degrees = P.degrees
-    damping, tol = P.damping, P.tolerance
     T = _transpose_ones(g)  # None without scipy; the push path covers it
-    xbuf = np.empty(n) if T is not None else None
     scratch = Scratch(en.workspace)
-    f = frontier.items
-    it = 0
-    maxit = en.max_iterations
-    while len(f) and (maxit is None or it < maxit):
-        full = len(f) == n
-        if full:
-            contrib = residual * damping
-            np.divide(contrib, degrees, out=contrib)
-            ne = g.m
-        else:
-            contrib = residual[f] * damping
-            np.divide(contrib, degrees[f], out=contrib)
-            ne = int(g.degrees_of(f).sum())
-        if ne == 0:
-            res = np.zeros(n)
-            _charge_product(machine, "la_spmspv[plus_times]", 0, it)
-        elif T is not None and ne >= n:
+
+    def step(f, it):
+        contrib, full = rank_contribution(P, f)
+        ne = g.m if full else frontier_degrees(g, f)[1]
+        if ne and T is not None and ne >= n:
             # dense regime: pull the whole residual vector through the
             # transpose (stored-order accumulation == lane order)
-            if full:
-                res = T @ contrib
-            else:
-                xbuf.fill(0.0)
-                xbuf[f] = contrib
-                res = T @ xbuf
-            _charge_product(machine, "la_spmv[plus_times]", ne, it)
+            res = transpose_product(T, n, f, contrib, full)
+            kernel = "la_spmv[plus_times]"
         else:
-            ids, vals = spmspv(g, f if not full else iota_n, contrib,
-                               PLUS_TIMES, scratch=scratch)
             res = np.zeros(n)
-            res[ids] = vals
-            _charge_product(machine, "la_spmspv[plus_times]", ne, it)
-        np.add(rank, res, out=rank)
-        np.copyto(residual, res)
-        keep = res > tol
-        nk = int(np.count_nonzero(keep))
-        f = iota_n[keep] if 0 < nk < n else (iota_n if nk == n else EMPTY)
+            if ne:
+                ids, vals = spmspv(g, g.artifacts.iota_n if full else f,
+                                   contrib, PLUS_TIMES, scratch=scratch)
+                res[ids] = vals
+            kernel = "la_spmspv[plus_times]"
+        _charge_product(machine, kernel, ne, it)
+        f, nk = rank_commit(P, res)
         _charge_commit(machine, n, nk, it)
-        it = _step(en, machine, it)
-    return Frontier(f)
+        return f
 
-
-_run_ppr = _run_pagerank
+    return Frontier(run_supersteps(en, frontier.items, step))
 
 
 # ------------------------------------------------------------- dispatcher
 
-#: primitive name -> (precheck, runner)
-RUNNERS: Dict[str, Tuple[Callable, Callable]] = {
-    "bfs": (_precheck_bfs, _run_bfs),
-    "sssp": (_precheck_sssp, _run_sssp),
-    "pagerank": (_precheck_pagerank, _run_pagerank),
-    "ppr": (_precheck_ppr, _run_ppr),
-    "cc": (_precheck_cc, _run_cc),
+#: primitive name -> runner
+RUNNERS: Dict[str, Callable] = {
+    "bfs": _run_bfs,
+    "sssp": _run_sssp,
+    "pagerank": _run_pagerank,
+    "ppr": _run_pagerank,
+    "cc": _run_cc,
 }
 
+#: configurations whose schedule the semiring lowering cannot reproduce
+PRECHECKS: Dict[str, Callable] = {"sssp": _precheck_sssp, "cc": _precheck_cc}
 
-def _count_dispatch(primitive: str, engine_label: str) -> None:
-    ob = current_observer()
-    if ob is not None:
-        ob.metrics.counter("repro_la_dispatch_total",
-                           primitive=primitive, engine=engine_label).inc()
+
+def _prepare(enactor, name: str):
+    precheck = PRECHECKS.get(name)
+    return (precheck(enactor) if precheck is not None else None,
+            {"semiring": SEMIRING_OF[name].name})
+
+
+LA = Backend(name="la", runners=RUNNERS, span_category=CAT_LA,
+             prepare=_prepare,
+             no_runner="no linear-algebra lowering for primitive '{name}'",
+             needs_pooled="the la backend requires the pooled workspace")
 
 
 def try_la(enactor, frontier: Frontier) -> Optional[Frontier]:
-    """Run ``enactor``'s loop through the linear-algebra backend, or
-    return None.
-
-    None means "take the library path": either the engine is not in
-    ``la`` mode (silent), or it is but this run has no LA lowering — in
-    which case the (primitive, reason) pair is recorded on the fallback
-    log and the dispatch counter gets an ``engine="pooled"`` sample,
-    per the fallback contract.
-    """
-    if engine_mode() != "la":
-        return None
-    name = enactor.primitive_name
-    entry = RUNNERS.get(name)
-    reason: Optional[str] = None
-    if entry is None:
-        reason = f"no linear-algebra lowering for primitive '{name}'"
-    elif not enactor.workspace.pooled:
-        reason = "the la backend requires the pooled workspace"
-    elif enactor.sanitize or current_sanitizer() is not None:
-        reason = "sanitizer active: library operators carry the kernel scopes"
-    elif enactor.injector is not None or enactor.checkpoints is not None:
-        reason = ("resilience hooks active: fault windows exist only in "
-                  "the library loop")
-    else:
-        reason = entry[0](enactor)
-    if reason is not None:
-        record_fallback(name, reason)
-        _count_dispatch(name, "pooled")
-        return None
-    _count_dispatch(name, "la")
-    machine = enactor.problem.machine
-    sp = obs_span(f"la:{name}", CAT_LA, machine, primitive=name,
-                  semiring=SEMIRING_OF[name].name)
-    with sp:
-        out = entry[1](enactor, frontier)
-        sp.set(iterations=enactor.iteration)
-    return out
+    """Run ``enactor``'s loop through the linear-algebra backend, or None
+    to take the library path (:func:`repro.core.engine.dispatch` records
+    why)."""
+    return dispatch(LA, enactor, frontier)

@@ -57,18 +57,15 @@ def try_triangles_la(graph, *, machine=None):
     path's (``arrays={"total", "per_vertex"}``); None means "run the
     operator engine" with the reason on the fallback log.
     """
-    from ..core.engine import record_fallback
+    from ..core.engine import count_dispatch
     from ..primitives.triangles import TriangleResult
-    from .backend import _count_dispatch
 
     if _sp is None:
-        record_fallback(
-            "triangles",
-            "scipy unavailable: the masked SpGEMM lowering needs "
-            "scipy.sparse")
-        _count_dispatch("triangles", "pooled")
+        count_dispatch("la", "triangles",
+                       "scipy unavailable: the masked SpGEMM lowering "
+                       "needs scipy.sparse")
         return None
-    _count_dispatch("triangles", "la")
+    count_dispatch("la", "triangles")
     sp = obs_span("la:triangles", CAT_LA, machine,
                   primitive="triangles", semiring="plus_times")
     with sp:

@@ -30,6 +30,7 @@ from ..core import (Frontier, Functor, IdempotenceHeuristics, ProblemBase,
                     EnactorBase)
 from ..core.direction import DirectionOptimizer, FixedDirection
 from ..core.loadbalance import LoadBalancer
+from ..core.superstep import bfs_direction
 from ..core import atomics
 from ..graph.csr import Csr
 from ..simt.machine import Machine
@@ -136,34 +137,12 @@ class BfsEnactor(EnactorBase):
         # the no-atomics BFS step may be re-applied harmlessly, so a
         # transient fault before its first kernel replays restore-free
         self.idempotent_replay = idempotent
-    def _recount_unvisited(self) -> int:
-        P: BfsProblem = self.problem
-        ws = P.workspace
-        if ws.pooled:
-            mask = ws.take("unvisited_mask", P.graph.n, np.bool_)
-            np.less(P.labels, 0, out=mask)
-            return int(np.count_nonzero(mask))
-        return int((P.labels < 0).sum())
 
     def _iterate(self, frontier: Frontier) -> Frontier:
         P: BfsProblem = self.problem
         depth = self.iteration + 1
         fn = (_IdempotentBfsFunctor if self.idempotent else _AtomicBfsFunctor)(depth)
-        # ``num_unvisited`` is maintained lazily: the direction policy is
-        # its only consumer and the policy's cheap frontier-size guard
-        # rules out a flip on most super-steps, so the count (and the
-        # frontier's degree sum) is recomputed only on the steps where
-        # the policy will actually read it.  On a road network the guard
-        # never passes and BFS does zero unvisited bookkeeping across
-        # hundreds of shallow super-steps; on scale-free graphs it pays
-        # one O(n) recount on the handful of hub-burst steps instead of
-        # an incremental dedup on every one.
-        frontier_edges = 0
-        if self.direction.needs_frontier_stats(P.graph, len(frontier)):
-            P.num_unvisited = self._recount_unvisited()
-            frontier_edges = int(P.graph.degrees_of(frontier.items).sum())
-        mode = self.direction.choose(P.graph, len(frontier), frontier_edges,
-                                     P.num_unvisited)
+        mode, _, _ = bfs_direction(self.direction, P, frontier.items)
         out = self.advance(frontier, fn, mode=mode)
         return self.filter(out, fn, heuristics=self.heuristics)
 

@@ -20,7 +20,7 @@ power series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -130,21 +130,20 @@ class PagerankEnactor(EnactorBase):
 
     def _iterate(self, frontier: Frontier) -> Frontier:
         self.advance(frontier, _DistributeFunctor())
-        out = self.filter(self._all_vertices(), _CommitFunctor())
-        return out
+        return self.filter(_all_vertices(self.problem), _CommitFunctor())
 
-    def _all_vertices(self) -> Frontier:
-        """The per-iteration full-range filter frontier.
 
-        Pooled mode wraps the graph's cached read-only iota ramp (no
-        fresh ``arange(n)`` per super-step, and the identity lets the
-        operators take their all-vertices fast paths); unpooled keeps the
-        legacy fresh allocation.
-        """
-        P = self.problem
-        if P.workspace.pooled:
-            return Frontier(P.graph.artifacts.iota_n)
-        return Frontier.all_vertices(P.graph.n)
+def _all_vertices(P: PagerankProblem) -> Frontier:
+    """The per-iteration full-range filter frontier.
+
+    Pooled mode wraps the graph's cached read-only iota ramp (no fresh
+    ``arange(n)`` per super-step, and the identity lets the operators
+    take their all-vertices fast paths); unpooled keeps the legacy fresh
+    allocation.
+    """
+    if P.workspace.pooled:
+        return Frontier(P.graph.artifacts.iota_n)
+    return Frontier.all_vertices(P.graph.n)
 
 
 class GatherPagerankEnactor(EnactorBase):
@@ -234,4 +233,68 @@ def pagerank(graph: Csr, *, machine: Optional[Machine] = None,
                               faults=faults, retry=retry)
     enactor.enact(Frontier.all_vertices(graph.n))
     result = PagerankResult(arrays={"rank": problem.rank})
+    return finish(result, machine, enactor)
+
+
+# ------------------------------------------------- personalized PageRank
+#
+# Section 5.5's third who-to-follow ranker: the same operator skeleton and
+# the same two functors, with the teleport vector concentrated on a seed
+# set (the user's circle of trust) — the residual push starts at the seeds
+# and converges to the personalized stationary distribution.
+# :mod:`repro.primitives.ppr` re-exports these names.
+
+class PprProblem(PagerankProblem):
+    """PageRank state with the teleport mass spread over ``seeds`` only."""
+
+    def __init__(self, graph: Csr, seeds: np.ndarray,
+                 machine: Optional[Machine] = None, damping: float = 0.85,
+                 tolerance: Optional[float] = None):
+        if len(seeds) == 0:
+            raise ValueError("personalized PageRank needs at least one seed")
+        super().__init__(graph, machine, damping=damping, tolerance=tolerance)
+        base = (1.0 - damping) / len(seeds)
+        for arr in (self.rank, self.residual):
+            arr.fill(0.0)
+            arr[seeds] = base
+        self.seeds = seeds
+
+
+class PprEnactor(EnactorBase):
+    def _iterate(self, frontier: Frontier) -> Frontier:
+        self.advance(frontier, _DistributeFunctor())
+        return self.filter(_all_vertices(self.problem), _CommitFunctor())
+
+
+@dataclass
+class PprResult(PrimitiveResult):
+    @property
+    def rank(self) -> np.ndarray:
+        return self.arrays["rank"]
+
+    def top(self, k: int, exclude: Optional[np.ndarray] = None) -> np.ndarray:
+        """Top-k vertices by personalized rank (optionally excluding the
+        seed set — the 'already followed' filter in who-to-follow)."""
+        rank = self.rank.copy()
+        if exclude is not None:
+            rank[np.asarray(exclude, dtype=np.int64)] = -np.inf
+        order = np.argsort(-rank, kind="stable")
+        return order[:k]
+
+
+def ppr(graph: Csr, seeds: Union[int, Sequence[int]], *,
+        machine: Optional[Machine] = None, damping: float = 0.85,
+        tolerance: Optional[float] = None,
+        max_iterations: int = 1000) -> PprResult:
+    """Personalized PageRank from a seed vertex or seed set."""
+    if isinstance(seeds, (int, np.integer)):
+        seeds = [int(seeds)]
+    seed_arr = np.asarray(sorted(set(int(s) for s in seeds)), dtype=np.int64)
+    if len(seed_arr) and (seed_arr.min() < 0 or seed_arr.max() >= graph.n):
+        raise ValueError("seed out of range")
+    problem = PprProblem(graph, seed_arr, machine, damping=damping,
+                         tolerance=tolerance)
+    enactor = PprEnactor(problem, max_iterations=max_iterations)
+    enactor.enact(Frontier(seed_arr))
+    result = PprResult(arrays={"rank": problem.rank})
     return finish(result, machine, enactor)

@@ -224,15 +224,19 @@ class GraphService:
         """Execute one batch on a device machine; returns the results
         plus the graph version they were computed against.  Nothing is
         cached here — see :meth:`commit`."""
-        from ..core.engine import engine as engine_ctx, fallback_log
+        from ..core.engine import (engine as engine_ctx, fallback_count,
+                                   fallback_log)
 
         vg = self.graph_version(graph_name)
         if self.engine and batch.primitive in (COALESCED_PRIMITIVES
                                               + SOLO_PRIMITIVES):
-            before = len(fallback_log())
+            before = fallback_count()
             with engine_ctx(self.engine):
                 results = execute_batch(vg.csr, batch, machine=machine)
-            self.engine_fallbacks.extend(fallback_log()[before:])
+            # by count, not by list length: the log trims its oldest half
+            recorded = fallback_count() - before
+            if recorded:
+                self.engine_fallbacks.extend(fallback_log()[-recorded:])
         else:
             results = execute_batch(vg.csr, batch, machine=machine)
         self.executed_batches.append((batch.primitive, batch.lanes))

@@ -18,7 +18,7 @@ from repro.analysis.report import (REPORT_SCHEMA_VERSION, render_dot,
                                    render_text, report_to_dict,
                                    validate_report_dict)
 from repro.cli import PRIMITIVES, _run_primitive, main
-from repro.core.workspace import pooling
+from repro.core.engine import engine
 from repro.simt import Machine
 
 #: the pinned verdict partition over the shipped tree.  Every entry in
@@ -159,7 +159,7 @@ def test_static_write_sets_superset_of_sanitizer(prim, pooled, kron_graph,
                                                  tree_report):
     """The soundness pin: for every primitive, every array the dynamic
     sanitizer saw a functor write is in that functor's static write set."""
-    with pooling(pooled):
+    with engine("pooled" if pooled else "unpooled"):
         gaps = _soundness_gaps(prim, kron_graph, tree_report)
     assert gaps == []
 
@@ -169,7 +169,7 @@ def test_static_write_sets_superset_of_sanitizer(prim, pooled, kron_graph,
 def test_soundness_holds_for_ppr(pooled, kron_graph, tree_report):
     from repro.primitives import ppr
 
-    with pooling(pooled):
+    with engine("pooled" if pooled else "unpooled"):
         with sanitize(strict=False) as s:
             ppr(kron_graph, seeds=[0, 1])
     gaps = validate_soundness(tree_report.primitive("ppr"),

@@ -1,11 +1,11 @@
 """Workspace arena unit tests: scratch pooling, constant views, bitmap
-sparse-clear, expansion memo, pooling switch."""
+sparse-clear, expansion memo, pooling derived from the engine."""
 
 import numpy as np
 import pytest
 
-from repro.core.workspace import (Workspace, pooling, pooling_enabled,
-                                  set_pooling, workspace_of)
+from repro.core.engine import engine, engine_mode, set_engine
+from repro.core.workspace import Workspace, pooling_enabled, workspace_of
 
 
 # -- take: pooled scratch ---------------------------------------------------
@@ -152,32 +152,44 @@ def test_nbytes_and_clear():
     assert ws.nbytes() == 0
 
 
-# -- pooling switch ---------------------------------------------------------
+# -- pooling follows the engine selector ------------------------------------
 
 
 def test_pooling_context_restores():
-    before = pooling_enabled()
-    with pooling(not before):
+    """Pooling is derived from the one engine selector: a scoped
+    ``engine()`` flips it for Workspaces built inside and restores the
+    previous mode on exit."""
+    before_mode, before = engine_mode(), pooling_enabled()
+    with engine("unpooled" if before else "pooled"):
         assert pooling_enabled() is (not before)
         ws = Workspace()
         assert ws.pooled is (not before)
+    assert engine_mode() == before_mode
     assert pooling_enabled() is before
 
 
-def test_set_pooling_returns_previous():
-    before = pooling_enabled()
+def test_set_engine_returns_previous_and_scopes_nest():
+    """``engine()`` nests inside ``set_engine``: leaving the scope puts
+    back the process-wide choice, not the default."""
+    import repro.core.engine as E
+
+    saved, before = E._ENGINE, engine_mode()
     try:
-        assert set_pooling(False) is before
+        assert set_engine("unpooled") == before
+        assert pooling_enabled() is False
+        with engine("fused"):
+            assert pooling_enabled() is True
+        assert engine_mode() == "unpooled"
         assert pooling_enabled() is False
     finally:
-        set_pooling(before)
+        E._ENGINE = saved
 
 
 def test_workspace_captures_mode_at_construction():
-    with pooling(False):
+    with engine("unpooled"):
         ws = Workspace()
     assert ws.pooled is False
-    with pooling(True):
+    with engine("pooled"):
         assert ws.pooled is False  # captured, not live
 
 

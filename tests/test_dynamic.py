@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.workspace import pooling
+from repro.core.engine import engine
 from repro.dynamic import (DeltaCsr, GraphUpdate, MutationBatch,
                            WEIGHT_INSENSITIVE, delta_bfs, delta_sssp,
                            incremental_pagerank, random_mutation_batch,
@@ -228,7 +228,7 @@ def _pred_valid(g, labels, preds, src, unit):
 def _run_scenario(scenario, weighted, use_pooling):
     n, edges, src, steps, wseed = scenario
     g = _chain(edges, n, weighted, wseed=wseed)
-    with pooling(use_pooling):
+    with engine("pooled" if use_pooling else "unpooled"):
         delta = DeltaCsr(g)
         if weighted:
             ref = sssp(g, src, use_priority_queue=False)

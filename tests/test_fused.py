@@ -8,7 +8,8 @@ Hypothesis drives random topologies through all four engines via the
 shared differential harness (:mod:`engines`), which also asserts the
 la backend's per-primitive contract; the remaining tests pin the
 fallback contract (blocked primitives take the pooled path and surface
-a reason) and the per-graph plan cache.
+a reason; the refusals common to every engine are pinned in
+``test_engine_dispatch.py``) and the per-graph plan cache.
 """
 
 import numpy as np
@@ -132,34 +133,6 @@ def test_alternating_cc_falls_back_with_reason():
     assert r.num_components == 1
 
 
-def test_unplanned_primitive_falls_back():
-    """A primitive with no fused runner runs the library loop untouched."""
-    from repro.primitives import mis
-
-    g = _line_graph()
-    clear_fallbacks()
-    with engine("fused"):
-        r = mis(g, machine=Machine())
-    prim, reason = last_fallback()
-    assert "no fused runner" in reason
-    assert r.set_size > 0
-
-
-def test_sanitizer_disables_fusion():
-    """The race sanitizer instruments the library operators; fused runs
-    would escape it, so they must fall back."""
-    from repro.analysis import sanitize
-    from repro.primitives import bfs
-
-    g = _line_graph()
-    clear_fallbacks()
-    with engine("fused"), sanitize(strict=True):
-        bfs(g, 0, machine=Machine())
-    prim, reason = last_fallback()
-    assert prim == "bfs"
-    assert "sanitiz" in reason
-
-
 def test_fallback_log_accumulates_and_clears():
     from repro.primitives import bfs
 
@@ -281,6 +254,15 @@ def test_report_schema_v2_serializes_plans():
     data = report_to_dict(report)
     assert validate_report_dict(data) == []
     assert data["fused_plans"]["bfs"]["fusable"]
+    # ppr runs pagerank's two functors: same plan, stage for stage
+    ppr, pr = data["fused_plans"]["ppr"], data["fused_plans"]["pagerank"]
+    assert ppr["fusable"] and not ppr["blocked"]
+    assert ppr["atomic_lowerings"] == {"add": "segmented_sum"}
+    assert [s["name"] for s in ppr["stages"]] == ["advance:advance",
+                                                  "filter:filter"]
+    unlined = [[{k: v for k, v in s.items() if k != "line"}
+                for s in plan["stages"]] for plan in (ppr, pr)]
+    assert unlined[0] == unlined[1]
 
 
 # -- observability ------------------------------------------------------------

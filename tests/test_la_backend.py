@@ -465,19 +465,6 @@ def _line_graph():
                       undirected=True)
 
 
-def test_unlowered_primitive_falls_back_with_reason():
-    from repro.primitives import mis
-
-    g = _line_graph()
-    clear_fallbacks()
-    with engine("la"):
-        r = mis(g, machine=Machine())
-    prim, reason = last_fallback()
-    assert prim == "mis"
-    assert "no linear-algebra lowering" in reason
-    assert r.set_size > 0
-
-
 def test_alternating_cc_falls_back_under_la():
     from repro.primitives import cc
 
@@ -502,19 +489,6 @@ def test_iteration_capped_sssp_falls_back_under_la():
     assert prim == "sssp"
     assert "schedule-dependent" in reason
     assert r.iterations <= 2
-
-
-def test_sanitizer_disables_la():
-    from repro.analysis import sanitize
-    from repro.primitives import bfs
-
-    g = _line_graph()
-    clear_fallbacks()
-    with engine("la"), sanitize(strict=True):
-        bfs(g, 0, machine=Machine())
-    prim, reason = last_fallback()
-    assert prim == "bfs"
-    assert "sanitiz" in reason
 
 
 def test_resilience_hooks_disable_la():

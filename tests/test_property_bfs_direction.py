@@ -9,7 +9,7 @@ workspace pooling on or off, idempotent or not.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.workspace import pooling
+from repro.core.engine import engine
 from repro.graph import from_edges
 from repro.primitives import bfs
 from repro.reference import bfs_depths
@@ -38,7 +38,7 @@ def _build(n, edges):
 def test_push_pull_auto_identical_depths(data, idempotent, pooled):
     n, edges, src = data
     g = _build(n, edges)
-    with pooling(pooled):
+    with engine("pooled" if pooled else "unpooled"):
         depths = {d: bfs(g, src, direction=d, idempotent=idempotent).labels
                   for d in DIRECTIONS}
     assert np.array_equal(depths["push"], depths["pull"])
@@ -77,7 +77,7 @@ def test_pooled_unpooled_identical_per_direction(data):
     for direction in DIRECTIONS:
         out = {}
         for mode in (True, False):
-            with pooling(mode):
+            with engine("pooled" if mode else "unpooled"):
                 m = Machine()
                 out[mode] = (bfs(g, src, machine=m, direction=direction),
                              m.counters.cycles)

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro import reference
-from repro.core.workspace import pooling
+from repro.core.engine import engine
 from repro.graph import from_edges
 from repro.primitives import (color, kcore, label_propagation, mis,
                               triangle_count)
@@ -33,7 +33,7 @@ def undirected_graphs(draw, max_n=24, max_m=90):
 @given(undirected_graphs(), st.integers(0, 2**16), st.booleans())
 @settings(max_examples=50, deadline=None)
 def test_coloring_is_proper(g, seed, pooled):
-    with pooling(pooled):
+    with engine("pooled" if pooled else "unpooled"):
         r = color(g, seed=seed)
     assert reference.is_proper_coloring(g, r.colors)
     assert r.num_colors >= (1 if g.n else 0)
@@ -42,7 +42,7 @@ def test_coloring_is_proper(g, seed, pooled):
 @given(undirected_graphs(), st.integers(0, 2**16), st.booleans())
 @settings(max_examples=50, deadline=None)
 def test_mis_is_maximal_independent(g, seed, pooled):
-    with pooling(pooled):
+    with engine("pooled" if pooled else "unpooled"):
         r = mis(g, seed=seed)
     members = np.flatnonzero(r.in_set)
     assert reference.is_maximal_independent_set(g, members)
@@ -52,7 +52,7 @@ def test_mis_is_maximal_independent(g, seed, pooled):
 @given(undirected_graphs(), st.booleans())
 @settings(max_examples=50, deadline=None)
 def test_kcore_matches_reference_exactly(g, pooled):
-    with pooling(pooled):
+    with engine("pooled" if pooled else "unpooled"):
         r = kcore(g)
     assert r.core_numbers.tolist() == reference.core_numbers(g)
 
@@ -60,7 +60,7 @@ def test_kcore_matches_reference_exactly(g, pooled):
 @given(undirected_graphs(), st.booleans())
 @settings(max_examples=50, deadline=None)
 def test_triangles_match_reference_exactly(g, pooled):
-    with pooling(pooled):
+    with engine("pooled" if pooled else "unpooled"):
         r = triangle_count(g)
     assert r.total == reference.triangle_count(g)
     # each triangle credits all three corners
@@ -71,7 +71,7 @@ def test_triangles_match_reference_exactly(g, pooled):
 @settings(max_examples=50, deadline=None)
 def test_label_prop_labels_consistent_and_stable(g, seed, pooled):
     max_iterations = 60
-    with pooling(pooled):
+    with engine("pooled" if pooled else "unpooled"):
         r = label_propagation(g, seed=seed, max_iterations=max_iterations)
     # labels always name a vertex of the same connected component
     assert reference.label_prop_consistent(g, r.labels)

@@ -93,3 +93,29 @@ def test_sharded_service_runs_the_same_engine_dispatch():
                for _, reason in svc.engine_fallbacks)
     _, r_p = _run_service(None, [("wtf", {"user": user})])
     _assert_replies_equal(results, r_p)
+
+
+def test_fallbacks_survive_the_log_trim():
+    """The engine fallback log keeps the newest 128-256 entries; the
+    service must not lose the records of the call on which it trims.
+    Every solo ``wtf`` under ``la`` falls back, so after N executes the
+    service's list must agree with the dispatch counter."""
+    from repro.core.engine import _FALLBACK_LIMIT
+
+    g = generators.kronecker(5, seed=3)
+    svc = GraphService(engine="la")
+    svc.load_graph(g)
+    batch = plan_batches("wtf", [(0, {"user": int(g.out_degrees.argmax())})])[0]
+    with observe() as ob:
+        svc.execute("default", batch, Machine())
+        per_call = len(svc.engine_fallbacks)
+        assert per_call >= 1
+        calls = _FALLBACK_LIMIT // per_call + 40
+        for _ in range(calls - 1):
+            svc.execute("default", batch, Machine())
+    assert calls * per_call > _FALLBACK_LIMIT
+    assert len(svc.engine_fallbacks) == calls * per_call
+    pooled = sum(v for k, v in ob.metrics.as_dict().items()
+                 if k.startswith("repro_la_dispatch_total")
+                 and 'engine="pooled"' in k)
+    assert pooled == len(svc.engine_fallbacks)
