@@ -170,4 +170,4 @@ def conflict_stats(idx: np.ndarray) -> Tuple[int, int]:
     idx = np.asarray(idx)
     if len(idx) == 0:
         return 0, 0
-    return len(idx), len(idx) - len(np.unique(idx))
+    return len(idx), len(idx) - len(np.unique(idx))  # np.unique ok: test oracle

@@ -20,11 +20,16 @@ import numpy as np
 
 from ..simt import calib
 from ..simt.machine import Machine
+from ..simt.primitives import unique_by_sort
 
 
 class FrontierKind(Enum):
     VERTEX = "vertex"
     EDGE = "edge"
+
+
+_NO_ITEMS = np.zeros(0, dtype=np.int64)
+_NO_ITEMS.setflags(write=False)
 
 
 class Frontier:
@@ -34,10 +39,15 @@ class Frontier:
     __slots__ = ("kind", "items")
 
     def __init__(self, items: np.ndarray, kind: FrontierKind | str = FrontierKind.VERTEX):
-        self.kind = FrontierKind(kind)
-        self.items = np.ascontiguousarray(items, dtype=np.int64)
-        if self.items.ndim != 1:
-            raise ValueError("frontier items must be a 1-D id array")
+        self.kind = kind if type(kind) is FrontierKind else FrontierKind(kind)
+        # operators hand over owned 1-D contiguous int64 queues, which
+        # ascontiguousarray would return unchanged: skip the call for them
+        if not (type(items) is np.ndarray and items.dtype == np.int64
+                and items.ndim == 1 and items.flags.c_contiguous):
+            items = np.ascontiguousarray(items, dtype=np.int64)
+            if items.ndim != 1:
+                raise ValueError("frontier items must be a 1-D id array")
+        self.items = items
 
     # -- constructors -------------------------------------------------------
 
@@ -64,7 +74,7 @@ class Frontier:
 
     @classmethod
     def empty(cls, kind: FrontierKind | str = FrontierKind.VERTEX) -> "Frontier":
-        return cls(np.zeros(0, dtype=np.int64), kind)
+        return cls(_NO_ITEMS, kind)
 
     @classmethod
     def from_bitmap(cls, bitmap: np.ndarray,
@@ -124,8 +134,6 @@ class Frontier:
     def deduplicated(self, machine: Optional[Machine] = None) -> "Frontier":
         """Exact (sort-based) duplicate removal — the expensive path that
         the idempotence heuristics exist to avoid."""
-        from ..simt.primitives import unique_by_sort
-
         return Frontier(unique_by_sort(self.items, machine), self.kind)
 
     def copy(self) -> "Frontier":

@@ -24,10 +24,10 @@ algebraic substitution, not an approximation:
   improving subset yields the same cells.
 * a constant value per cell (BFS/BC depth stores) turns the atomic into
   a plain scatter.
-* filter's warp/bitmask/history culls are replayed exactly (first
-  occurrence per (warp, item) key; wave-batched bitmask probes), so the
-  frontier *content and order* — which feed last-write-wins predecessor
-  choices — match lane for lane.
+* filter's warp/bitmask/history culls are the library's own
+  (``IdempotenceHeuristics.cull`` on the enactor's heuristics object), so
+  the frontier *content and order* — which feed last-write-wins
+  predecessor choices — match lane for lane.
 
 When a :class:`~repro.simt.machine.Machine` is attached, the runners
 invoke the same charge helpers at the same points as the library
@@ -44,7 +44,7 @@ import numpy as np
 
 from ..obs.spans import CAT_FUSED
 from ..simt import calib
-from ..simt.primitives import unique_by_sort
+from ..simt.primitives import first_occurrence, unique_by_sort
 from . import atomics
 from .engine import Backend, dispatch
 from .frontier import Frontier, FrontierKind
@@ -142,18 +142,8 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
     indptr, indices = g.indptr, g.indices
     labels, preds = P.labels, (P.preds if P.record_preds else None)
     heur = en.heuristics
-    wave = heur.wave_size
-    warp = heur.warp_size
-    hist_mask = heur.history_size - 1
-    n = g.n
-    if heur._discovered is None or len(heur._discovered) < n:
-        heur._discovered = np.zeros(n, dtype=bool)
-    disc = heur._discovered
-    hist = heur._ensure()
-    warp_ramp = np.arange(min(4096, max(1, n)), dtype=np.int64) // warp
 
     def step(f, it):
-        nonlocal warp_ramp
         depth = it + 1
         mode, degs, ne = bfs_direction(en.direction, P, f)
         if mode == "push":
@@ -193,38 +183,7 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
                                     mode="pull", lb=lb, iteration=it).items
         k = len(out_items)
         if k:
-            if k > len(warp_ramp):
-                warp_ramp = np.arange(2 * k, dtype=np.int64) // warp
-            key = warp_ramp[:k] * n
-            np.add(key, out_items, out=key)
-            order = key.argsort(kind="stable")
-            sk = key[order]
-            first = np.empty(k, dtype=bool)
-            first[0] = True
-            np.not_equal(sk[1:], sk[:-1], out=first[1:])
-            keep = np.zeros(k, dtype=bool)
-            keep[order[first]] = True
-            if k <= wave:
-                kb = ~disc[out_items]
-                disc[out_items[kb]] = True
-                keep &= kb
-                slots = out_items & hist_mask
-                kh = hist[slots] != out_items
-                hist[slots[kh]] = out_items[kh]
-                keep &= kh
-            else:
-                for s in range(0, k, wave):
-                    chunk = out_items[s:s + wave]
-                    kk = ~disc[chunk]
-                    keep[s:s + wave] &= kk
-                    disc[chunk[kk]] = True
-                for s in range(0, k, wave):
-                    chunk = out_items[s:s + wave]
-                    slots = chunk & hist_mask
-                    kk = hist[slots] != chunk
-                    keep[s:s + wave] &= kk
-                    hist[slots[kk]] = chunk[kk]
-            out_items = out_items[keep]
+            out_items = out_items[heur.cull(out_items, g.n)]
         _charge_filter(machine, it, k, len(out_items), heuristics=True)
         return out_items
 
@@ -265,13 +224,7 @@ def _run_sssp(en, frontier: Frontier) -> Frontier:
                 ach = nw == labels[wd]
                 aidx = widx[ach]
                 if len(aidx):
-                    d = dsts[aidx]
-                    order = d.argsort(kind="stable")
-                    sd = d[order]
-                    fm = np.empty(len(d), dtype=bool)
-                    fm[0] = True
-                    np.not_equal(sd[1:], sd[:-1], out=fm[1:])
-                    w = aidx[order[fm]]
+                    w = aidx[first_occurrence(dsts[aidx])]
                     seg = excl.searchsorted(w, side="right")
                     preds[dsts[w]] = f[seg - 1]
         if machine is not None:

@@ -28,9 +28,11 @@ from ...analysis.sanitizer import kernel_scope
 from ...obs.spans import CAT_OPERATOR, span as obs_span
 from ...simt import calib
 from ...simt.machine import Machine
-from ..frontier import Frontier
+from ...simt.primitives import first_occurrence
+from ..frontier import Frontier, FrontierKind
 from ..functor import Functor, resolve_masks
 from ..problem import ProblemBase
+from ..workspace import workspace_of
 
 
 @dataclass
@@ -46,6 +48,7 @@ class IdempotenceHeuristics:
     warp_size: int = 32
     _history: Optional[np.ndarray] = field(default=None, repr=False)
     _discovered: Optional[np.ndarray] = field(default=None, repr=False)
+    _warp_ids: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def history_size(self) -> int:
@@ -56,6 +59,23 @@ class IdempotenceHeuristics:
             self._history = np.full(self.history_size, -1, dtype=np.int64)
         return self._history
 
+    def _waves(self, items: np.ndarray, probe) -> np.ndarray:
+        """``probe(chunk) -> keep`` over ``items`` one wave at a time; a
+        frontier of at most ``wave_size`` lanes is simply one wave."""
+        if len(items) <= self.wave_size:
+            return probe(items)
+        return np.concatenate([probe(items[s:s + self.wave_size])
+                               for s in range(0, len(items), self.wave_size)])
+
+    def cull(self, items: np.ndarray, n: int) -> np.ndarray:
+        """Mask of items surviving all three culls.  The bitmask and the
+        history hash each probe and record *every* item, whatever the
+        other culls decided about it."""
+        keep = self.warp_cull(items)
+        keep &= self.bitmask_cull(items, n)
+        keep &= self.history_cull(items)
+        return keep
+
     def bitmask_cull(self, items: np.ndarray, n: int) -> np.ndarray:
         """b40c's global visited bitmask: exact per-vertex, but racy
         within a wave of in-flight lanes — duplicates in the same wave all
@@ -65,26 +85,28 @@ class IdempotenceHeuristics:
         if self._discovered is None or len(self._discovered) < n:
             self._discovered = np.zeros(n, dtype=bool)
         disc = self._discovered
-        keep = np.ones(len(items), dtype=bool)
-        for start in range(0, len(items), self.wave_size):
-            chunk = items[start:start + self.wave_size]
+
+        def probe(chunk):
             k = ~disc[chunk]
-            keep[start:start + self.wave_size] = k
             disc[chunk[k]] = True
-        return keep
+            return k
+
+        return self._waves(items, probe)
 
     def warp_cull(self, items: np.ndarray) -> np.ndarray:
         """Mask of items surviving within-warp duplicate elimination."""
         n = len(items)
+        keep = np.zeros(n, dtype=bool)
         if n == 0:
-            return np.zeros(0, dtype=bool)
-        warp_ids = np.arange(n, dtype=np.int64) // self.warp_size
+            return keep
+        if self._warp_ids is None or len(self._warp_ids) < n:
+            self._warp_ids = np.arange(max(4096, 2 * n),
+                                       dtype=np.int64) // self.warp_size
         # composite key (warp, item): the first lane of each duplicate run
         # inside a warp survives
-        key = warp_ids * (items.max() + 1) + items
-        keep = np.zeros(n, dtype=bool)
-        _, first = np.unique(key, return_index=True)
-        keep[first] = True
+        key = self._warp_ids[:n] * (items.max() + 1)
+        np.add(key, items, out=key)
+        keep[first_occurrence(key)] = True
         return keep
 
     #: lanes whose culling probes genuinely race (one dispatch batch);
@@ -103,19 +125,18 @@ class IdempotenceHeuristics:
         die.  A pure pre-kernel-snapshot reading would let same-level
         duplicates multiply geometrically on high-diameter graphs.
         """
-        n = len(items)
-        if n == 0:
+        if len(items) == 0:
             return np.zeros(0, dtype=bool)
         history = self._ensure()
         mask = self.history_size - 1
-        keep = np.ones(n, dtype=bool)
-        for start in range(0, n, self.wave_size):
-            chunk = items[start:start + self.wave_size]
+
+        def probe(chunk):
             slots = chunk & mask
             k = history[slots] != chunk
-            keep[start:start + self.wave_size] = k
             history[slots[k]] = chunk[k]
-        return keep
+            return k
+
+        return self._waves(items, probe)
 
     def reset(self) -> None:
         self._history = None
@@ -151,9 +172,6 @@ def filter_frontier(problem: ProblemBase, frontier: Frontier, functor: Functor,
 
 
 def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machine]):
-    from ..frontier import FrontierKind
-    from ..workspace import workspace_of
-
     ws = workspace_of(problem)
     items = frontier.items
     n = len(items)
@@ -166,12 +184,11 @@ def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machi
     # allocate-ones-then-AND sequence.  Values are identical.
     keep = None if ws.pooled else np.ones(n, dtype=bool)
     if heuristics is not None and frontier.kind is FrontierKind.VERTEX:
+        culled = heuristics.cull(items, problem.graph.n)
         if keep is None:
-            keep = heuristics.warp_cull(items)
+            keep = culled
         else:
-            keep &= heuristics.warp_cull(items)
-        keep &= heuristics.bitmask_cull(items, problem.graph.n)
-        keep &= heuristics.history_cull(items)
+            keep &= culled
         if machine is not None:
             # three shared-memory/texture/bitmask probes per element
             machine.map_kernel("filter_heuristics", n, 3.0)

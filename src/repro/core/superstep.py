@@ -46,7 +46,7 @@ def run_supersteps(en, items: np.ndarray,
 def frontier_degrees(g, f: np.ndarray) -> Tuple[np.ndarray, int]:
     """Out-degrees of the frontier's vertices and their sum (the edge
     volume a push advance expands)."""
-    degs = g.degrees_of(f)
+    degs = g.artifacts.out_degrees[f]
     return degs, int(degs.sum())
 
 

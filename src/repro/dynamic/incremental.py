@@ -39,6 +39,7 @@ import numpy as np
 
 from ..graph.csr import Csr
 from ..simt import calib
+from ..simt.primitives import first_of_run
 from .delta import (DeltaCsr, MutationBatch, WEIGHT_INSENSITIVE)
 
 GraphView = Union[Csr, DeltaCsr]
@@ -164,7 +165,8 @@ def _relax_wave(g: GraphView, labels: np.ndarray, preds: np.ndarray,
             break
         order = np.lexsort((np.arange(len(d2)), c2, d2))
         d2, c2, s2 = d2[order], c2[order], s2[order]
-        uniq, first = np.unique(d2, return_index=True)
+        first = first_of_run(d2)
+        uniq = d2[first]
         labels[uniq] = c2[first]
         preds[uniq] = s2[first]
         frontier = uniq

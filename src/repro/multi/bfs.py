@@ -32,6 +32,7 @@ from ..graph.csr import Csr
 from ..resilience.faults import DeviceLost, FaultKind
 from ..resilience.recovery import RetryPolicy
 from ..simt import calib
+from ..simt.primitives import unique_by_sort
 from .machine import MultiMachine
 from .partition import PartitionedGraph, partition_1d, redistribute
 
@@ -161,7 +162,7 @@ def multi_gpu_bfs(graph: Csr, src: int, k: int = 2, *,
                     continue
                 owners = pg.owner[fresh]
                 for target in range(k):
-                    mine = np.unique(fresh[owners == target])
+                    mine = unique_by_sort(fresh[owners == target])
                     outgoing[d][target] = mine
             mm.end_step()
 
@@ -179,7 +180,7 @@ def multi_gpu_bfs(graph: Csr, src: int, k: int = 2, *,
                 incoming = np.concatenate([outgoing[d][target]
                                            for d in range(k)]) \
                     if k > 1 else outgoing[0][target]
-                incoming = np.unique(incoming)
+                incoming = unique_by_sort(incoming)
                 incoming = incoming[labels[incoming] < 0]
                 if mm.is_alive(target):
                     mm.devices[target].map_kernel(

@@ -18,6 +18,7 @@ import numpy as np
 from ..core import Frontier, Functor, ProblemBase, EnactorBase
 from ..graph.csr import Csr
 from ..simt.machine import Machine
+from ..simt.primitives import unique_by_sort
 from .result import PrimitiveResult, finish
 
 
@@ -93,8 +94,8 @@ class LabelPropEnactor(EnactorBase):
         total_c = int(degs_c.sum())
         offsets = np.concatenate([[0], np.cumsum(degs_c)])
         eids = np.repeat(g.indptr[ch] - offsets[:-1], degs_c) + np.arange(total_c)
-        nxt = np.unique(np.concatenate([g.indices[eids].astype(np.int64), ch])) \
-            if total_c else ch
+        nxt = unique_by_sort(np.concatenate(
+            [g.indices[eids].astype(np.int64), ch])) if total_c else ch
         if P.machine is not None:
             P.machine.map_kernel("labelprop_frontier", len(f), 3.0,
                                  iteration=self.iteration)

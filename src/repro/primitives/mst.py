@@ -17,6 +17,7 @@ import numpy as np
 from ..core import Frontier, ProblemBase, EnactorBase
 from ..graph.csr import Csr
 from ..simt.machine import Machine
+from ..simt.primitives import first_occurrence
 from .result import PrimitiveResult, finish
 
 
@@ -115,8 +116,7 @@ class MstResult(PrimitiveResult):
         dst = graph.indices[eids].astype(np.int64)
         w = graph.weight_or_ones()[eids]
         key = np.minimum(src, dst) * graph.n + np.maximum(src, dst)
-        _, first = np.unique(key, return_index=True)
-        return float(w[first].sum())
+        return float(w[first_occurrence(key)].sum())
 
 
 def mst(graph: Csr, *, machine: Optional[Machine] = None,

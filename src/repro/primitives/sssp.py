@@ -21,6 +21,7 @@ from ..core import atomics
 from ..core.loadbalance import LoadBalancer
 from ..graph.csr import Csr
 from ..simt.machine import Machine
+from ..simt.primitives import first_occurrence
 from .result import PrimitiveResult, finish
 
 
@@ -75,9 +76,8 @@ class _RelaxFunctor(Functor):
         idx = achieved.nonzero()[0]
         if len(idx):
             # one deterministic winner per destination: first lane in order
-            _, first = np.unique(dst[idx], return_index=True)
-            w = idx[first]
-            # np.unique above guarantees one lane per written cell
+            w = idx[first_occurrence(dst[idx])]
+            # first_occurrence guarantees one lane per written cell
             P.preds[dst[w]] = src[w]  # lint: allow(raw-write)
         return won
 

@@ -163,26 +163,53 @@ def sort_pairs(keys: np.ndarray, values: np.ndarray,
     return keys[order], values[order]
 
 
+_pooling_enabled = None
+
+
+def _pooling() -> bool:
+    """``core.workspace.pooling_enabled()``, bound on first use: simt is a
+    lower layer than core, so a module-level import would be cyclic."""
+    global _pooling_enabled
+    if _pooling_enabled is None:
+        from ..core.workspace import pooling_enabled
+        _pooling_enabled = pooling_enabled
+    return _pooling_enabled()
+
+
+def first_of_run(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal adjacent keys."""
+    first = np.empty(len(sorted_keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
+
+
 def unique_by_sort(keys: np.ndarray, machine: Optional[Machine] = None) -> np.ndarray:
     """Deduplicate via sort + adjacent-difference compaction.
 
     With pooling enabled globally, dense nonnegative id sets take a
     scatter-and-compact path (mark a bitmap, ``flatnonzero`` it) instead
-    of hashing — the output is the same sorted unique array, and the
+    of sorting — the output is the same sorted unique array, and the
     simulated charge is identical."""
     keys = np.asarray(keys)
-    # runtime import: simt is a lower layer than core, so the pooling
-    # switch is looked up lazily to keep module import acyclic
-    from ..core.workspace import pooling_enabled
-
     out = None
-    if pooling_enabled() and keys.dtype == np.int64 and len(keys) > 32:
+    if len(keys) > 32 and keys.dtype == np.int64 and _pooling():
         hi = int(keys.max()) + 1
         if int(keys.min()) >= 0 and hi <= 4 * len(keys):
             seen = np.zeros(hi, dtype=bool)
             seen[keys] = True
             out = np.flatnonzero(seen)
     if out is None:
-        out = np.unique(keys)
+        out = np.sort(keys)
+        out = out[first_of_run(out)]
     _charge(machine, "unique", len(keys), 14.0)
     return out
+
+
+def first_occurrence(keys: np.ndarray) -> np.ndarray:
+    """Lane index of the first lane holding each distinct key, ascending
+    by key (what ``np.unique`` returns as ``return_index``): a stable
+    argsort keeps equal keys in lane order, so each run starts at its
+    first lane."""
+    order = np.argsort(keys, kind="stable")
+    return order[first_of_run(keys[order])]

@@ -74,3 +74,49 @@ def test_copy_independent():
 
 def test_size_property():
     assert Frontier(np.arange(5)).size == 5
+
+
+# the constructor skips conversion only for what conversion would return
+# unchanged; everything else still becomes an owned contiguous int64 queue
+
+_F_ORDERED = np.asfortranarray(np.arange(6, dtype=np.int64).reshape(2, 3))
+
+
+@pytest.mark.parametrize("items", [
+    [4, 1, 3],
+    np.array([4, 1, 3], dtype=np.int32),
+    np.arange(12, dtype=np.int64)[::3],
+    _F_ORDERED[1, :],                      # strided row of an F-ordered array
+    np.arange(3, dtype=">i8"),
+], ids=["list", "int32", "strided-slice", "fortran-row", "byteswapped"])
+def test_converts_every_other_input(items):
+    f = Frontier(items)
+    assert type(f.items) is np.ndarray
+    assert f.items.dtype == np.int64 and f.items.dtype.isnative
+    assert f.items.ndim == 1 and f.items.flags.c_contiguous
+    assert f.items.flags.owndata and f.items.flags.writeable
+    assert f.items.tolist() == np.asarray(items).tolist()
+
+
+def test_contiguous_int64_queue_is_taken_as_is():
+    items = np.array([4, 1, 3], dtype=np.int64)
+    assert Frontier(items).items is items
+    assert Frontier(items, FrontierKind.EDGE).kind is FrontierKind.EDGE
+    assert Frontier(items, "edge").kind is FrontierKind.EDGE
+    with pytest.raises(ValueError):
+        Frontier(items, "hyperedge")
+
+
+@pytest.mark.parametrize("items", [np.zeros((2, 2), dtype=np.int64),
+                                   np.zeros((1, 3), dtype=np.int32),
+                                   [[1, 2], [3, 4]]])
+def test_rejects_every_2d_input(items):
+    with pytest.raises(ValueError, match="1-D"):
+        Frontier(items)
+
+
+def test_empty_frontiers_share_no_writeable_buffer():
+    a, b = Frontier.empty(), Frontier.empty("edge")
+    assert a.items.dtype == np.int64 and a.items.shape == (0,)
+    assert not a.items.flags.writeable and not b.items.flags.writeable
+    assert a.copy().items is not a.items and a.copy().items.flags.writeable
