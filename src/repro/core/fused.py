@@ -42,6 +42,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..graph.csr import row_lanes
 from ..obs.spans import CAT_FUSED
 from ..simt import calib
 from ..simt.primitives import first_occurrence, unique_by_sort
@@ -92,19 +93,6 @@ def transpose_product(T, n: int, f: np.ndarray, contrib: np.ndarray,
 
 # ------------------------------------------------------------ shared kernels
 
-def _expand(ws, indptr, frontier, degs, ne):
-    """Pooled lane expansion: (excl, eids) without a per-lane src array."""
-    nf = len(frontier)
-    excl = ws.take("expand_excl", nf, np.int64)
-    excl[0] = 0
-    degs[:-1].cumsum(out=excl[1:])
-    starts = indptr[frontier]
-    np.subtract(starts, excl, out=starts)
-    eids = starts.repeat(degs)
-    np.add(eids, ws.iota(ne), out=eids)
-    return excl, eids
-
-
 def _charge_filter(machine, iteration, n_in, n_out, *, heuristics=False,
                    atomic: Optional[Tuple[str, np.ndarray]] = None):
     """Replicate ``filter_frontier``'s kernel-counter signature."""
@@ -153,7 +141,7 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
             if ne == 0:
                 out_items = EMPTY
             else:
-                excl, eids = _expand(ws, indptr, f, degs, ne)
+                excl, eids = row_lanes(indptr, f, degs, ne, ws)
                 dsts = indices[eids]
                 keep = labels[dsts] < 0
                 if keep.all():
@@ -208,7 +196,7 @@ def _run_sssp(en, frontier: Frontier) -> Frontier:
         if ne == 0:
             charge_push(P, lb, degs, 0, it)
         else:
-            excl, eids = _expand(ws, indptr, f, degs, ne)
+            excl, eids = row_lanes(indptr, f, degs, ne, ws)
             dsts = indices[eids]
             new_label = labels[f].repeat(degs)
             np.add(new_label, weights[eids], out=new_label)
@@ -266,7 +254,7 @@ def _run_pagerank(en, frontier: Frontier) -> Frontier:
         lanes = EMPTY
         if ne and (machine is not None or not spmv):
             lanes = indices if full else \
-                indices[_expand(P.workspace, g.indptr, f, degs, ne)[1]]
+                indices[row_lanes(g.indptr, f, degs, ne, P.workspace)[1]]
         charge_push(P, lb, degs, ne, it, ("atomic_add", lanes))
         if machine is not None:
             machine.counters.record_frontier(0)
@@ -356,7 +344,7 @@ def _run_bc(en, frontier: Frontier) -> Frontier:
         if ne == 0:
             charge_push(P, lb, degs, 0, it)
         else:
-            _, eids = _expand(ws, indptr, f, degs, ne)
+            _, eids = row_lanes(indptr, f, degs, ne, ws)
             dsts = indices[eids]
             keep = labels[dsts] < 0
             if keep.all():

@@ -17,14 +17,17 @@ The whole expansion is one fused kernel: functor ``cond``/``apply`` run
 inside the advance launch (Section 4.3's kernel fusion), so each BSP step
 pays one launch overhead.
 
-Two data paths share this file.  The *unpooled* path is the legacy
-allocate-per-call code and doubles as the reference implementation; the
-*pooled* path (problem workspace in pooled mode) reuses scratch from the
+Rows become edge lanes in one place, :func:`repro.graph.csr.row_lanes`;
+this file adds what advance needs around it.  The *pooled* path (problem
+workspace in pooled mode) lends the kernel its scratch from the
 :class:`~repro.core.workspace.Workspace`, serves all-vertices frontiers
 straight from the graph's :class:`~repro.graph.csr.ArtifactCache`, and
-skips compaction copies when no lane was culled.  Both paths produce
-bitwise-identical frontiers and identical simulated-cycle charges
-(enforced by ``tests/test_property_based.py``).
+skips compaction copies when no lane was culled.  The *unpooled* path is
+the oracle engine: it allocates per call and keeps its own textbook
+expansion (``_expand_lanes``), so the reference does not depend on the
+kernel it checks.  Both produce bitwise-identical frontiers and
+identical simulated-cycle charges (enforced by
+``tests/test_property_based.py``).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ...analysis.sanitizer import kernel_scope
+from ...graph.csr import row_lanes
 from ...obs.spans import CAT_OPERATOR, span as obs_span
 from ...simt import calib
 from ..frontier import Frontier, FrontierKind
@@ -54,36 +58,28 @@ def _frontier_vertices(problem: ProblemBase, frontier: Frontier) -> np.ndarray:
 
 
 def _expand_lanes(g, f: np.ndarray, ws: Workspace
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                             np.ndarray, np.ndarray]:
-    """Per-lane expansion arrays ``(degs, excl, starts, eids, seg)`` for
-    frontier ``f`` on graph ``g`` (``excl`` = exclusive degree prefix).
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-lane expansion arrays ``(degs, excl, eids, seg)`` for frontier
+    ``f`` on graph ``g`` (``excl`` = exclusive degree prefix, borrowed
+    from ``ws`` when pooled).
 
-    The pooled variant writes the prefix into workspace scratch and adds
-    the cached iota ramp in place; values match the legacy path exactly.
+    The unpooled branch is the oracle engine's own body: it keeps the
+    textbook spelling so the reference stays independent of the
+    :func:`~repro.graph.csr.row_lanes` kernel it is compared against.
     """
     degs = g.degrees_of(f)
     total = int(degs.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return degs, empty, empty, empty, empty
     nf = len(f)
     if ws.pooled:
-        excl = ws.take("expand_excl", nf, np.int64)
-        excl[0] = 0
-        np.cumsum(degs[:-1], out=excl[1:])
-        starts = g.indptr[f]
-        np.subtract(starts, excl, out=starts)  # rebase: edge id of lane 0
-        eids = np.repeat(starts, degs)
-        np.add(eids, ws.iota(total), out=eids)
+        excl, eids = row_lanes(g.indptr, f, degs, total, ws)
         seg = np.repeat(ws.iota(nf), degs)
     else:
-        offsets = np.concatenate([[0], np.cumsum(degs)])
+        offsets = np.concatenate([[0], np.cumsum(degs)])  # lane-expand ok: oracle
         excl = offsets[:-1]
-        starts = g.indptr[f]
-        eids = np.repeat(starts - excl, degs) + np.arange(total, dtype=np.int64)
+        eids = (np.repeat(g.indptr[f] - excl, degs)  # lane-expand ok: oracle
+                + np.arange(total, dtype=np.int64))
         seg = np.repeat(np.arange(nf, dtype=np.int64), degs)
-    return degs, excl, starts, eids, seg
+    return degs, excl, eids, seg
 
 
 def expand_push(problem: ProblemBase, source_vertices: np.ndarray,
@@ -121,32 +117,22 @@ def expand_push(problem: ProblemBase, source_vertices: np.ndarray,
                 srcs = np.repeat(f, degs)  # == f[seg] by construction
                 ws.remember_expansion(g, f, (srcs, dsts, eids, degs))
             return srcs, dsts, eids, degs
-        # pooled expansion: no per-lane segment-id array is ever built —
-        # eids come from the rebased row starts plus the cached iota ramp,
-        # and srcs (when wanted) is repeat(f, degs), identical to the
-        # legacy gather through the segment ids
+        # no per-lane segment-id array is ever built: srcs (when wanted)
+        # is repeat(f, degs), identical to the oracle's gather through
+        # the segment ids
         # (not artifacts.out_degrees[f]: caching an n-sized artifact on
         # every throwaway block-diagonal graph the serving tier expands
         # here cost serve-steady 17 % peak RSS)
         degs = g.degrees_of(f)
-        total = int(degs.sum())
-        if total == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, empty, degs
-        nf = len(f)
-        excl = ws.take("expand_excl", nf, np.int64)
-        excl[0] = 0
-        np.cumsum(degs[:-1], out=excl[1:])
-        starts = g.indptr[f]
-        np.subtract(starts, excl, out=starts)
-        eids = np.repeat(starts, degs)
-        np.add(eids, ws.iota(total), out=eids)
+        _, eids = row_lanes(g.indptr, f, degs, int(degs.sum()), ws)
+        if len(eids) == 0:
+            return eids, eids, eids, degs
         dsts = g.indices[eids]
         srcs = np.repeat(f, degs) if need_srcs else None
         out = (srcs, dsts, eids, degs)
         ws.remember_expansion(g, f, out)
         return out
-    degs, _, _, eids, seg = _expand_lanes(g, f, ws)
+    degs, _, eids, seg = _expand_lanes(g, f, ws)
     if len(eids) == 0:
         return eids, eids, eids, degs
     srcs = f[seg]
@@ -224,11 +210,6 @@ def _advance_push(problem: ProblemBase, frontier: Frontier, functor: Functor,
         return _push_body(problem, f_vertices, functor, output_kind, lb, iteration)
 
 
-def _known_true(ws: Workspace, mask: np.ndarray) -> bool:
-    """O(1): is this the workspace's cached all-True view?"""
-    return ws.pooled and ws.is_true_view(mask)
-
-
 def _push_body(problem, f_vertices, functor, output_kind, lb, iteration):
     ws = workspace_of(problem)
     # Segment-aware apply (see Functor.apply_edge_segmented): only when the
@@ -254,7 +235,7 @@ def _push_body(problem, f_vertices, functor, output_kind, lb, iteration):
             cond = functor.cond_edge(problem, srcs, dsts, eids)
             keep = resolve_masks(len(eids), cond, where=f"{fname}.cond_edge",
                                  workspace=ws)
-            if not _known_true(ws, keep) and not keep.all():
+            if not ws.is_true_view(keep) and not keep.all():
                 srcs, dsts, eids = srcs[keep], dsts[keep], eids[keep]
             if len(eids) == 0:
                 return Frontier.empty(output_kind)
@@ -262,11 +243,11 @@ def _push_body(problem, f_vertices, functor, output_kind, lb, iteration):
             keep = resolve_masks(len(eids), applied,
                                  where=f"{fname}.apply_edge", workspace=ws)
     out_src = dsts if output_kind is FrontierKind.VERTEX else eids
-    if _known_true(ws, keep):
+    if ws.is_true_view(keep):
         # no lane culled: alias the (immutable) lane array instead of a
         # full fancy-index copy — frontier items are never mutated
         out_items = out_src
-    elif ws.pooled and ws.is_false_view(keep):
+    elif ws.is_false_view(keep):
         # admit-nothing functor (PageRank's scatter): skip the O(m)
         # compaction scan that would produce an empty array anyway
         out_items = out_src[:0]
@@ -301,7 +282,7 @@ def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,
     if len(unvisited) == 0:
         return Frontier.empty(FrontierKind.VERTEX)
 
-    degs, excl, starts, eids, seg = _expand_lanes(rev, unvisited, ws)
+    degs, excl, eids, seg = _expand_lanes(rev, unvisited, ws)
     total = len(eids)
     if total == 0:
         return Frontier.empty(FrontierKind.VERTEX)
@@ -349,10 +330,7 @@ def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,
         return Frontier.empty(FrontierKind.VERTEX)
     winners = np.flatnonzero(found)
     child = unvisited[winners]
-    # note: in pooled mode ``starts`` was rebased in place by
-    # ``_expand_lanes``; recover the raw row starts from indptr
-    win_edge = rev.indptr[child] + first_hit[winners] if ws.pooled \
-        else (starts[winners] + first_hit[winners])
+    win_edge = rev.indptr[child] + first_hit[winners]
     parent = rev.indices[win_edge]
     orig_eid = rev.edge_props["orig_edge"][win_edge]
 
@@ -361,12 +339,12 @@ def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,
         cond = functor.cond_edge(problem, parent, child, orig_eid)
         keep = resolve_masks(len(child), cond, where=f"{fname}.cond_edge",
                              workspace=ws)
-        if not _known_true(ws, keep):
+        if not ws.is_true_view(keep):
             parent, child, orig_eid = parent[keep], child[keep], orig_eid[keep]
         if len(child) == 0:
             return Frontier.empty(FrontierKind.VERTEX)
         applied = functor.apply_edge(problem, parent, child, orig_eid)
         keep = resolve_masks(len(child), applied, where=f"{fname}.apply_edge",
                              workspace=ws)
-    out_items = child if _known_true(ws, keep) else child[keep]
+    out_items = child if ws.is_true_view(keep) else child[keep]
     return Frontier(out_items, FrontierKind.VERTEX)

@@ -85,7 +85,7 @@ def compute_masked(problem: ProblemBase, frontier: Frontier, functor: Functor,
             machine.map_kernel("compute", len(items), calib.C_VERTEX,
                                iteration=iteration)
             machine.counters.record_vertices(len(items))
-        out = items if ws.pooled and ws.is_true_view(keep) else items[keep]
+        out = items if ws.is_true_view(keep) else items[keep]
         if sp.enabled:
             sp.set(frontier_out=len(out))
     return Frontier(out, frontier.kind)

@@ -209,10 +209,10 @@ def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machi
                                   workspace=ws)
         if keep is None:
             keep = cmask  # borrowed (possibly read-only) — never mutated
-        elif not (ws.pooled and ws.is_true_view(cmask)):
+        elif not ws.is_true_view(cmask):
             keep &= cmask
 
-        if ws.pooled and ws.is_true_view(keep):
+        if ws.is_true_view(keep):
             survivors = items  # nothing culled: alias the immutable queue
         else:
             survivors = items[keep]
@@ -231,7 +231,7 @@ def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machi
                 mask2 = resolve_masks(len(survivors), applied,
                                       where=f"{fname}.apply_edge",
                                       workspace=ws)
-            if not (ws.pooled and ws.is_true_view(mask2)):
+            if not ws.is_true_view(mask2):
                 survivors = survivors[mask2]
     if machine is not None:
         # the scan+scatter compaction pass over the input frontier

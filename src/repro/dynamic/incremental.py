@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..graph.csr import Csr
+from ..graph.csr import Csr, row_lanes
 from ..simt import calib
 from ..simt.primitives import first_of_run
 from .delta import (DeltaCsr, MutationBatch, WEIGHT_INSENSITIVE)
@@ -113,16 +113,12 @@ def _gather_out(g: GraphView, vs: np.ndarray):
         return (np.concatenate(srcs), np.concatenate(dsts),
                 np.concatenate(ws), counts)
     base = g.base if isinstance(g, DeltaCsr) else g
-    lo = base.indptr[vs]
-    counts = base.indptr[vs + 1] - lo
+    counts = base.degrees_of(vs)
     total = int(counts.sum())
     if not total:
         z = np.empty(0, np.int64)
         return z, z, np.empty(0, np.float64), counts
-    # ranges [lo_i, lo_i + c_i) concatenated without a python loop
-    starts = np.cumsum(counts) - counts
-    eids = (np.arange(total, dtype=np.int64)
-            - np.repeat(starts, counts) + np.repeat(lo, counts))
+    _, eids = row_lanes(base.indptr, vs, counts, total)
     dst = base.indices[eids]
     w = base.artifacts.weights64[eids] if base.edge_values is not None \
         else np.ones(total, dtype=np.float64)

@@ -24,6 +24,40 @@ VERTEX_DT = np.int64
 EDGE_DT = np.int64
 
 
+def row_lanes(indptr: np.ndarray, rows: np.ndarray, degs: np.ndarray,
+              total: int, ws=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Expand CSR rows into one lane per edge: ``(excl, eids)``.
+
+    ``rows`` index ``indptr`` (an array; any order, duplicates allowed),
+    ``degs`` are their int64 degrees and ``total == degs.sum()``.  ``eids``
+    lists each row's edge ids back to back in ``rows`` order and belongs
+    to the caller; ``excl`` is the exclusive prefix sum of ``degs``.
+    ``total == 0`` returns two empty arrays.
+
+    ``ws`` provides scratch and selects nothing: a ``Workspace`` lends
+    ``excl`` (role ``"expand_excl"``: borrowed, valid until the next
+    expansion on that workspace) and its iota ramp; ``None`` allocates
+    both.  DESIGN §10 lists the callers.
+    """
+    if total == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    nf = len(rows)
+    if ws is None:
+        excl = np.empty(nf, dtype=np.int64)
+        ramp = np.arange(total, dtype=np.int64)
+    else:
+        excl = ws.take("expand_excl", nf, np.int64)
+        ramp = ws.iota(total)
+    excl[0] = 0
+    np.cumsum(degs[:-1], out=excl[1:])
+    starts = indptr[rows]
+    np.subtract(starts, excl, out=starts)  # rebase: edge id of lane 0
+    eids = np.repeat(starts, degs)
+    np.add(eids, ramp, out=eids)
+    return excl, eids
+
+
 class ArtifactCache:
     """Memoized derived structures of one :class:`Csr`.
 

@@ -12,7 +12,7 @@ from typing import Dict
 
 import numpy as np
 
-from .csr import Csr
+from .csr import Csr, row_lanes
 
 
 @dataclass
@@ -55,10 +55,7 @@ def _bfs_levels(g: Csr, source: int) -> np.ndarray:
         total = int(degs.sum())
         if total == 0:
             break
-        starts = g.indptr[frontier]
-        offsets = np.concatenate([[0], np.cumsum(degs)])
-        eids = np.repeat(starts - offsets[:-1], degs) + np.arange(total)
-        nbrs = g.indices[eids]
+        nbrs = g.indices[row_lanes(g.indptr, frontier, degs, total)[1]]
         fresh = nbrs[depth[nbrs] < 0]
         if len(fresh) == 0:
             break

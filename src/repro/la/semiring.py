@@ -34,7 +34,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ..graph.csr import row_lanes
 from ..obs.spans import CAT_LA, annotate, current_observer
+from ..simt.primitives import first_of_run, unique_by_sort
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -139,11 +141,7 @@ def _expand(graph, x_ids: np.ndarray):
     """Edge lanes of the rows in ``x_ids``: (eids, dst, degs, ne)."""
     degs = graph.degrees_of(x_ids)
     ne = int(degs.sum())
-    if ne == 0:
-        return _EMPTY_IDS, _EMPTY_IDS, degs, 0
-    offsets = np.cumsum(degs) - degs
-    eids = np.repeat(graph.indptr[x_ids] - offsets, degs) \
-        + np.arange(ne, dtype=np.int64)
+    _, eids = row_lanes(graph.indptr, x_ids, degs, ne)
     return eids, graph.indices[eids], degs, ne
 
 
@@ -222,7 +220,7 @@ def spmspv(graph, x_ids, x_vals, semiring: Semiring, *,
         ids = np.flatnonzero(hit)
         hit[ids] = False
     elif plus:
-        ids = np.unique(dst)
+        ids = unique_by_sort(dst)
     else:
         return _reduce_sorted(dst, vals, src, semiring)
     if plus:
@@ -259,7 +257,8 @@ def _reduce_sorted(dst, vals, src, semiring: Semiring):
     by destination + ``reduceat`` (``src`` is None without a witness)."""
     order = np.argsort(dst, kind="stable")
     sd, sv = dst[order], vals[order]
-    ids, starts = np.unique(sd, return_index=True)
+    starts = np.flatnonzero(first_of_run(sd))
+    ids = sd[starts]
     out = semiring.add.reduceat(sv, starts)
     if src is None:
         return ids, out

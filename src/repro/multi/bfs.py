@@ -28,30 +28,17 @@ from typing import Optional
 import numpy as np
 
 from ..core.loadbalance import LoadBalancer, default_load_balancer
-from ..graph.csr import Csr
+from ..graph.csr import Csr, row_lanes
 from ..resilience.faults import DeviceLost, FaultKind
 from ..resilience.recovery import RetryPolicy
 from ..simt import calib
 from ..simt.primitives import unique_by_sort
 from .machine import MultiMachine
-from .partition import PartitionedGraph, partition_1d, redistribute
+from .partition import (PartitionedGraph, partition_1d, redistribute,
+                        repair_bytes)
 
 #: bytes shipped per remote frontier vertex (id + depth)
 _BYTES_PER_VERTEX = 12.0
-
-#: re-shard bytes per vertex of a dead partition: ids + labels + frontier
-#: membership state that survivors must take over
-_RESHARD_BYTES_PER_VERTEX = 24.0
-#: re-shard bytes per local edge (the partition's CSR column indices)
-_RESHARD_BYTES_PER_EDGE = 8.0
-
-
-def _local_positions(pg: PartitionedGraph, n: int) -> np.ndarray:
-    """Position of every global vertex inside its owner's partition."""
-    local_pos = np.zeros(n, dtype=np.int64)
-    for part in pg.parts:
-        local_pos[part.vertices] = np.arange(part.n_local)
-    return local_pos
 
 
 def _recover_device_loss(mm: MultiMachine, pg: PartitionedGraph,
@@ -65,15 +52,13 @@ def _recover_device_loss(mm: MultiMachine, pg: PartitionedGraph,
     """
     mm.abort_step()
     dead = fault.device
-    dead_part = pg.parts[dead]
     mm.fail_device(dead)
     survivors = mm.alive_devices()
     if not survivors:
         raise fault  # the last device died: nothing to degrade onto
+    mm.reshard(repair_bytes(pg, dead))
     pg = redistribute(pg, dead, survivors)
-    local_pos = _local_positions(pg, pg.graph.n)
-    mm.reshard(dead_part.n_local * _RESHARD_BYTES_PER_VERTEX
-               + dead_part.m_local * _RESHARD_BYTES_PER_EDGE)
+    local_pos = pg.local_positions()
     frontiers = [frontier_items[pg.owner[frontier_items] == d]
                  for d in range(pg.k)]
     st = mm.recovery
@@ -126,7 +111,7 @@ def multi_gpu_bfs(graph: Csr, src: int, k: int = 2, *,
     frontiers = [np.zeros(0, dtype=np.int64) for _ in range(k)]
     frontiers[pg.owner[src]] = np.array([src], dtype=np.int64)
 
-    local_pos = _local_positions(pg, graph.n)
+    local_pos = pg.local_positions()
 
     depth = 0
     while any(len(f) for f in frontiers):
@@ -140,8 +125,7 @@ def multi_gpu_bfs(graph: Csr, src: int, k: int = 2, *,
                 if len(f) == 0:
                     continue
                 rows = local_pos[f]
-                degs = (part.indptr[rows + 1]
-                        - part.indptr[rows]).astype(np.int64)
+                degs = part.indptr[rows + 1] - part.indptr[rows]
                 total = int(degs.sum())
                 dev = mm.devices[d]
                 est = lb.estimate(degs, dev.spec,
@@ -153,9 +137,7 @@ def multi_gpu_bfs(graph: Csr, src: int, k: int = 2, *,
                 dev.counters.record_edges(total)
                 if total == 0:
                     continue
-                offsets = np.concatenate([[0], np.cumsum(degs)])
-                eids = np.repeat(part.indptr[rows] - offsets[:-1], degs) \
-                    + np.arange(total)
+                _, eids = row_lanes(part.indptr, rows, degs, total)
                 dsts = part.indices[eids]
                 fresh = dsts[labels[dsts] < 0]
                 if len(fresh) == 0:

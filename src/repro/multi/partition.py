@@ -16,7 +16,13 @@ from typing import List
 
 import numpy as np
 
-from ..graph.csr import Csr
+from ..graph.csr import Csr, row_lanes
+
+#: re-shard bytes per vertex of a lost partition: ids + labels + frontier
+#: membership state that the new owners must take over
+RESHARD_BYTES_PER_VERTEX = 24.0
+#: re-shard bytes per local edge (the partition's CSR column indices)
+RESHARD_BYTES_PER_EDGE = 8.0
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,21 @@ class PartitionedGraph:
             return 1.0
         return float(counts.max() / counts.mean())
 
+    def local_positions(self) -> np.ndarray:
+        """Position of every global vertex inside its owner's partition."""
+        local_pos = np.zeros(self.graph.n, dtype=np.int64)
+        for part in self.parts:
+            local_pos[part.vertices] = np.arange(part.n_local)
+        return local_pos
+
+
+def repair_bytes(pg: PartitionedGraph, sid: int) -> float:
+    """Interconnect volume to re-ship partition ``sid`` to new owners —
+    what a multi-GPU device loss and a shard-group repair both charge."""
+    part = pg.parts[sid]
+    return (part.n_local * RESHARD_BYTES_PER_VERTEX
+            + part.m_local * RESHARD_BYTES_PER_EDGE)
+
 
 def partition_1d(graph: Csr, k: int, method: str = "contiguous") -> PartitionedGraph:
     """Split vertices over ``k`` devices.
@@ -99,15 +120,8 @@ def _build_parts(graph: Csr, owner: np.ndarray, k: int) -> List[Partition]:
         degs = graph.degrees_of(verts)
         indptr = np.zeros(len(verts) + 1, dtype=np.int64)
         np.cumsum(degs, out=indptr[1:])
-        total = int(indptr[-1])
-        if total:
-            offsets = indptr[:-1]
-            eids = np.repeat(graph.indptr[verts] - offsets, degs) \
-                + np.arange(total)
-            indices = graph.indices[eids].astype(np.int64)
-        else:
-            indices = np.zeros(0, dtype=np.int64)
-        parts.append(Partition(d, verts, indptr, indices))
+        _, eids = row_lanes(graph.indptr, verts, degs, int(indptr[-1]))
+        parts.append(Partition(d, verts, indptr, graph.indices[eids]))
     return parts
 
 

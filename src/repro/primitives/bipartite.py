@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.csr import Csr
+from ..graph.csr import Csr, row_lanes
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,14 @@ def circle_of_trust(graph: Csr, user: int, size: int = 1000,
     one_hop = graph.neighbors(user)
     if len(one_hop) == 0:
         return np.zeros(0, dtype=np.int64)
-    degs = graph.degrees_of(one_hop.astype(np.int64))
-    total = int(degs.sum())
+    degs = graph.degrees_of(one_hop)
     counts = np.zeros(graph.n, dtype=np.float64)
-    if total:
-        offsets = np.concatenate([[0], np.cumsum(degs)])
-        eids = np.repeat(graph.indptr[one_hop.astype(np.int64)] - offsets[:-1],
-                         degs) + np.arange(total)
-        seg = np.repeat(np.arange(len(one_hop)), degs)
-        two_hop = graph.indices[eids].astype(np.int64)
-        # weight by inverse intermediate degree (random-walk probability)
-        weights = 1.0 / np.maximum(1.0, degs[seg])
-        np.add.at(counts, two_hop, weights)
+    seg = np.repeat(np.arange(len(one_hop)), degs)
+    _, eids = row_lanes(graph.indptr, one_hop, degs, int(degs.sum()))
+    two_hop = graph.indices[eids]
+    # weight by inverse intermediate degree (random-walk probability)
+    weights = 1.0 / np.maximum(1.0, degs[seg])
+    np.add.at(counts, two_hop, weights)
     counts[user] = 0.0
     hot = np.flatnonzero(counts > 0)
     order = hot[np.argsort(-counts[hot], kind="stable")]
@@ -100,9 +96,7 @@ def induced_bipartite(graph: Csr, left: np.ndarray,
     left = np.asarray(left, dtype=np.int64)
     degs = graph.degrees_of(left)
     total = int(degs.sum())
-    offsets = np.concatenate([[0], np.cumsum(degs)])
-    eids = np.repeat(graph.indptr[left] - offsets[:-1], degs) + np.arange(total)
-    dsts = graph.indices[eids].astype(np.int64)
+    dsts = graph.indices[row_lanes(graph.indptr, left, degs, total)[1]]
     seg = np.repeat(np.arange(len(left)), degs)
     if right is None:
         right = np.unique(dsts)

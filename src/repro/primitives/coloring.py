@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import Frontier, ProblemBase, EnactorBase
-from ..graph.csr import Csr
+from ..graph.csr import Csr, row_lanes
 from ..simt.machine import Machine
 from .result import PrimitiveResult, finish
 
@@ -40,10 +40,8 @@ class ColoringEnactor(EnactorBase):
         f = frontier.items
         degs = g.degrees_of(f)
         total = int(degs.sum())
-        offsets = np.concatenate([[0], np.cumsum(degs)])
-        eids = np.repeat(g.indptr[f] - offsets[:-1], degs) + np.arange(total)
         seg = np.repeat(np.arange(len(f)), degs)
-        nbrs = g.indices[eids].astype(np.int64)
+        nbrs = g.indices[row_lanes(g.indptr, f, degs, total)[1]]
 
         # neighbor-reduce: max priority among uncolored neighbors
         uncolored_nbr = P.colors[nbrs] < 0
@@ -67,11 +65,9 @@ class ColoringEnactor(EnactorBase):
             # bounded by degree, computed per winner via a second gather
             w_degs = g.degrees_of(winners)
             w_total = int(w_degs.sum())
-            w_off = np.concatenate([[0], np.cumsum(w_degs)])
-            w_eids = np.repeat(g.indptr[winners] - w_off[:-1], w_degs) \
-                + np.arange(w_total)
             w_seg = np.repeat(np.arange(len(winners)), w_degs)
-            w_nbr_colors = P.colors[g.indices[w_eids].astype(np.int64)]
+            _, w_eids = row_lanes(g.indptr, winners, w_degs, w_total)
+            w_nbr_colors = P.colors[g.indices[w_eids]]
             P.colors[winners] = _smallest_missing(w_nbr_colors, w_seg,
                                                   len(winners), w_degs)
             if P.machine is not None:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.csr import Csr
+from ..graph.csr import Csr, row_lanes
 from ..simt.machine import Machine
 from ..simt import calib
 from .result import PrimitiveResult
@@ -60,10 +60,8 @@ def kcore(graph: Csr, *, machine: Optional[Machine] = None) -> KCoreResult:
             degs_p = graph.degrees_of(peel)
             total = int(degs_p.sum())
             if total:
-                offsets = np.concatenate([[0], np.cumsum(degs_p)])
-                eids = np.repeat(graph.indptr[peel] - offsets[:-1], degs_p) \
-                    + np.arange(total)
-                nbrs = graph.indices[eids].astype(np.int64)
+                _, eids = row_lanes(graph.indptr, peel, degs_p, total)
+                nbrs = graph.indices[eids]
                 live = alive[nbrs]
                 np.subtract.at(deg, nbrs[live], 1)
                 if machine is not None:

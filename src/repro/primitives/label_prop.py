@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import Frontier, Functor, ProblemBase, EnactorBase
-from ..graph.csr import Csr
+from ..graph.csr import Csr, row_lanes
 from ..simt.machine import Machine
 from ..simt.primitives import unique_by_sort
 from .result import PrimitiveResult, finish
@@ -71,10 +71,9 @@ class LabelPropEnactor(EnactorBase):
         f = frontier.items
         degs = g.degrees_of(f)
         total = int(degs.sum())
-        offsets = np.concatenate([[0], np.cumsum(degs)])
-        eids = np.repeat(g.indptr[f] - offsets[:-1], degs) + np.arange(total)
         seg = np.repeat(np.arange(len(f)), degs)
-        nbr_labels = P.labels[g.indices[eids].astype(np.int64)]
+        _, eids = row_lanes(g.indptr, f, degs, total)
+        nbr_labels = P.labels[g.indices[eids]]
         new = _mode_per_segment(nbr_labels, seg, len(f), P.labels[f])
         if P.machine is not None:
             from ..simt import calib
@@ -91,11 +90,8 @@ class LabelPropEnactor(EnactorBase):
         # re-activate neighbors of changed vertices
         ch = f[changed]
         degs_c = g.degrees_of(ch)
-        total_c = int(degs_c.sum())
-        offsets = np.concatenate([[0], np.cumsum(degs_c)])
-        eids = np.repeat(g.indptr[ch] - offsets[:-1], degs_c) + np.arange(total_c)
-        nxt = unique_by_sort(np.concatenate(
-            [g.indices[eids].astype(np.int64), ch])) if total_c else ch
+        _, eids = row_lanes(g.indptr, ch, degs_c, int(degs_c.sum()))
+        nxt = unique_by_sort(np.concatenate([g.indices[eids], ch]))
         if P.machine is not None:
             P.machine.map_kernel("labelprop_frontier", len(f), 3.0,
                                  iteration=self.iteration)

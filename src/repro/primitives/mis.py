@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import Frontier, ProblemBase, EnactorBase
-from ..graph.csr import Csr
+from ..graph.csr import Csr, row_lanes
 from ..simt.machine import Machine
 from .result import PrimitiveResult, finish
 
@@ -38,10 +38,8 @@ class MisEnactor(EnactorBase):
         f = frontier.items
         degs = g.degrees_of(f)
         total = int(degs.sum())
-        offsets = np.concatenate([[0], np.cumsum(degs)])
-        eids = np.repeat(g.indptr[f] - offsets[:-1], degs) + np.arange(total)
         seg = np.repeat(np.arange(len(f)), degs)
-        nbrs = g.indices[eids].astype(np.int64)
+        nbrs = g.indices[row_lanes(g.indptr, f, degs, total)[1]]
 
         undecided_nbr = P.state[nbrs] == UNDECIDED
         nbr_prio = np.where(undecided_nbr, P.priority[nbrs], -np.inf)
@@ -63,10 +61,8 @@ class MisEnactor(EnactorBase):
         w_degs = g.degrees_of(winners)
         w_total = int(w_degs.sum())
         if w_total:
-            w_off = np.concatenate([[0], np.cumsum(w_degs)])
-            w_eids = np.repeat(g.indptr[winners] - w_off[:-1], w_degs) \
-                + np.arange(w_total)
-            losers = g.indices[w_eids].astype(np.int64)
+            _, w_eids = row_lanes(g.indptr, winners, w_degs, w_total)
+            losers = g.indices[w_eids]
             still = P.state[losers] == UNDECIDED
             P.state[losers[still]] = EXCLUDED
             if P.machine is not None:

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ..graph.coo import Coo
-from ..graph.csr import Csr
+from ..graph.csr import Csr, row_lanes
 from ..simt.machine import Machine
 from ..simt import calib
 from .result import PrimitiveResult
@@ -75,10 +75,7 @@ def triangle_count(graph: Csr, *, machine: Optional[Machine] = None
     degs = dag.degrees_of(src)
     total_pairs = int(degs.sum())
     if total_pairs:
-        offsets = np.concatenate([[0], np.cumsum(degs)])
-        eids = np.repeat(dag.indptr[src] - offsets[:-1], degs) \
-            + np.arange(total_pairs)
-        w = dag.indices[eids].astype(np.int64)
+        w = dag.indices[row_lanes(dag.indptr, src, degs, total_pairs)[1]]
         v = np.repeat(dst, degs)
         u = np.repeat(src, degs)
         probe = v * np.int64(graph.n) + w

@@ -32,8 +32,9 @@ This module holds the tier's moving parts:
 * :func:`parse_kill_schedule` — ``at_ms:shard:replica`` device-loss
   schedules for the CLI and CI;
 * :func:`fanout_pagerank` — the whole-graph fan-out with
-  partial-result degradation, accounted through a replica-aware
-  :class:`~repro.multi.machine.MultiMachine`.
+  partial-result degradation: :func:`repro.multi.pagerank.push_step`
+  iterated over the live shard groups, accounted through a
+  replica-aware :class:`~repro.multi.machine.MultiMachine`.
 """
 
 from __future__ import annotations
@@ -45,9 +46,12 @@ import numpy as np
 
 from ..graph.csr import Csr
 from ..multi.machine import InterconnectSpec, MultiMachine
-from ..multi.partition import PartitionedGraph, partition_1d, redistribute
+from ..multi.pagerank import commit_step, push_step
+# RESHARD_BYTES_* / repair_bytes: multi's one definition, re-exported
+from ..multi.partition import (RESHARD_BYTES_PER_EDGE,
+                               RESHARD_BYTES_PER_VERTEX, PartitionedGraph,
+                               partition_1d, redistribute, repair_bytes)
 from ..obs.spans import CAT_SHARD, instant as obs_instant
-from ..simt import calib
 from ..simt.machine import GPUSpec, Machine
 
 #: routing sentinel: the query fans out over every live shard group
@@ -55,10 +59,6 @@ FANOUT = -1
 
 #: health states of a replica's circuit breaker
 H_CLOSED, H_OPEN, H_HALF_OPEN = "closed", "open", "half_open"
-
-#: re-shard traffic constants shared with :mod:`repro.multi.bfs`
-RESHARD_BYTES_PER_VERTEX = 24.0
-RESHARD_BYTES_PER_EDGE = 8.0
 
 
 @dataclass(frozen=True)
@@ -294,14 +294,6 @@ def route_vertex(primitive: str, params: Dict) -> Optional[int]:
     return None  # pagerank: whole-graph
 
 
-def repair_bytes(pg: PartitionedGraph, sid: int) -> float:
-    """Wire volume of moving a dead shard's partition to the survivors
-    (same constants as the multi-GPU degradation path)."""
-    part = pg.parts[sid]
-    return (part.n_local * RESHARD_BYTES_PER_VERTEX
-            + part.m_local * RESHARD_BYTES_PER_EDGE)
-
-
 # -- kill schedules ----------------------------------------------------------
 
 
@@ -376,8 +368,9 @@ def fanout_pagerank(graph: Csr, pg: PartitionedGraph,
     shard slot of ``pg`` without an entry is *down* and degrades the
     result: its vertices neither scatter nor commit, and their ranks are
     reported NaN (typed missing — never a stale or wrong byte), with
-    ``partial=True``.  With every shard live the float operations mirror
-    :func:`repro.multi.pagerank.multi_gpu_pagerank` exactly — pending
+    ``partial=True``.  Each iteration is
+    :func:`repro.multi.pagerank.push_step`, the body
+    :func:`~repro.multi.pagerank.multi_gpu_pagerank` runs — pending
     contributions reduce in global-edge order — so ranks are bitwise
     identical for every shard count and replica choice.
 
@@ -402,82 +395,17 @@ def fanout_pagerank(graph: Csr, pg: PartitionedGraph,
     residual = np.full(graph.n, base)
     degrees = np.maximum(graph.out_degrees, 1).astype(np.float64)
 
-    local_pos = np.zeros(graph.n, dtype=np.int64)
-    for part in pg.parts:
-        local_pos[part.vertices] = np.arange(part.n_local)
+    local_pos = pg.local_positions()
 
-    empty = np.zeros(0, dtype=np.int64)
     active = [part.vertices[residual[part.vertices] > tol]
-              if mm.is_alive(d) else empty
+              if mm.is_alive(d) else part.vertices[:0]
               for d, part in enumerate(pg.parts)]
     iterations = 0
-    bytes_per_contrib = 16.0  # vertex id + float value
     while any(len(a) for a in active) and iterations < max_iterations:
         iterations += 1
-        residual_next = np.zeros(graph.n)
-        remote_contribs = 0
-        # per-device (global edge id, destination, contribution) triples;
-        # the commit below reduces them in global-edge order so the
-        # floating-point sum is identical for every sharding and replica
-        # choice (the multi-GPU partition-independence argument)
-        pending = []
-        mm.begin_step()
-        for d, part in enumerate(pg.parts):
-            f = active[d]
-            if len(f) == 0:
-                continue
-            rows = local_pos[f]
-            degs = (part.indptr[rows + 1]
-                    - part.indptr[rows]).astype(np.int64)
-            total = int(degs.sum())
-            dev = mm.devices[d]
-            dev.launch("shard_pr_scatter",
-                       body_cycles=total * calib.C_EDGE / dev.spec.num_sm
-                       + total * calib.C_ATOMIC_THROUGHPUT,
-                       items=total, iteration=iterations)
-            dev.counters.record_edges(total)
-            if total == 0:
-                continue
-            offsets = np.concatenate([[0], np.cumsum(degs)])
-            eids = np.repeat(part.indptr[rows] - offsets[:-1], degs) \
-                + np.arange(total)
-            dsts = part.indices[eids]
-            geids = np.repeat(graph.indptr[f] - offsets[:-1], degs) \
-                + np.arange(total)
-            seg = np.repeat(np.arange(len(f)), degs)
-            contrib = damping * residual[f][seg] / degrees[f][seg]
-            pending.append((geids, dsts, contrib))
-            remote = dsts[pg.owner[dsts] != d]
-            remote_contribs += len(np.unique(remote))
-        mm.end_step()
-        if pending:
-            geids = np.concatenate([p[0] for p in pending])
-            dsts = np.concatenate([p[1] for p in pending])
-            contrib = np.concatenate([p[2] for p in pending])
-            order = np.argsort(geids, kind="stable")
-            np.add.at(residual_next, dsts[order], contrib[order])
-
-        mm.exchange(remote_contribs * bytes_per_contrib)
-
-        mm.begin_step()
-        for d, part in enumerate(pg.parts):
-            if mm.is_alive(d) and part.n_local:
-                mm.devices[d].map_kernel("shard_pr_commit", part.n_local,
-                                         calib.C_VERTEX,
-                                         iteration=iterations)
-        mm.end_step()
-
-        new_active = []
-        for d, part in enumerate(pg.parts):
-            if not mm.is_alive(d):
-                new_active.append(empty)
-                continue
-            verts = part.vertices
-            res = residual_next[verts]
-            rank[verts] += res
-            residual[verts] = res
-            new_active.append(verts[res > tol])
-        active = new_active
+        residual_next = push_step(graph, pg, mm, active, local_pos, residual,
+                                  degrees, damping, iterations, "shard_pr_")
+        active = commit_step(pg, mm, rank, residual, residual_next, tol)
 
     dead_vertices = 0
     partial = False

@@ -101,6 +101,17 @@ def test_unpooled_constants_are_fresh_and_writable():
     assert not ws.is_true_view(ws.true_mask(4))
 
 
+def test_unpooled_workspace_never_recognises_a_constant_view():
+    # the operators ask is_true_view / is_false_view without checking
+    # ws.pooled first: only pooled mode may register a view
+    ws = Workspace(pooled=False)
+    for size in (0, 1, 9):
+        t, f = ws.true_mask(size), ws.false_mask(size)
+        assert not ws.is_true_view(t) and not ws.is_false_view(f)
+        assert not ws.is_true_view(f) and not ws.is_false_view(t)
+    assert not ws._true_views and not ws._false_views
+
+
 # -- bitmap scatter ---------------------------------------------------------
 
 
