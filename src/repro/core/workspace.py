@@ -82,8 +82,9 @@ class Workspace:
         self._false_views: Dict[int, np.ndarray] = {}
         #: per-role (backing, last-set-items) pairs for sparse-clear bitmaps
         self._bitmaps: Dict[str, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
-        #: (frontier, expansion) of the last expanded push frontier
-        self._expand_memo = None
+        #: id(graph) -> (graph, frontier, expansion) of the last push
+        #: frontier expanded on that graph
+        self._expand_memo: Dict[int, tuple] = {}
         #: allocation accounting, surfaced by bench_wallclock.py
         self.stats = {"takes": 0, "allocations": 0, "grown_bytes": 0}
 
@@ -178,28 +179,34 @@ class Workspace:
     # -- frontier-expansion memo ---------------------------------------------
 
     def expansion_memo(self, graph, f: np.ndarray):
-        """Cached ``(srcs, dsts, eids, degs)`` of the last expanded
-        frontier, when it was on the same ``graph`` and ``f`` matches it
-        element-wise; else None.
+        """Cached ``(srcs, dsts, eids, degs)`` of the last frontier
+        expanded on ``graph``, when ``f`` matches it element-wise; else
+        None.
 
         Primitives with slowly-shrinking frontiers (PageRank commits the
         same vertex set for many super-steps) re-expand an identical
         frontier every iteration; an O(|frontier|) compare replaces the
-        O(|edges|) rebuild.  Safe because frontier items and the handed-
-        out lane arrays are immutable by contract.
+        O(|edges|) rebuild.  One entry per graph, because SALSA and HITS
+        alternate between a bipartite graph and its reverse every
+        iteration: a single slot would miss on every lookup.  Safe because
+        frontier items and the handed-out lane arrays are immutable by
+        contract.
         """
-        memo = self._expand_memo
+        memo = self._expand_memo.get(id(graph))
         if memo is None:
             return None
         cached_g, cached_f, out = memo
+        # the entry holds its graph, so its id cannot be reused while
+        # the entry lives; the identity test is the key check proper
         if cached_g is graph and (cached_f is f or (
                 len(cached_f) == len(f) and np.array_equal(cached_f, f))):
             return out
         return None
 
     def remember_expansion(self, graph, f: np.ndarray, out) -> None:
-        """Store the expansion of ``f`` for :meth:`expansion_memo`."""
-        self._expand_memo = (graph, f, out)
+        """Store the expansion of ``f`` on ``graph`` for
+        :meth:`expansion_memo`, replacing that graph's previous entry."""
+        self._expand_memo[id(graph)] = (graph, f, out)
 
     # -- pooled bitmaps with sparse clear ------------------------------------
 
@@ -249,7 +256,7 @@ class Workspace:
         self._true_views.clear()
         self._false_views.clear()
         self._bitmaps.clear()
-        self._expand_memo = None
+        self._expand_memo.clear()
 
 
 #: shared fallback for duck-typed problem views that never attached a

@@ -256,7 +256,11 @@ class Csr:
         counts = np.bincount(self.indices, minlength=self.n).astype(EDGE_DT)
         indptr = np.zeros(self.n + 1, dtype=EDGE_DT)
         np.cumsum(counts, out=indptr[1:])
-        order = np.argsort(self.indices, kind="stable")
+        # a stable sort's permutation is unique, so sorting the ids as
+        # 16-bit keys (numpy radix-sorts those) gives the same order
+        keys = self.indices.astype(np.uint16) if self.n <= 1 << 16 \
+            else self.indices
+        order = np.argsort(keys, kind="stable")
         indices = self.edge_sources[order]
         values = None if self.edge_values is None else self.edge_values[order]
         rev = Csr(indptr, indices, values, n=self.n, validate=False)

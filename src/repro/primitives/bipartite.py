@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..graph.csr import Csr, row_lanes
+from ..simt.primitives import unique_inverse
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,11 @@ class BipartiteGraph:
     def __post_init__(self):
         if self.n_left + self.n_right != self.graph.n:
             raise ValueError("n_left + n_right must equal the vertex count")
+        if self.n_left < 0 or self.n_right < 0:
+            raise ValueError("n_left and n_right must be non-negative")
         if self.graph.m:
-            src = self.graph.edge_sources
-            if src.max() >= self.n_left:
+            # every edge starts on the left iff the left rows own them all
+            if self.graph.indptr[self.n_left] != self.graph.m:
                 raise ValueError("edges must originate on the left side")
             if self.graph.indices.min() < self.n_left:
                 raise ValueError("edges must terminate on the right side")
@@ -99,8 +102,7 @@ def induced_bipartite(graph: Csr, left: np.ndarray,
     dsts = graph.indices[row_lanes(graph.indptr, left, degs, total)[1]]
     seg = np.repeat(np.arange(len(left)), degs)
     if right is None:
-        right = np.unique(dsts)
-        new_dst = np.searchsorted(right, dsts)
+        right, new_dst = unique_inverse(dsts)
     else:
         right = np.asarray(right, dtype=np.int64)
         keep = np.isin(dsts, right)

@@ -48,6 +48,14 @@ class _WalkRightFunctor(Functor):
         atomics.atomic_add(P.auth, dst, P.hub[src] / P.out_norm[src], P.machine)
         return np.zeros(len(src), dtype=bool)
 
+    def apply_edge_segmented(self, P, f, degs, dst, eid):
+        # the walked value depends on the source alone: divide once per
+        # frontier vertex and repeat it across its lanes — the same
+        # division on the same operands as apply_edge, as PageRank does
+        vals = np.repeat(P.hub[f] / P.out_norm[f], degs)
+        atomics.atomic_add(P.auth, dst, vals, P.machine)
+        return P.workspace.false_mask(len(dst))
+
 
 class _WalkLeftFunctor(Functor):
     """hub[left] += auth[right] / indeg(right)."""
@@ -55,6 +63,12 @@ class _WalkLeftFunctor(Functor):
     def apply_edge(self, P, src, dst, eid):
         atomics.atomic_add(P.hub, dst, P.auth[src] / P.in_norm[src], P.machine)
         return np.zeros(len(src), dtype=bool)
+
+    def apply_edge_segmented(self, P, f, degs, dst, eid):
+        # per-source value, repeated across the lanes (see _WalkRightFunctor)
+        vals = np.repeat(P.auth[f] / P.in_norm[f], degs)
+        atomics.atomic_add(P.hub, dst, vals, P.machine)
+        return P.workspace.false_mask(len(dst))
 
 
 class SalsaEnactor(EnactorBase):

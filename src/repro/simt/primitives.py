@@ -206,6 +206,34 @@ def unique_by_sort(keys: np.ndarray, machine: Optional[Machine] = None) -> np.nd
     return out
 
 
+def unique_inverse(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """What ``np.unique`` returns with ``return_inverse=True``, without
+    its hash pass: ``(uniq, inverse)`` with ``uniq[inverse] == keys``,
+    same values and dtypes.  Uncharged (a relabel, not a modelled device
+    kernel).
+
+    Dense non-negative integer ids (``max < 4·len``, the rule of
+    :func:`unique_by_sort`) mark a bitmap whose prefix sum is each id's
+    rank; anything else stable-sorts and numbers the runs."""
+    keys = np.asarray(keys)
+    n = len(keys)
+    if n and keys.dtype.kind in "iu":
+        hi = int(keys.max()) + 1
+        if int(keys.min()) >= 0 and hi <= 4 * n:
+            seen = np.zeros(hi, dtype=bool)
+            seen[keys] = True
+            rank = np.cumsum(seen, dtype=np.intp)
+            rank -= 1
+            uniq = np.flatnonzero(seen).astype(keys.dtype, copy=False)
+            return uniq, rank[keys]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = first_of_run(sorted_keys)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first, dtype=np.intp) - 1
+    return sorted_keys[first], inverse
+
+
 def first_occurrence(keys: np.ndarray) -> np.ndarray:
     """Lane index of the first lane holding each distinct key, ascending
     by key (what ``np.unique`` returns as ``return_index``): a stable

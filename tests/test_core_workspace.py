@@ -149,6 +149,43 @@ def test_expansion_memo_roundtrip():
     assert ws.expansion_memo(object(), f) is None  # other graph
 
 
+def test_expansion_memo_keeps_one_entry_per_graph():
+    # SALSA/HITS alternate a graph and its reverse: both entries survive
+    ws = Workspace(pooled=True)
+    g, rev = object(), object()
+    fl, fr = np.array([0, 1], dtype=np.int64), np.array([2, 3, 4])
+    out_l, out_r = ("left",), ("right",)
+    ws.remember_expansion(g, fl, out_l)
+    ws.remember_expansion(rev, fr, out_r)
+    for _ in range(3):
+        assert ws.expansion_memo(g, fl.copy()) is out_l
+        assert ws.expansion_memo(rev, fr.copy()) is out_r
+    # a new frontier on one graph replaces that graph's entry only
+    ws.remember_expansion(g, fr, out_r)
+    assert ws.expansion_memo(g, fl) is None
+    assert ws.expansion_memo(g, fr) is out_r
+    assert ws.expansion_memo(rev, fr) is out_r
+
+
+def test_expansion_memo_misses_an_equal_frontier_on_another_graph():
+    ws = Workspace(pooled=True)
+    g, other = object(), object()
+    f = np.array([1, 2, 3], dtype=np.int64)
+    ws.remember_expansion(g, f, ("out",))
+    assert ws.expansion_memo(other, f) is None
+    assert ws.expansion_memo(other, f.copy()) is None
+
+
+def test_clear_forgets_every_expansion():
+    ws = Workspace(pooled=True)
+    graphs = [object() for _ in range(3)]
+    f = np.array([4], dtype=np.int64)
+    for g in graphs:
+        ws.remember_expansion(g, f, ("out",))
+    ws.clear()
+    assert all(ws.expansion_memo(g, f) is None for g in graphs)
+
+
 # -- stats / maintenance ----------------------------------------------------
 
 

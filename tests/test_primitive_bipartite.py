@@ -39,6 +39,20 @@ def test_bipartite_validation():
         P.BipartiteGraph(bad, 2, 1)  # edge starts on the right
 
 
+def test_bipartite_validation_rejects_a_right_side_source():
+    from repro.graph import from_edges
+
+    # left-to-right edges plus one that leaves a right vertex for another
+    g = from_edges([(0, 2), (1, 3), (3, 2)], n=4)
+    with pytest.raises(ValueError, match="edges must originate on the left"):
+        P.BipartiteGraph(g, 2, 2)
+    # a negative side would make indptr[n_left] wrap to the last row
+    with pytest.raises(ValueError):
+        P.BipartiteGraph(g, -1, 5)
+    bp = P.BipartiteGraph(from_edges([(0, 2), (1, 3), (1, 2)], n=4), 2, 2)
+    assert bp.graph._edge_sources is None  # validation built no m-sized array
+
+
 def test_bipartite_degrees(bp):
     assert bp.left_degrees().sum() == bp.graph.m
     assert bp.right_degrees().sum() == bp.graph.m
@@ -282,6 +296,14 @@ def test_induced_bipartite_equals_loop_relabel(scale, seed):
                            _induced_bipartite_loop(g, left, empty))
     _assert_same_bipartite(P.induced_bipartite(g, empty),
                            _induced_bipartite_loop(g, empty))
+    # one low-degree vertex whose followees reach far past 4 ids a lane:
+    # the relabel takes its sort regime, not the bitmap
+    degs = g.out_degrees
+    reach = np.array([g.neighbors(v).max(initial=-1) for v in range(g.n)])
+    small = np.flatnonzero((degs > 0) & (reach >= 4 * degs))[:1]
+    assert len(small) == 1
+    _assert_same_bipartite(P.induced_bipartite(g, small),
+                           _induced_bipartite_loop(g, small))
 
 
 @pytest.mark.parametrize("scale,seed", [(8, 2), (9, 11)])
