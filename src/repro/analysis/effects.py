@@ -35,7 +35,7 @@ from .linter import (FUNCTOR_METHODS, _is_functor_class, _is_problem_class,
 from .rules import RULES, Violation
 
 #: methods analyzed per functor: the four fused-kernel methods plus the
-#: pooled push-advance's segment-aware apply variant
+#: push advance's segment-aware apply variant
 EFFECT_METHODS = FUNCTOR_METHODS + ("apply_edge_segmented",)
 
 #: repro.core.atomics entry points and their reduction ops

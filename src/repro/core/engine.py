@@ -2,11 +2,13 @@
 
 The repo grew four ways to run a primitive:
 
-* **unpooled** — the oracle path: library operators, fresh allocations,
-  no artifact reuse.  Slow, obviously correct, the reference the other
-  two are pinned against.
-* **pooled** — library operators over the pooled workspace + graph
-  artifact cache (the production default since the memory-pooling PR).
+* **unpooled** — the library operators over a workspace that lends
+  nothing: the same operator bodies as pooled, with every scratch array
+  freshly allocated (:mod:`repro.core.workspace`).  It isolates what
+  pooling buys; the textbook bodies the operators are pinned against
+  live in ``tests/unpooled_reference.py``.
+* **pooled** — the library operators over the pooled workspace (the
+  production default).
 * **fused** — trace-guided specialization (:mod:`repro.core.fused`):
   the verified operator DAG of a primitive is compiled into a single
   super-step loop with no intermediate frontier materialization.  Only
@@ -21,9 +23,12 @@ The repo grew four ways to run a primitive:
 
 There is one selector: the ``REPRO_ENGINE`` env var (read when this
 module is imported), overridden process-wide by :func:`set_engine`,
-overridden in a scope by :func:`engine`.  Whether workspaces pool is
-derived from it (:func:`repro.core.workspace.pooling_enabled`): every
-engine but ``unpooled`` runs on the pooled workspace.
+overridden in a scope by :func:`engine`.  Which scratch provider new
+workspaces get is derived from it
+(:func:`repro.core.workspace.pooling_enabled`): every engine but
+``unpooled`` runs on the pooled one.  ``fused`` and ``la`` borrow
+through the same workspace calls, so a problem built on either provider
+runs under any engine.
 
 :func:`dispatch` is the one way into a specialized engine: the refusal
 chain, the fallback record, the dispatch counter and the engine span
@@ -46,8 +51,9 @@ ENGINES = ("unpooled", "pooled", "fused", "la")
 #: process-wide override; None = ``REPRO_ENGINE``, else pooled
 _ENGINE: Optional[str] = None
 #: ``REPRO_ENGINE`` as the process started with it.  Read once, here:
-#: :func:`pooling_enabled` resolves the mode once or twice a super-step,
-#: and an ``os.environ`` lookup there cost road-network traversals ~2.5 %.
+#: the mode is resolved for every new problem and every enact, and an
+#: ``os.environ`` lookup per super-step once cost road-network
+#: traversals ~2.5 %.
 _ENV_ENGINE = os.environ.get("REPRO_ENGINE", "").strip().lower()
 
 
@@ -148,8 +154,6 @@ class Backend:
     prepare: Callable
     #: refusal for a primitive outside ``runners`` (``{name}`` formatted)
     no_runner: str
-    #: refusal for a problem built on the unpooled workspace
-    needs_pooled: str
 
 
 def count_dispatch(engine_name: str, primitive: str,
@@ -182,8 +186,6 @@ def dispatch(backend: Backend, enactor, frontier):
     attrs: dict = {}
     if run is None:
         reason = backend.no_runner.format(name=name)
-    elif not enactor.workspace.pooled:
-        reason = backend.needs_pooled
     elif enactor.sanitize or current_sanitizer() is not None:
         reason = "sanitizer active: library operators carry the kernel scopes"
     elif enactor.injector is not None or enactor.checkpoints is not None:

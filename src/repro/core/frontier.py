@@ -21,6 +21,7 @@ import numpy as np
 from ..simt import calib
 from ..simt.machine import Machine
 from ..simt.primitives import unique_by_sort
+from .workspace import workspace_of
 
 
 class FrontierKind(Enum):
@@ -110,23 +111,15 @@ class Frontier:
         """Scatter the queue into a dense boolean map of the given size.
 
         This is the conversion Gunrock performs internally before a
-        pull-based advance (Section 4.1.1).
-
-        With a pooled ``workspace`` the bitmap is borrowed from the pool
-        and cleared *sparsely* (only the positions set by the previous
-        scatter of the same ``role``), instead of allocating and zeroing
-        a fresh n-sized array every iteration.  The simulated cost charge
-        is identical in both modes; the returned map is valid until the
-        next ``to_bitmap`` with the same workspace and role.
+        pull-based advance (Section 4.1.1).  The map comes from
+        ``workspace``'s :meth:`~repro.core.workspace.Workspace.bitmap_scatter`
+        (the shared unpooled provider when None): a pooled workspace
+        lends it, valid until the next ``to_bitmap`` with the same
+        workspace and role.  Ids outside ``[0, size)`` raise
+        ``ValueError``; the simulated cost charge is the same either way.
         """
-        if workspace is not None and workspace.pooled:
-            bitmap = workspace.bitmap_scatter(role, size, self.items)
-        else:
-            bitmap = np.zeros(size, dtype=bool)
-            if len(self.items):
-                if self.items.max() >= size:
-                    raise ValueError("frontier id exceeds bitmap size")
-                bitmap[self.items] = True
+        ws = workspace if workspace is not None else workspace_of(None)
+        bitmap = ws.bitmap_scatter(role, size, self.items)
         if machine is not None:
             machine.map_kernel("queue_to_bitmap", len(self.items), 1.0)
         return bitmap

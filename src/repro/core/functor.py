@@ -27,6 +27,8 @@ from typing import Optional
 
 import numpy as np
 
+from .workspace import workspace_of
+
 
 class Functor:
     """Base functor: all-pass cond, no-op apply.
@@ -52,8 +54,8 @@ class Functor:
         narrows which lanes' destinations enter the output frontier."""
         return None
 
-    #: Optional segment-aware variant of ``apply_edge`` used by the pooled
-    #: push advance when the functor declares no ``cond_edge`` (so lanes
+    #: Optional segment-aware variant of ``apply_edge`` used by the push
+    #: advance when the functor declares no ``cond_edge`` (so lanes
     #: are still grouped by source vertex).  Signature:
     #: ``apply_edge_segmented(problem, frontier, degrees, dst, edge_id)``
     #: where lane ``l`` belongs to ``frontier[i]`` for the ``i`` whose
@@ -122,26 +124,20 @@ def resolve_masks(n_lanes: int, *masks: Optional[np.ndarray],
     rejected: an int mask would silently reinterpret arbitrary values as
     lane admission bits.
 
-    With a pooled ``workspace``, the no-mask case returns the workspace's
-    cached read-only all-True view and the single-mask case passes the
-    functor's mask straight through (callers treat the result as
-    read-only); only the multi-mask case touches scratch.  Values are
-    identical to the legacy allocate-and-AND path.
+    The no-mask case returns ``workspace``'s all-True mask (a cached
+    read-only view on the pooled provider) and the single-mask case
+    passes the functor's mask straight through, so callers treat the
+    result as read-only; only the multi-mask case touches scratch.
     """
-    if workspace is not None and workspace.pooled:
-        live = [_validate_mask(m, n_lanes, where)
-                for m in masks if m is not None]
-        if not live:
-            return workspace.true_mask(n_lanes)
-        if len(live) == 1:
-            return live[0]
-        out = workspace.take("resolve_masks", n_lanes, np.bool_)
-        np.copyto(out, live[0])
-        for mask in live[1:]:
-            np.logical_and(out, mask, out=out)
-        return out
-    out = np.ones(n_lanes, dtype=bool)
-    for mask in masks:
-        if mask is not None:
-            out &= _validate_mask(mask, n_lanes, where)
+    ws = workspace if workspace is not None else workspace_of(None)
+    live = [_validate_mask(m, n_lanes, where)
+            for m in masks if m is not None]
+    if not live:
+        return ws.true_mask(n_lanes)
+    if len(live) == 1:
+        return live[0]
+    out = ws.take("resolve_masks", n_lanes, np.bool_)
+    np.copyto(out, live[0])
+    for mask in live[1:]:
+        np.logical_and(out, mask, out=out)
     return out

@@ -410,8 +410,7 @@ def _prepare(enactor, name: str):
 
 FUSED = Backend(name="fused", runners=RUNNERS, span_category=CAT_FUSED,
                 prepare=_prepare,
-                no_runner="no fused runner for primitive '{name}'",
-                needs_pooled="fused plans require the pooled workspace")
+                no_runner="no fused runner for primitive '{name}'")
 
 
 def try_fused(enactor, frontier: Frontier) -> Optional[Frontier]:

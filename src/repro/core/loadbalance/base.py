@@ -18,7 +18,6 @@ from typing import Dict
 import numpy as np
 
 from ...simt.machine import GPUSpec
-from ..workspace import pooling_enabled
 
 
 @dataclass
@@ -57,9 +56,9 @@ def pad_reshape(degrees: np.ndarray, tile: int) -> np.ndarray:
     to ``(n_tiles, tile)`` — the vectorized form of 'assign a subset of the
     frontier to a block'.
 
-    When pooling is enabled globally, the padded buffer is reused across
-    calls (zeroing only the pad tail); the returned view is valid until
-    the next ``pad_reshape`` with the same tile width.
+    The padded buffer is reused across calls (zeroing only the pad
+    tail); the returned view is valid until the next ``pad_reshape`` with
+    the same tile width.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     n = len(degrees)
@@ -67,16 +66,12 @@ def pad_reshape(degrees: np.ndarray, tile: int) -> np.ndarray:
         return np.zeros((0, tile), dtype=np.int64)
     n_tiles = -(-n // tile)
     size = n_tiles * tile
-    if pooling_enabled():
-        buf = _pad_scratch.get(tile)
-        if buf is None or len(buf) < size:
-            cap = max(size, 2 * len(buf) if buf is not None else size)
-            buf = np.empty(cap, dtype=np.int64)
-            _pad_scratch[tile] = buf
-        padded = buf[:size]
-        padded[:n] = degrees
-        padded[n:] = 0
-        return padded.reshape(n_tiles, tile)
-    padded = np.zeros(size, dtype=np.int64)
+    buf = _pad_scratch.get(tile)
+    if buf is None or len(buf) < size:
+        cap = max(size, 2 * len(buf) if buf is not None else size)
+        buf = np.empty(cap, dtype=np.int64)
+        _pad_scratch[tile] = buf
+    padded = buf[:size]
     padded[:n] = degrees
+    padded[n:] = 0
     return padded.reshape(n_tiles, tile)

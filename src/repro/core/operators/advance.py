@@ -18,16 +18,13 @@ inside the advance launch (Section 4.3's kernel fusion), so each BSP step
 pays one launch overhead.
 
 Rows become edge lanes in one place, :func:`repro.graph.csr.row_lanes`;
-this file adds what advance needs around it.  The *pooled* path (problem
-workspace in pooled mode) lends the kernel its scratch from the
-:class:`~repro.core.workspace.Workspace`, serves all-vertices frontiers
-straight from the graph's :class:`~repro.graph.csr.ArtifactCache`, and
-skips compaction copies when no lane was culled.  The *unpooled* path is
-the oracle engine: it allocates per call and keeps its own textbook
-expansion (``_expand_lanes``), so the reference does not depend on the
-kernel it checks.  Both produce bitwise-identical frontiers and
-identical simulated-cycle charges (enforced by
-``tests/test_property_based.py``).
+this file adds what advance needs around it: all-vertices frontiers are
+served straight from the graph's :class:`~repro.graph.csr.ArtifactCache`,
+repeated frontiers from the workspace's expansion memo, and compaction
+copies are skipped when no lane was culled.  There is one body; the
+problem's :class:`~repro.core.workspace.Workspace` only decides whether
+scratch is lent (pooled) or freshly allocated (unpooled).  The textbook
+bodies it replaced live on as the oracle in ``tests/unpooled_reference.py``.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from ..frontier import Frontier, FrontierKind
 from ..functor import Functor, resolve_masks
 from ..loadbalance import LoadBalancer, default_load_balancer
 from ..problem import ProblemBase
-from ..workspace import Workspace, workspace_of
+from ..workspace import workspace_of
 
 
 def _frontier_vertices(problem: ProblemBase, frontier: Frontier) -> np.ndarray:
@@ -57,31 +54,6 @@ def _frontier_vertices(problem: ProblemBase, frontier: Frontier) -> np.ndarray:
     return problem.graph.indices[frontier.items]
 
 
-def _expand_lanes(g, f: np.ndarray, ws: Workspace
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-lane expansion arrays ``(degs, excl, eids, seg)`` for frontier
-    ``f`` on graph ``g`` (``excl`` = exclusive degree prefix, borrowed
-    from ``ws`` when pooled).
-
-    The unpooled branch is the oracle engine's own body: it keeps the
-    textbook spelling so the reference stays independent of the
-    :func:`~repro.graph.csr.row_lanes` kernel it is compared against.
-    """
-    degs = g.degrees_of(f)
-    total = int(degs.sum())
-    nf = len(f)
-    if ws.pooled:
-        excl, eids = row_lanes(g.indptr, f, degs, total, ws)
-        seg = np.repeat(ws.iota(nf), degs)
-    else:
-        offsets = np.concatenate([[0], np.cumsum(degs)])  # lane-expand ok: oracle
-        excl = offsets[:-1]
-        eids = (np.repeat(g.indptr[f] - excl, degs)  # lane-expand ok: oracle
-                + np.arange(total, dtype=np.int64))
-        seg = np.repeat(np.arange(nf, dtype=np.int64), degs)
-    return degs, excl, eids, seg
-
-
 def expand_push(problem: ProblemBase, source_vertices: np.ndarray,
                 *, need_srcs: bool = True
                 ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray,
@@ -91,53 +63,46 @@ def expand_push(problem: ProblemBase, source_vertices: np.ndarray,
     One output lane per traversed edge, in frontier order — the dense,
     uniform workload the scan-based reorganization of Section 3 produces.
 
-    In pooled mode an all-vertices frontier (PageRank every iteration)
-    short-circuits to the graph's cached artifacts: the expansion of
-    ``arange(n)`` *is* ``(edge_sources, indices, arange(m), out_degrees)``,
-    so no per-lane arrays are built at all.  ``need_srcs=False`` (pooled
-    only) skips materializing the per-lane source array for callers that
-    consume the segment structure directly — ``srcs`` comes back None.
+    An all-vertices frontier (PageRank every iteration) short-circuits
+    to the graph's cached artifacts: the expansion of ``arange(n)`` *is*
+    ``(edge_sources, indices, arange(m), out_degrees)``, so no per-lane
+    arrays are built at all.  ``need_srcs=False`` skips materializing the
+    per-lane source array for callers that consume the segment structure
+    directly — ``srcs`` comes back None.
     """
     g = problem.graph
     f = np.asarray(source_vertices, dtype=np.int64)
     ws = workspace_of(problem)
-    if ws.pooled:
-        if len(f) == g.n:
-            art = g.artifacts
-            if f is art.iota_n or np.array_equal(f, art.iota_n):
-                return art.edge_sources, g.indices, art.iota_m, art.out_degrees
-        # slowly-shrinking frontiers (PageRank) re-expand the same vertex
-        # set for many super-steps: an O(|f|) compare replaces the O(m)
-        # rebuild.  The memoized arrays are safe to hand out again because
-        # lane arrays are immutable by contract (compaction copies).
-        memo = ws.expansion_memo(g, f)
-        if memo is not None:
-            srcs, dsts, eids, degs = memo
-            if need_srcs and srcs is None:
-                srcs = np.repeat(f, degs)  # == f[seg] by construction
-                ws.remember_expansion(g, f, (srcs, dsts, eids, degs))
-            return srcs, dsts, eids, degs
-        # no per-lane segment-id array is ever built: srcs (when wanted)
-        # is repeat(f, degs), identical to the oracle's gather through
-        # the segment ids
-        # (not artifacts.out_degrees[f]: caching an n-sized artifact on
-        # every throwaway block-diagonal graph the serving tier expands
-        # here cost serve-steady 17 % peak RSS)
-        degs = g.degrees_of(f)
-        _, eids = row_lanes(g.indptr, f, degs, int(degs.sum()), ws)
-        if len(eids) == 0:
-            return eids, eids, eids, degs
-        dsts = g.indices[eids]
-        srcs = np.repeat(f, degs) if need_srcs else None
-        out = (srcs, dsts, eids, degs)
-        ws.remember_expansion(g, f, out)
-        return out
-    degs, _, eids, seg = _expand_lanes(g, f, ws)
+    if len(f) == g.n:
+        art = g.artifacts
+        if f is art.iota_n or np.array_equal(f, art.iota_n):
+            return art.edge_sources, g.indices, art.iota_m, art.out_degrees
+    # slowly-shrinking frontiers (PageRank) re-expand the same vertex
+    # set for many super-steps: an O(|f|) compare replaces the O(m)
+    # rebuild.  The memoized arrays are safe to hand out again because
+    # lane arrays are immutable by contract (compaction copies).
+    memo = ws.expansion_memo(g, f)
+    if memo is not None:
+        srcs, dsts, eids, degs = memo
+        if need_srcs and srcs is None:
+            srcs = np.repeat(f, degs)  # == f[seg] by construction
+            ws.remember_expansion(g, f, (srcs, dsts, eids, degs))
+        return srcs, dsts, eids, degs
+    # no per-lane segment-id array is ever built: srcs (when wanted)
+    # is repeat(f, degs), identical to the oracle's gather through
+    # the segment ids
+    # (not artifacts.out_degrees[f]: caching an n-sized artifact on
+    # every throwaway block-diagonal graph the serving tier expands
+    # here cost serve-steady 17 % peak RSS)
+    degs = g.degrees_of(f)
+    _, eids = row_lanes(g.indptr, f, degs, int(degs.sum()), ws)
     if len(eids) == 0:
         return eids, eids, eids, degs
-    srcs = f[seg]
     dsts = g.indices[eids]
-    return srcs, dsts, eids, degs
+    srcs = np.repeat(f, degs) if need_srcs else None
+    out = (srcs, dsts, eids, degs)
+    ws.remember_expansion(g, f, out)
+    return out
 
 
 def _charge_advance(problem: ProblemBase, degs: np.ndarray, lb: LoadBalancer,
@@ -214,9 +179,8 @@ def _push_body(problem, f_vertices, functor, output_kind, lb, iteration):
     ws = workspace_of(problem)
     # Segment-aware apply (see Functor.apply_edge_segmented): only when the
     # functor declares no cond_edge, so lanes reach apply still grouped by
-    # source vertex, and only pooled — the unpooled path stays the legacy
-    # reference implementation.
-    use_seg = (ws.pooled and functor.apply_edge_segmented is not None
+    # source vertex.
+    use_seg = (functor.apply_edge_segmented is not None
                and type(functor).cond_edge is Functor.cond_edge)
     srcs, dsts, eids, degs = expand_push(problem, f_vertices,
                                          need_srcs=not use_seg)
@@ -282,35 +246,31 @@ def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,
     if len(unvisited) == 0:
         return Frontier.empty(FrontierKind.VERTEX)
 
-    degs, excl, eids, seg = _expand_lanes(rev, unvisited, ws)
+    degs = rev.degrees_of(unvisited)
+    excl, eids = row_lanes(rev.indptr, unvisited, degs, int(degs.sum()), ws)
     total = len(eids)
     if total == 0:
         return Frontier.empty(FrontierKind.VERTEX)
+    seg = np.repeat(ws.iota(len(unvisited)), degs)
     parents = rev.indices[eids]
     hits = in_frontier[parents]
 
     # First-hit position per segment (the lane where the serial scan stops).
     big = np.iinfo(np.int64).max
-    if ws.pooled:
-        pos_in_seg = excl[seg]
-        np.subtract(ws.iota(total), pos_in_seg, out=pos_in_seg)
-        first_hit = ws.take("pull_first_hit", len(unvisited), np.int64,
-                            fill=big)
-        if np.count_nonzero(hits) * 4 >= total:
-            # dense hits (the regime pull is chosen for): replace the
-            # element-at-a-time ``np.minimum.at`` with one vectorized
-            # segmented reduction.  Rows are taken only at nonzero-degree
-            # segments so reduceat's empty-slice quirk never applies; the
-            # per-segment minimum is the same value either way.
-            vals = ws.take("pull_first_vals", total, np.int64, fill=big)
-            np.copyto(vals, pos_in_seg, where=hits)
-            nz = np.flatnonzero(degs)
-            first_hit[nz] = np.minimum.reduceat(vals, excl[nz])
-        else:
-            np.minimum.at(first_hit, seg[hits], pos_in_seg[hits])
+    pos_in_seg = excl[seg]
+    np.subtract(ws.iota(total), pos_in_seg, out=pos_in_seg)
+    first_hit = ws.take("pull_first_hit", len(unvisited), np.int64, fill=big)
+    if np.count_nonzero(hits) * 4 >= total:
+        # dense hits (the regime pull is chosen for): replace the
+        # element-at-a-time ``np.minimum.at`` with one vectorized
+        # segmented reduction.  Rows are taken only at nonzero-degree
+        # segments so reduceat's empty-slice quirk never applies; the
+        # per-segment minimum is the same value either way.
+        vals = ws.take("pull_first_vals", total, np.int64, fill=big)
+        np.copyto(vals, pos_in_seg, where=hits)
+        nz = np.flatnonzero(degs)
+        first_hit[nz] = np.minimum.reduceat(vals, excl[nz])
     else:
-        pos_in_seg = np.arange(total, dtype=np.int64) - excl[seg]
-        first_hit = np.full(len(unvisited), big, dtype=np.int64)
         np.minimum.at(first_hit, seg[hits], pos_in_seg[hits])
     found = first_hit != big
     # Edges actually examined: up to and including the first hit, or the

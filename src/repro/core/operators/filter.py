@@ -178,17 +178,11 @@ def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machi
     if n == 0:
         return Frontier.empty(frontier.kind)
 
-    # In pooled mode the heuristic masks (fresh arrays the culls own) are
-    # folded in place and the no-heuristics case defers entirely to
-    # resolve_masks' cached all-True view; unpooled keeps the legacy
-    # allocate-ones-then-AND sequence.  Values are identical.
-    keep = None if ws.pooled else np.ones(n, dtype=bool)
+    # The heuristic mask (a fresh array the cull owns) is folded in place;
+    # with no heuristics the functor mask is used as is.
+    keep = None
     if heuristics is not None and frontier.kind is FrontierKind.VERTEX:
-        culled = heuristics.cull(items, problem.graph.n)
-        if keep is None:
-            keep = culled
-        else:
-            keep &= culled
+        keep = heuristics.cull(items, problem.graph.n)
         if machine is not None:
             # three shared-memory/texture/bitmask probes per element
             machine.map_kernel("filter_heuristics", n, 3.0)

@@ -64,11 +64,8 @@ def _neighbor_reduce_body(problem, frontier, value_fn, op, lb, iteration,
 
     ws = workspace_of(problem)
     n_seg = len(frontier.items)
-    if ws.pooled:
-        offsets = ws.take("nr_offsets", n_seg + 1, np.int64)
-        offsets[0] = 0
-    else:
-        offsets = np.zeros(n_seg + 1, dtype=np.int64)
+    offsets = ws.take("nr_offsets", n_seg + 1, np.int64)
+    offsets[0] = 0
     np.cumsum(degs, out=offsets[1:])
     if len(eids) == 0:
         values = np.zeros(0, dtype=np.float64)
@@ -84,8 +81,7 @@ def _neighbor_reduce_body(problem, frontier, value_fn, op, lb, iteration,
         identity = np.inf if op == "min" else -np.inf
         out = np.full(n_seg, identity, dtype=np.float64)
         if len(values):
-            seg = np.repeat(ws.iota(n_seg) if ws.pooled
-                            else np.arange(n_seg, dtype=np.int64), degs)
+            seg = np.repeat(ws.iota(n_seg), degs)
             ufunc.at(out, seg, values)
         return out
     raise ValueError(f"unsupported reduction op {op!r}; use sum/min/max")

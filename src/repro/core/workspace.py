@@ -4,33 +4,45 @@ preallocated frontier double-buffers and scan workspaces.
 Gunrock allocates its frontier queues, scan temporaries, and bitmap
 companions once per problem and reuses them across BSP iterations
 (Merrill et al.'s BFS does the same with its double-buffered queues).
-The Python analogue of that discipline: a per-problem :class:`Workspace`
-that pools reusable scratch buffers keyed by ``(role, dtype)``, growing
-geometrically and handing out exact-size views, plus cached *constant*
-arrays (iota ramps, all-True / all-False masks) that turn whole
-allocate-and-fill passes into O(1) lookups.
+That is a decision about who owns memory, not a second copy of each
+operator: every operator has one body, and the :class:`Workspace` it
+borrows scratch from is one of two *providers* answering the same calls.
 
-Pooling invariants (see DESIGN.md §10):
+* The **pooled** provider (every engine but ``unpooled``) keeps
+  reusable buffers keyed by ``(role, dtype)``, growing geometrically and
+  handing out exact-size views, plus cached *constant* arrays (iota
+  ramps, all-True / all-False masks), sparse-clear bitmaps and a
+  per-graph expansion memo.
+* The **unpooled** provider lends nothing: ``take`` / ``iota`` /
+  ``true_mask`` / ``false_mask`` / ``bitmap_scatter`` allocate fresh
+  arrays, ``expansion_memo`` always misses and ``remember_expansion``
+  forgets.
+
+This module is the only one that knows which provider it is; operators
+and primitives never branch on it (CI's "One operator body" step).
+
+Borrowing invariants (see DESIGN.md §10):
 
 * **Scratch is borrowed, never owned.** A view returned by
   :meth:`Workspace.take` is valid only until the next ``take`` of the
-  same role; operators must not let pooled views escape into structures
-  that outlive the operator call (frontiers, piles, checkpoints).
+  same role; operators must not let borrowed views escape into
+  structures that outlive the operator call (frontiers, piles,
+  checkpoints).
 * **Frontier items always own their memory.** Operators produce output
   id arrays by fancy indexing (which copies) or by aliasing *immutable*
   inputs (cached iota ramps, CSR ``indices``), never by handing out
-  pooled scratch.
-* **Constant views are read-only.** ``iota`` / ``true_mask`` /
+  scratch.
+* **Constant views are read-only.** Pooled ``iota`` / ``true_mask`` /
   ``false_mask`` views are backed by ``writeable=False`` arrays, so an
   accidental in-place write raises instead of corrupting shared state.
-* **Bitwise-unchanged semantics.** The pooled and unpooled paths produce
-  identical arrays and identical simulated-cycle counters; the property
-  tests in ``tests/test_property_based.py`` enforce this.
+* **Identical results.** Both providers produce identical arrays and
+  identical simulated-cycle counters; ``tests/test_unpooled_reference.py``
+  holds the one body to the textbook bodies in
+  ``tests/unpooled_reference.py`` under either provider.
 
-Whether to pool follows the engine selection (:mod:`repro.core.engine`:
-every engine but ``unpooled`` pools) and is captured by each
-:class:`Workspace` at construction time — i.e. per problem — so a single
-benchmark process can build pooled and unpooled problems side by side.
+The provider follows the engine selection (:mod:`repro.core.engine`) and
+is captured by each :class:`Workspace` at construction time — i.e. per
+problem — so a single process can build both kinds side by side.
 """
 
 from __future__ import annotations
@@ -47,7 +59,8 @@ _MIN_CAPACITY = 1024
 
 
 def pooling_enabled() -> bool:
-    """Whether new Workspaces (new problems) default to pooled mode."""
+    """Whether new Workspaces (new problems) default to the pooled
+    provider."""
     return engine_mode() != "unpooled"
 
 
@@ -62,10 +75,10 @@ def _capacity_for(size: int) -> int:
 class Workspace:
     """Reusable scratch arena for one problem's operator invocations.
 
-    In pooled mode, :meth:`take` returns an exact-size view of a
-    geometrically grown backing buffer keyed by ``(role, dtype)``; in
-    unpooled mode every call allocates fresh (the legacy behavior the
-    benchmark compares against).
+    The pooled provider's :meth:`take` returns an exact-size view of a
+    geometrically grown backing buffer keyed by ``(role, dtype)``; the
+    unpooled provider allocates fresh on every call (what
+    ``benchmarks/bench_wallclock.py`` compares against).
     """
 
     __slots__ = ("pooled", "_pools", "_iota", "_true", "_false",
@@ -190,7 +203,7 @@ class Workspace:
         alternate between a bipartite graph and its reverse every
         iteration: a single slot would miss on every lookup.  Safe because
         frontier items and the handed-out lane arrays are immutable by
-        contract.
+        contract.  The unpooled provider always misses.
         """
         memo = self._expand_memo.get(id(graph))
         if memo is None:
@@ -205,22 +218,33 @@ class Workspace:
 
     def remember_expansion(self, graph, f: np.ndarray, out) -> None:
         """Store the expansion of ``f`` on ``graph`` for
-        :meth:`expansion_memo`, replacing that graph's previous entry."""
-        self._expand_memo[id(graph)] = (graph, f, out)
+        :meth:`expansion_memo`, replacing that graph's previous entry
+        (a no-op on the unpooled provider)."""
+        if self.pooled:
+            self._expand_memo[id(graph)] = (graph, f, out)
 
-    # -- pooled bitmaps with sparse clear ------------------------------------
+    # -- bitmaps with sparse clear ------------------------------------------
 
     def bitmap_scatter(self, role: str, size: int,
                        items: np.ndarray) -> np.ndarray:
-        """Scatter ``items`` into a pooled dense boolean map of ``size``.
+        """Scatter ``items`` into a dense boolean map of ``size``.
 
-        Instead of zeroing the whole map each call (the legacy
-        ``np.zeros(n)`` per pull iteration), only the positions set by
+        Ids outside ``[0, size)`` raise ``ValueError`` (a negative id
+        would otherwise wrap to the end of the map).  The pooled provider
+        does not zero the whole map each call: only the positions set by
         the *previous* scatter of this role are cleared — O(previous
-        frontier) instead of O(n).  The backing invariant: after every
-        call, the True positions in the backing buffer are exactly
-        ``items``.
+        frontier) instead of O(n) — and the map is borrowed until that
+        next scatter.  The backing invariant: after every call, the True
+        positions in the backing buffer are exactly ``items``.  The
+        unpooled provider returns a fresh zeroed map.
         """
+        if len(items) and (items.min() < 0 or items.max() >= size):
+            raise ValueError("frontier id exceeds bitmap size")
+        if not self.pooled:
+            self.stats["allocations"] += 1
+            view = np.zeros(size, dtype=bool)
+            view[items] = True
+            return view
         buf, last = self._bitmaps.get(role, (None, None))
         if buf is None or len(buf) < size:
             buf = np.zeros(_capacity_for(size), dtype=bool)
@@ -229,10 +253,7 @@ class Workspace:
         elif last is not None and len(last):
             buf[last] = False
         view = buf[:size]
-        if len(items):
-            if items.max() >= size:
-                raise ValueError("frontier id exceeds bitmap size")
-            view[items] = True
+        view[items] = True
         self._bitmaps[role] = (buf, items)
         return view
 
@@ -259,13 +280,13 @@ class Workspace:
         self._expand_memo.clear()
 
 
-#: shared fallback for duck-typed problem views that never attached a
-#: workspace (e.g. the gather-PageRank reverse-graph view): always
-#: unpooled, so such callers keep the legacy allocation behavior
+#: shared provider for callers without a workspace (duck-typed problem
+#: views, a bare ``Frontier.to_bitmap``): unpooled, so nothing it hands
+#: out is borrowed
 _FALLBACK = Workspace(pooled=False)
 
 
 def workspace_of(problem) -> Workspace:
-    """The problem's workspace, or an always-unpooled fallback."""
+    """The problem's workspace, or the shared unpooled provider."""
     ws = getattr(problem, "workspace", None)
     return ws if ws is not None else _FALLBACK

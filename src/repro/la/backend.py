@@ -251,8 +251,7 @@ def _prepare(enactor, name: str):
 
 LA = Backend(name="la", runners=RUNNERS, span_category=CAT_LA,
              prepare=_prepare,
-             no_runner="no linear-algebra lowering for primitive '{name}'",
-             needs_pooled="the la backend requires the pooled workspace")
+             no_runner="no linear-algebra lowering for primitive '{name}'")
 
 
 def try_la(enactor, frontier: Frontier) -> Optional[Frontier]:

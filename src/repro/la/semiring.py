@@ -106,9 +106,9 @@ class Scratch:
     Each buffer holds its fill value in every slot between products:
     the borrower resets exactly the slots it wrote (the sparse-clear
     discipline of :meth:`Workspace.bitmap_scatter`), so a product costs
-    no ``np.full(n, ...)``.  Backed by the problem's pooled
-    :class:`~repro.core.workspace.Workspace`; a product called without
-    one gets throwaway arrays.  ``lanes`` reports the edge lanes the
+    no ``np.full(n, ...)``.  Each buffer is taken once from the problem's
+    :class:`~repro.core.workspace.Workspace` (either provider); a product
+    called without one gets throwaway arrays.  ``lanes`` reports the edge lanes the
     last product expanded — what the runners charge the cost model.
     """
 

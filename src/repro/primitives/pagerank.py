@@ -58,23 +58,15 @@ class _DistributeFunctor(Functor):
     """advance: scatter ``damping * residual/degree`` along out-edges."""
 
     def apply_edge(self, P, src, dst, eid):
-        ws = P.workspace
-        if ws.pooled:
-            # same arithmetic, folded in place on the gathered values
-            # (float multiply is commutative bitwise), and the constant
-            # admit-nothing mask comes from the pool instead of a fresh
-            # zeroed m-sized array every iteration
-            vals = P.residual[src]
-            np.multiply(vals, P.damping, out=vals)
-            np.divide(vals, P.degrees[src], out=vals)
-            atomics.atomic_add(P.residual_next, dst, vals, P.machine)
-            return ws.false_mask(len(src))
-        atomics.atomic_add(P.residual_next, dst,
-                           P.damping * P.residual[src] / P.degrees[src],
-                           P.machine)
-        # the advance exists for its atomicAdd side effect; the next
-        # frontier is re-derived by the filter over all vertices
-        return np.zeros(len(src), dtype=bool)
+        # damping * residual / degree, folded in place on the gathered
+        # values (float multiply is commutative bitwise).  The advance
+        # exists for its atomicAdd side effect; the next frontier is
+        # re-derived by the filter over all vertices, so admit nothing.
+        vals = P.residual[src]
+        np.multiply(vals, P.damping, out=vals)
+        np.divide(vals, P.degrees[src], out=vals)
+        atomics.atomic_add(P.residual_next, dst, vals, P.machine)
+        return P.workspace.false_mask(len(src))
 
     def apply_edge_segmented(self, P, f, degs, dst, eid):
         # the scattered value is a function of the source vertex alone,
@@ -97,9 +89,7 @@ class _CommitFunctor(Functor):
     def apply_vertex(self, P, v):
         from ..analysis.sanitizer import current_sanitizer
 
-        ws = P.workspace
-        if ws.pooled and current_sanitizer() is None \
-                and v is P.graph.artifacts.iota_n:
+        if current_sanitizer() is None and v is P.graph.artifacts.iota_n:
             # the all-vertices commit is a straight elementwise pass —
             # identical values to the fancy-indexed path below, minus
             # the gather/scatter copies.  (Disabled under the sanitizer,
@@ -134,16 +124,11 @@ class PagerankEnactor(EnactorBase):
 
 
 def _all_vertices(P: PagerankProblem) -> Frontier:
-    """The per-iteration full-range filter frontier.
-
-    Pooled mode wraps the graph's cached read-only iota ramp (no fresh
-    ``arange(n)`` per super-step, and the identity lets the operators
-    take their all-vertices fast paths); unpooled keeps the legacy fresh
-    allocation.
+    """The per-iteration full-range filter frontier: the graph's cached
+    read-only iota ramp, so no ``arange(n)`` is built per super-step and
+    the identity lets the operators take their all-vertices fast paths.
     """
-    if P.workspace.pooled:
-        return Frontier(P.graph.artifacts.iota_n)
-    return Frontier.all_vertices(P.graph.n)
+    return Frontier(P.graph.artifacts.iota_n)
 
 
 class GatherPagerankEnactor(EnactorBase):
@@ -169,8 +154,7 @@ class GatherPagerankEnactor(EnactorBase):
             machine = P.machine
             workspace = P.workspace
 
-        all_v = Frontier(rev.artifacts.iota_n) if P.workspace.pooled \
-            else Frontier.all_vertices(g.n)
+        all_v = Frontier(rev.artifacts.iota_n)
         gathered = neighbor_reduce(
             _View(), all_v,
             lambda _, s, d, e: P.damping * P.residual[d] / P.degrees[d],

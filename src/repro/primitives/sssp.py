@@ -30,10 +30,9 @@ class SsspProblem(ProblemBase):
 
     def __init__(self, graph: Csr, machine: Optional[Machine] = None):
         super().__init__(graph, machine)
-        # pooled problems read the graph's cached (read-only) float64
-        # weights instead of materializing a fresh copy per problem
-        self.weights = graph.artifacts.weights64 if self.workspace.pooled \
-            else graph.weight_or_ones()
+        # the graph's cached (read-only) float64 weights, not a fresh
+        # copy per problem
+        self.weights = graph.artifacts.weights64
         if np.any(self.weights < 0):
             raise ValueError("SSSP requires non-negative edge weights "
                              "(Section 4.2: Dijkstra-family methods)")
@@ -61,18 +60,13 @@ class _RelaxFunctor(Functor):
     """
 
     def apply_edge(self, P, src, dst, eid):
-        if P.workspace.pooled:
-            # fold the weight into the gathered labels in place (owned
-            # gather result) — one fewer m-sized temporary per relax
-            new_label = P.labels[src]
-            np.add(new_label, P.weights[eid], out=new_label)
-            won = atomics.atomic_min(P.labels, dst, new_label, P.machine)
-            achieved = new_label == P.labels[dst]
-            np.logical_and(won, achieved, out=achieved)
-        else:
-            new_label = P.labels[src] + P.weights[eid]
-            won = atomics.atomic_min(P.labels, dst, new_label, P.machine)
-            achieved = won & (new_label == P.labels[dst])
+        # fold the weight into the gathered labels in place (owned
+        # gather result) — one fewer m-sized temporary per relax
+        new_label = P.labels[src]
+        np.add(new_label, P.weights[eid], out=new_label)
+        won = atomics.atomic_min(P.labels, dst, new_label, P.machine)
+        achieved = new_label == P.labels[dst]
+        np.logical_and(won, achieved, out=achieved)
         idx = achieved.nonzero()[0]
         if len(idx):
             # one deterministic winner per destination: first lane in order

@@ -163,19 +163,6 @@ def sort_pairs(keys: np.ndarray, values: np.ndarray,
     return keys[order], values[order]
 
 
-_pooling_enabled = None
-
-
-def _pooling() -> bool:
-    """``core.workspace.pooling_enabled()``, bound on first use: simt is a
-    lower layer than core, so a module-level import would be cyclic."""
-    global _pooling_enabled
-    if _pooling_enabled is None:
-        from ..core.workspace import pooling_enabled
-        _pooling_enabled = pooling_enabled
-    return _pooling_enabled()
-
-
 def first_of_run(sorted_keys: np.ndarray) -> np.ndarray:
     """Mask of the first element of every run of equal adjacent keys."""
     first = np.empty(len(sorted_keys), dtype=bool)
@@ -187,13 +174,12 @@ def first_of_run(sorted_keys: np.ndarray) -> np.ndarray:
 def unique_by_sort(keys: np.ndarray, machine: Optional[Machine] = None) -> np.ndarray:
     """Deduplicate via sort + adjacent-difference compaction.
 
-    With pooling enabled globally, dense nonnegative id sets take a
-    scatter-and-compact path (mark a bitmap, ``flatnonzero`` it) instead
-    of sorting — the output is the same sorted unique array, and the
-    simulated charge is identical."""
+    Dense nonnegative id sets take a scatter-and-compact path (mark a
+    bitmap, ``flatnonzero`` it) instead of sorting — the output is the
+    same sorted unique array, and the simulated charge is identical."""
     keys = np.asarray(keys)
     out = None
-    if len(keys) > 32 and keys.dtype == np.int64 and _pooling():
+    if len(keys) > 32 and keys.dtype == np.int64:
         hi = int(keys.max()) + 1
         if int(keys.min()) >= 0 and hi <= 4 * len(keys):
             seen = np.zeros(hi, dtype=bool)

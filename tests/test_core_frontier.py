@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Frontier, FrontierKind
+from repro.core.workspace import Workspace
 from repro.simt import Machine
 
 
@@ -50,6 +51,15 @@ def test_bitmap_rejects_overflow():
     f = Frontier(np.array([10]))
     with pytest.raises(ValueError):
         f.to_bitmap(5)
+
+
+@pytest.mark.parametrize("pooled", [True, False, None])
+def test_bitmap_rejects_negative_ids(pooled):
+    # -1 must not wrap to the last vertex, on either scratch provider
+    ws = None if pooled is None else Workspace(pooled=pooled)
+    f = Frontier.from_vertices([-1, 2])
+    with pytest.raises(ValueError, match="exceeds bitmap size"):
+        f.to_bitmap(5, workspace=ws)
 
 
 def test_bitmap_costs_kernel():

@@ -31,9 +31,6 @@ REASONS = {
     "unknown_primitive": {
         "fused": "no fused runner for primitive 'mis'",
         "la": "no linear-algebra lowering for primitive 'mis'"},
-    "unpooled_workspace": {
-        "fused": "fused plans require the pooled workspace",
-        "la": "the la backend requires the pooled workspace"},
     "sanitizer_active": {"fused": SANITIZER, "la": SANITIZER},
     "fault_injector": {"fused": RESILIENCE, "la": RESILIENCE},
     "checkpointing": {"fused": RESILIENCE, "la": RESILIENCE},
@@ -50,14 +47,7 @@ def _run_refused(refusal, mode, g):
         with engine(mode):
             assert mis(g, machine=Machine()).set_size > 0
         return "mis"
-    if refusal == "unpooled_workspace":
-        with engine("unpooled"):
-            problem = BfsProblem(g, Machine())
-        problem.set_source(0)
-        with engine(mode):
-            BfsEnactor(problem).enact(Frontier.from_vertex(0))
-        labels = problem.labels
-    elif refusal == "sanitizer_active":
+    if refusal == "sanitizer_active":
         with engine(mode), sanitize(strict=True):
             labels = bfs(g, 0, machine=Machine()).labels
     else:
@@ -82,6 +72,34 @@ def test_dispatch_refusal(mode, refusal):
         f'repro_{mode}_dispatch_total{{engine="pooled",'
         f'primitive="{primitive}"}}': 1.0}
     assert not [s for s in ob.tracer.spans if s.cat in (CAT_FUSED, CAT_LA)]
+
+
+@pytest.mark.parametrize("mode", ["fused", "la"])
+def test_problem_built_unpooled_runs_under_the_engine(mode):
+    """The provider only decides who lends scratch: a problem built under
+    ``engine("unpooled")`` is taken by fused and la like any other, with
+    labels bitwise equal to the pooled library loop."""
+    from repro.graph.generators import kronecker
+
+    g = kronecker(8, seed=3)
+    src = int(np.flatnonzero(g.out_degrees)[0])
+    with engine("pooled"):
+        want = bfs(g, src, machine=Machine()).labels
+    clear_fallbacks()
+    with engine("unpooled"):
+        problem = BfsProblem(g, Machine())
+    assert not problem.workspace.pooled
+    problem.set_source(src)
+    with observe() as ob, engine(mode):
+        BfsEnactor(problem).enact(Frontier.from_vertex(src))
+    assert fallback_log() == []
+    samples = {k: v for k, v in ob.metrics.as_dict().items()
+               if "_dispatch_total" in k}
+    assert samples == {
+        f'repro_{mode}_dispatch_total{{engine="{mode}",'
+        f'primitive="bfs"}}': 1.0}
+    assert problem.labels.dtype == want.dtype
+    assert np.array_equal(problem.labels, want)
 
 
 def test_invalid_env_engine_is_rejected():
