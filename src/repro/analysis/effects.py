@@ -34,10 +34,6 @@ from .linter import (FUNCTOR_METHODS, _is_functor_class, _is_problem_class,
                      collect_source_violations)
 from .rules import RULES, Violation
 
-#: methods analyzed per functor: the four fused-kernel methods plus the
-#: push advance's segment-aware apply variant
-EFFECT_METHODS = FUNCTOR_METHODS + ("apply_edge_segmented",)
-
 #: repro.core.atomics entry points and their reduction ops
 ATOMIC_WRITERS: Dict[str, str] = {
     "atomic_min": "min", "atomic_max": "max", "atomic_add": "add",
@@ -826,7 +822,7 @@ def analyze_module_source(source: str, filename: str = "<string>") \
                                  line=node.lineno, idempotent=idempotent)
         for method in node.body:
             if isinstance(method, ast.FunctionDef) \
-                    and method.name in EFFECT_METHODS:
+                    and method.name in FUNCTOR_METHODS:
                 args = method.args.args
                 pparam = args[1].arg if len(args) > 1 else None
                 analyzer = _MethodAnalyzer(method, registry=out.registry,

@@ -19,8 +19,8 @@ A plan has two halves:
 * a **per-graph** half learned once from the graph's artifact cache
   degree profile — the :class:`RegimeTable` of load-balance thresholds
   (when to map kept lanes back through ``searchsorted`` vs a dense
-  repeat, when the push->pull flip can even trigger, when a sparse
-  transpose SpMV beats a segmented ``bincount``).
+  repeat, when the push->pull flip can even trigger, when the transpose
+  product beats a segmented ``bincount``).
 
 Plans are cached per ``(primitive, graph)`` on the graph object itself
 (one slot next to the artifact cache), so repeated runs and the serving
@@ -32,14 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..graph.csr import Csr
+from ..graph.csr import Csr, transpose_min_edges
 from .fusion import PrimitiveReport, analyze_paths
-
-try:                                    # optional: 0/1 transpose SpMV
-    import scipy.sparse as _sp          # noqa: F401
-    HAVE_SCIPY = True
-except ImportError:                     # pragma: no cover - env-dependent
-    HAVE_SCIPY = False
 
 #: ops whose functor mask decides the *output frontier*, per DAG op kind
 _MASK_OF = {"advance": "apply_edge", "filter": "apply_vertex",
@@ -48,7 +42,7 @@ _MASK_OF = {"advance": "apply_edge", "filter": "apply_vertex",
 #: atomic reduction -> the bitwise-identical sequential lowering the
 #: fused engine substitutes (DESIGN §15 has the proofs)
 ATOMIC_LOWERINGS = {
-    "add": "segmented_sum",      # bincount / transpose-SpMV into zeros
+    "add": "segmented_sum",      # bincount / transpose product into zeros
     "min": "winner_lane_fold",   # minimum.at over improving lanes only
     "max": "winner_lane_fold",
     "cas": "first_occurrence",   # stable first claim per cell
@@ -85,7 +79,9 @@ class RegimeTable:
     ``beta_cut``: frontier size below which the direction optimizer's
     push->pull flip is statically impossible, so per-step frontier
     statistics are skipped.  ``spmv_min_edges``: minimum edge volume for
-    the transpose-SpMV segmented sum to beat ``bincount``.
+    the transpose-product segmented sum to beat ``bincount``
+    (:func:`repro.graph.csr.transpose_min_edges`, which the library
+    advance reads too).
     """
 
     n: int
@@ -95,7 +91,6 @@ class RegimeTable:
     coarse_edges: int
     beta_cut: float
     spmv_min_edges: int
-    use_spmv: bool
 
     @classmethod
     def learn(cls, graph: Csr, *, beta: float = 18.0) -> "RegimeTable":
@@ -110,8 +105,7 @@ class RegimeTable:
         coarse = max(4096, int(64 * avg))
         return cls(n=n, m=m, avg_degree=avg, max_degree=mx,
                    coarse_edges=coarse, beta_cut=n / beta,
-                   spmv_min_edges=max(1, m // 4),
-                   use_spmv=HAVE_SCIPY and m > 0)
+                   spmv_min_edges=transpose_min_edges(m))
 
     def as_dict(self) -> dict:
         return {"n": self.n, "m": self.m,
@@ -119,8 +113,7 @@ class RegimeTable:
                 "max_degree": self.max_degree,
                 "coarse_edges": self.coarse_edges,
                 "beta_cut": self.beta_cut,
-                "spmv_min_edges": self.spmv_min_edges,
-                "use_spmv": self.use_spmv}
+                "spmv_min_edges": self.spmv_min_edges}
 
 
 @dataclass

@@ -54,18 +54,19 @@ class Functor:
         narrows which lanes' destinations enter the output frontier."""
         return None
 
-    #: Optional segment-aware variant of ``apply_edge`` used by the push
-    #: advance when the functor declares no ``cond_edge`` (so lanes
-    #: are still grouped by source vertex).  Signature:
-    #: ``apply_edge_segmented(problem, frontier, degrees, dst, edge_id)``
-    #: where lane ``l`` belongs to ``frontier[i]`` for the ``i`` whose
-    #: degree run covers ``l`` — i.e. ``src == np.repeat(frontier,
-    #: degrees)``.  A functor whose per-lane work is a function of the
-    #: source vertex can compute it once per vertex and ``np.repeat`` the
-    #: results (bit-identical, since the same float ops run on the same
-    #: values), instead of paying gather + arithmetic per lane.  Must
-    #: return the same mask ``apply_edge`` would.
-    apply_edge_segmented = None
+    #: Optional declaration of a source scatter: a functor whose whole
+    #: ``apply_edge`` is "atomicAdd a per-source value along every
+    #: out-edge into one accumulator, admit nothing" (PageRank's and
+    #: SALSA's walks) says so as ``scatter_source(problem, frontier) ->
+    #: (accumulator, values)``, one value per frontier vertex, computed
+    #: with the same float ops ``apply_edge`` runs per lane.  The push
+    #: advance (with no ``cond_edge``) then owns the scatter and has one
+    #: lowering for it: ``graph.csr.transpose_product`` where that is
+    #: bitwise safe, else ``atomic_add(accumulator, dst,
+    #: np.repeat(values, degrees))`` over the expanded lanes.
+    #: ``apply_edge`` stays the per-lane spelling the analyzer and the
+    #: sanitizer read.
+    scatter_source = None
 
     # -- vertex-centric (filter / compute) -----------------------------------
 

@@ -16,9 +16,10 @@ total cycles.  That holds because every lowering below is an exact
 algebraic substitution, not an approximation:
 
 * ``atomic_add`` into a zeroed accumulator ``==`` ``np.bincount`` (and
-  ``==`` a 0/1 CSC-transpose SpMV in stored-edge order): float addition
-  starting from +0.0 associates identically when the partial sums are
-  built in the same lane order.
+  ``==`` :func:`repro.graph.csr.transpose_product`, which the library
+  advance takes too, on the inputs it accepts): float addition starting
+  from +0.0 associates identically when the partial sums are built in
+  the same lane order.
 * ``atomic_min``/``atomic_max`` fold over *winner lanes only* — losing
   lanes can never be the per-cell extremum, so ``minimum.at`` over the
   improving subset yields the same cells.
@@ -42,7 +43,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..graph.csr import row_lanes
+from ..graph.csr import row_lanes, transpose_product
 from ..obs.spans import CAT_FUSED
 from ..simt import calib
 from ..simt.primitives import first_occurrence, unique_by_sort
@@ -52,43 +53,6 @@ from .frontier import Frontier, FrontierKind
 from .operators.advance import advance as _op_advance
 from .superstep import (EMPTY, bfs_direction, charge_push, frontier_degrees,
                         rank_commit, rank_contribution, run_supersteps)
-
-try:
-    import scipy.sparse as _sp
-except ImportError:                      # pragma: no cover - env-dependent
-    _sp = None
-
-#: reserved key in the per-graph plan cache for the 0/1 transpose matrix
-_T_KEY = "__transpose_ones__"
-
-
-def _transpose_ones(graph):
-    """Cached scipy CSR of the transpose with unit weights, stored-edge
-    order matching the CSC (so SpMV accumulation order == lane order)."""
-    cache = graph._fused_plans
-    if cache is None:
-        cache = {}
-        graph._fused_plans = cache
-    T = cache.get(_T_KEY)
-    if T is None and _sp is not None:
-        csc = graph.csc
-        T = _sp.csr_matrix(
-            (np.ones(graph.m), csc.indices.astype(np.int64),
-             csc.indptr.astype(np.int64)), shape=(graph.n, graph.n))
-        cache[_T_KEY] = T
-    return T
-
-
-def transpose_product(T, n: int, f: np.ndarray, contrib: np.ndarray,
-                      full: bool) -> np.ndarray:
-    """``T @ x`` with ``x`` the frontier's contributions scattered into a
-    dense vector: per-cell accumulation in stored (CSC = ascending edge
-    id) order, identical to the lane-order atomic add."""
-    if not full:
-        x = np.zeros(n)
-        x[f] = contrib
-        contrib = x
-    return T @ contrib
 
 
 # ------------------------------------------------------------ shared kernels
@@ -237,10 +201,9 @@ def _run_pagerank(en, frontier: Frontier) -> Frontier:
     g = P.graph
     machine = P.machine
     lb = en.lb
-    regimes = en._fused_plan.regimes
+    spmv_min_edges = en._fused_plan.regimes.spmv_min_edges
     n = g.n
     indices = g.indices
-    T = _transpose_ones(g) if regimes.use_spmv else None
 
     def step(f, it):
         contrib, full = rank_contribution(P, f)
@@ -248,21 +211,18 @@ def _run_pagerank(en, frontier: Frontier) -> Frontier:
             degs, ne = g.artifacts.out_degrees, g.m
         else:
             degs, ne = frontier_degrees(g, f)
-        spmv = T is not None and ne >= regimes.spmv_min_edges
+        res = np.zeros(n)
+        summed = ne >= spmv_min_edges and transpose_product(g, res, f, contrib)
         # the destination lanes price the atomics and feed the bincount;
-        # an uncharged SpMV step never needs them
+        # an uncharged product step never needs them
         lanes = EMPTY
-        if ne and (machine is not None or not spmv):
+        if ne and (machine is not None or not summed):
             lanes = indices if full else \
                 indices[row_lanes(g.indptr, f, degs, ne, P.workspace)[1]]
         charge_push(P, lb, degs, ne, it, ("atomic_add", lanes))
         if machine is not None:
             machine.counters.record_frontier(0)
-        if ne == 0:
-            res = np.zeros(n)
-        elif spmv:
-            res = transpose_product(T, n, f, contrib, full)
-        else:
+        if ne and not summed:
             vals = contrib[g.edge_sources] if full else contrib.repeat(degs)
             res = np.bincount(lanes, weights=vals, minlength=n)
         f, nk = rank_commit(P, res)

@@ -21,7 +21,11 @@ Rows become edge lanes in one place, :func:`repro.graph.csr.row_lanes`;
 this file adds what advance needs around it: all-vertices frontiers are
 served straight from the graph's :class:`~repro.graph.csr.ArtifactCache`,
 repeated frontiers from the workspace's expansion memo, and compaction
-copies are skipped when no lane was culled.  There is one body; the
+copies are skipped when no lane was culled.  A functor that declares a
+source scatter (``Functor.scatter_source``: PageRank's and SALSA's
+walks) gets one lowering of it, which builds no lane at all wherever
+:func:`repro.graph.csr.transpose_product` is bitwise safe and
+uncharged.  There is one body; the
 problem's :class:`~repro.core.workspace.Workspace` only decides whether
 scratch is lent (pooled) or freshly allocated (unpooled).  The textbook
 bodies it replaced live on as the oracle in ``tests/unpooled_reference.py``.
@@ -33,10 +37,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ...analysis.sanitizer import kernel_scope
-from ...graph.csr import row_lanes
+from ...analysis.sanitizer import current_sanitizer, kernel_scope
+from ...graph.csr import row_lanes, transpose_min_edges, transpose_product
 from ...obs.spans import CAT_OPERATOR, span as obs_span
 from ...simt import calib
+from .. import atomics
 from ..frontier import Frontier, FrontierKind
 from ..functor import Functor, resolve_masks
 from ..loadbalance import LoadBalancer, default_load_balancer
@@ -176,48 +181,71 @@ def _advance_push(problem: ProblemBase, frontier: Frontier, functor: Functor,
 
 
 def _push_body(problem, f_vertices, functor, output_kind, lb, iteration):
+    if functor.scatter_source is not None \
+            and type(functor).cond_edge is Functor.cond_edge:
+        _push_scatter(problem, f_vertices, functor, lb, iteration)
+        return Frontier.empty(output_kind)
     ws = workspace_of(problem)
-    # Segment-aware apply (see Functor.apply_edge_segmented): only when the
-    # functor declares no cond_edge, so lanes reach apply still grouped by
-    # source vertex.
-    use_seg = (functor.apply_edge_segmented is not None
-               and type(functor).cond_edge is Functor.cond_edge)
-    srcs, dsts, eids, degs = expand_push(problem, f_vertices,
-                                         need_srcs=not use_seg)
+    srcs, dsts, eids, degs = expand_push(problem, f_vertices)
     _charge_advance(problem, degs, lb, "advance_push", len(eids), iteration)
     if len(eids) == 0:
         return Frontier.empty(output_kind)
     fname = type(functor).__name__
     with kernel_scope("advance_push", problem, functor):
-        if use_seg:
-            f64 = np.asarray(f_vertices, dtype=np.int64)
-            applied = functor.apply_edge_segmented(problem, f64, degs,
-                                                   dsts, eids)
-            keep = resolve_masks(len(eids), applied,
-                                 where=f"{fname}.apply_edge", workspace=ws)
-        else:
-            cond = functor.cond_edge(problem, srcs, dsts, eids)
-            keep = resolve_masks(len(eids), cond, where=f"{fname}.cond_edge",
-                                 workspace=ws)
-            if not ws.is_true_view(keep) and not keep.all():
-                srcs, dsts, eids = srcs[keep], dsts[keep], eids[keep]
-            if len(eids) == 0:
-                return Frontier.empty(output_kind)
-            applied = functor.apply_edge(problem, srcs, dsts, eids)
-            keep = resolve_masks(len(eids), applied,
-                                 where=f"{fname}.apply_edge", workspace=ws)
+        cond = functor.cond_edge(problem, srcs, dsts, eids)
+        keep = resolve_masks(len(eids), cond, where=f"{fname}.cond_edge",
+                             workspace=ws)
+        if not ws.is_true_view(keep) and not keep.all():
+            srcs, dsts, eids = srcs[keep], dsts[keep], eids[keep]
+        if len(eids) == 0:
+            return Frontier.empty(output_kind)
+        applied = functor.apply_edge(problem, srcs, dsts, eids)
+        keep = resolve_masks(len(eids), applied,
+                             where=f"{fname}.apply_edge", workspace=ws)
     out_src = dsts if output_kind is FrontierKind.VERTEX else eids
     if ws.is_true_view(keep):
         # no lane culled: alias the (immutable) lane array instead of a
         # full fancy-index copy — frontier items are never mutated
         out_items = out_src
     elif ws.is_false_view(keep):
-        # admit-nothing functor (PageRank's scatter): skip the O(m)
-        # compaction scan that would produce an empty array anyway
+        # admit-nothing mask: skip the compaction scan that would
+        # produce an empty array anyway
         out_items = out_src[:0]
     else:
         out_items = out_src[keep]
     return Frontier(out_items, output_kind)
+
+
+def _push_scatter(problem, f_vertices, functor, lb, iteration) -> None:
+    """The one lowering of a declared source scatter
+    (``Functor.scatter_source``); it admits nothing.
+
+    With no machine to charge the atomic's conflicts from the destination
+    lanes and no sanitizer to observe them, and an edge volume past
+    :func:`~repro.graph.csr.transpose_min_edges`, the scatter is the
+    transpose product, which refuses inputs it would not equal the lanes
+    on.  Everything else expands the lanes and adds each source's value
+    along them.
+    """
+    g = problem.graph
+    f = np.asarray(f_vertices, dtype=np.int64)
+    acc = values = None
+    if problem.machine is None and current_sanitizer() is None:
+        art = g.artifacts
+        ne = g.m if f is art.iota_n else int(art.out_degrees[f].sum())
+        if ne >= transpose_min_edges(g.m):
+            acc, values = functor.scatter_source(problem, f)
+            if transpose_product(g, acc, f, values):
+                return
+    _, dsts, eids, degs = expand_push(problem, f, need_srcs=False)
+    _charge_advance(problem, degs, lb, "advance_push", len(eids), iteration)
+    if len(eids) == 0:
+        return
+    with kernel_scope("advance_push", problem, functor):
+        if values is None:
+            acc, values = functor.scatter_source(problem, f)
+        atomics.atomic_add(acc, dsts, np.repeat(values, degs),
+                           problem.machine)
 
 
 def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,

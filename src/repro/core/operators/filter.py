@@ -188,18 +188,19 @@ def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machi
             machine.map_kernel("filter_heuristics", n, 3.0)
 
     fname = type(functor).__name__
+    edges = frontier.kind is FrontierKind.EDGE
     with kernel_scope("filter", problem, functor):
-        if frontier.kind is FrontierKind.VERTEX:
-            cond = functor.cond_vertex(problem, items)
-            cmask = resolve_masks(n, cond, where=f"{fname}.cond_vertex",
+        if edges:
+            # each endpoint is gathered once: cond_edge and apply_edge see
+            # the same arrays, compacted only when a lane was culled
+            g = problem.graph
+            srcs, dsts = g.edge_sources[items], g.indices[items]
+            cond = functor.cond_edge(problem, srcs, dsts, items)
+            cmask = resolve_masks(n, cond, where=f"{fname}.cond_edge",
                                   workspace=ws)
         else:
-            g = problem.graph
-            cond = functor.cond_edge(problem,
-                                     g.edge_sources[items],
-                                     g.indices[items],
-                                     items)
-            cmask = resolve_masks(n, cond, where=f"{fname}.cond_edge",
+            cond = functor.cond_vertex(problem, items)
+            cmask = resolve_masks(n, cond, where=f"{fname}.cond_vertex",
                                   workspace=ws)
         if keep is None:
             keep = cmask  # borrowed (possibly read-only) — never mutated
@@ -208,22 +209,26 @@ def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machi
 
         if ws.is_true_view(keep):
             survivors = items  # nothing culled: alias the immutable queue
+        elif edges:
+            # three compactions by one index list (a boolean compaction
+            # of a mixed mask costs several times a gather), or none when
+            # the mask kept every lane
+            kidx = keep.nonzero()[0]
+            survivors = items
+            if len(kidx) < n:
+                survivors, srcs, dsts = items[kidx], srcs[kidx], dsts[kidx]
         else:
             survivors = items[keep]
         if len(survivors):
-            if frontier.kind is FrontierKind.VERTEX:
+            if edges:
+                applied = functor.apply_edge(problem, srcs, dsts, survivors)
+                mask2 = resolve_masks(len(survivors), applied,
+                                      where=f"{fname}.apply_edge",
+                                      workspace=ws)
+            else:
                 applied = functor.apply_vertex(problem, survivors)
                 mask2 = resolve_masks(len(survivors), applied,
                                       where=f"{fname}.apply_vertex",
-                                      workspace=ws)
-            else:
-                g = problem.graph
-                applied = functor.apply_edge(problem,
-                                             g.edge_sources[survivors],
-                                             g.indices[survivors],
-                                             survivors)
-                mask2 = resolve_masks(len(survivors), applied,
-                                      where=f"{fname}.apply_edge",
                                       workspace=ws)
             if not ws.is_true_view(mask2):
                 survivors = survivors[mask2]

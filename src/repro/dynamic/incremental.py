@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..graph.csr import Csr, row_lanes
+from ..graph.csr import Csr, row_lanes, transpose_product
 from ..simt import calib
 from ..simt.primitives import first_of_run
 from .delta import (DeltaCsr, MutationBatch, WEIGHT_INSENSITIVE)
@@ -359,7 +359,8 @@ def pagerank_defect(g: Csr, rank: np.ndarray, *,
     push = np.zeros(g.n, dtype=np.float64)
     deg = np.maximum(g.out_degrees, 1).astype(np.float64)
     contrib = damping * rank / deg
-    np.add.at(push, g.indices, np.repeat(contrib, g.out_degrees))
+    if not transpose_product(g, push, g.artifacts.iota_n, contrib):
+        np.add.at(push, g.indices, np.repeat(contrib, g.out_degrees))
     return b + push - rank
 
 

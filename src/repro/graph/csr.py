@@ -8,6 +8,10 @@ structure-of-arrays (SoA) columns so that simulated accesses coalesce.
 The CSR object is immutable after construction; a reverse (CSC) view used
 by pull-based traversal is built lazily and cached, along with the
 edge-source expansion used by edge frontiers.
+
+Two kernels turn rows into work on their edges: :func:`row_lanes` expands
+them into one lane per edge, and :func:`transpose_product` sums a
+per-row value into every edge's destination without building a lane.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+
+try:                                     # optional: the 0/1 transpose product
+    import scipy.sparse as _sp
+except ImportError:                      # pragma: no cover - env-dependent
+    _sp = None
 
 # Topology is normalized to int64 at construction so the operator hot
 # paths (advance/filter/pull expansion) index directly into it without
@@ -58,6 +67,97 @@ def row_lanes(indptr: np.ndarray, rows: np.ndarray, degs: np.ndarray,
     return excl, eids
 
 
+def transpose_min_edges(m: int) -> int:
+    """Edge volume from which one ``T @ x`` over all ``m`` edges beats
+    scattering the frontier's own lanes: a quarter of the graph, the
+    fused engine's crossover (``RegimeTable.spmv_min_edges``)."""
+    return max(1, m // 4)
+
+
+def transpose_product(graph: "Csr", acc: np.ndarray, rows: np.ndarray,
+                      values) -> bool:
+    """``acc[:] = T @ x`` with ``x[rows] = values`` and ``T`` the graph's
+    0/1 transpose (:attr:`ArtifactCache.transpose_ones`): the gather form
+    of ``atomic_add(acc, dsts, repeat(values, degs))`` over the lanes of
+    ``rows``, equal to it bitwise, built without a single lane.
+
+    Runs, and returns True, only when that equality is guaranteed:
+
+    * ``acc`` is float64 with one cell per vertex, every cell +0.0
+      bitwise, so each cell's sum starts from +0.0 in both forms;
+    * ``rows`` is the cached ``iota_n`` or strictly increasing, so each
+      cell receives its lanes in ascending source order.  A source
+      outside ``rows`` adds ``1.0 * +0.0``, which leaves a sum begun at
+      +0.0 unchanged;
+    * ``T`` exists: scipy is present, ``m > 0``, and every row of ``T``
+      stores its sources in ascending order, the order the lanes add
+      them in.
+
+    Otherwise ``acc`` is left untouched and False comes back: the caller
+    scatters lanes.  Edge volume is the caller's choice
+    (:func:`transpose_min_edges`).
+    """
+    n = graph.n
+    if acc.dtype != np.float64 or acc.shape != (n,) \
+            or acc.view(np.uint64).any():
+        return False
+    full = rows is graph.artifacts.iota_n
+    if not full and len(rows) > 1 and not (rows[1:] > rows[:-1]).all():
+        return False
+    T = graph.artifacts.transpose_ones
+    if T is None:
+        return False
+    if full or len(rows) == n:           # n ascending vertex ids are iota
+        x = np.ascontiguousarray(values, dtype=np.float64)
+    else:
+        x = np.zeros(n)
+        x[rows] = values
+    acc[:] = T @ x
+    return True
+
+
+#: read-only unit weights; every transpose's ``data`` is a prefix view
+_UNITS = np.ones(0)
+
+
+def _unit_weights(m: int) -> np.ndarray:
+    # frozen before it is published, and sliced from the local, so a
+    # thread that loses a race to grow the run still gets m read-only ones
+    global _UNITS
+    u = _UNITS
+    if len(u) < m:
+        u = np.ones(m)
+        u.setflags(write=False)
+        if len(u) > len(_UNITS):
+            _UNITS = u
+    return u[:m]
+
+
+def _transpose_ones(g: "Csr"):
+    """The scipy CSR of ``g``'s transpose with unit weights, or None.
+
+    Rows are destinations and columns sources, laid out as ``g.csc``: the
+    CSC's own int64 ``indptr``/``indices`` are assigned, not passed to
+    the constructor, which would copy them down to int32, and the weights
+    are a view of one read-only run of ones shared by every graph.  None
+    without scipy, without edges, or when some CSC row lists its sources
+    out of order (a graph whose ``csc`` is another graph's unsorted CSR).
+    """
+    if _sp is None or g.m == 0:
+        return None
+    csc = g.csc
+    # a drop in source id is allowed only where a new row starts
+    drops = np.flatnonzero(csc.indices[1:] < csc.indices[:-1]) + 1
+    if len(drops) and not np.array_equal(
+            csc.indptr[np.searchsorted(csc.indptr, drops)], drops):
+        return None
+    T = _sp.csr_matrix((g.n, g.n))
+    T.data = _unit_weights(g.m)
+    T.indices = csc.indices
+    T.indptr = csc.indptr
+    return T
+
+
 class ArtifactCache:
     """Memoized derived structures of one :class:`Csr`.
 
@@ -69,7 +169,7 @@ class ArtifactCache:
     """
 
     __slots__ = ("_g", "_out_degrees", "_iota_n", "_iota_m", "_weights64",
-                 "_segments")
+                 "_segments", "_transpose")
 
     def __init__(self, g: "Csr"):
         self._g = g
@@ -78,6 +178,8 @@ class ArtifactCache:
         self._iota_m: Optional[np.ndarray] = None
         self._weights64: Optional[np.ndarray] = None
         self._segments: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: the transpose, or False once known to be unavailable
+        self._transpose = None
 
     @staticmethod
     def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -134,6 +236,17 @@ class ArtifactCache:
             self._segments = (self._frozen(rows),
                               self._frozen(self._g.indptr[rows]))
         return self._segments
+
+    @property
+    def transpose_ones(self):
+        """The 0/1 transpose :func:`transpose_product` multiplies by: a
+        scipy CSR sharing the CSC's index arrays and a process-wide run
+        of unit weights, or None when unavailable.  Like the other
+        artifacts it is not counted by :meth:`Csr.nbytes`."""
+        if self._transpose is None:
+            T = _transpose_ones(self._g)
+            self._transpose = False if T is None else T
+        return None if self._transpose is False else self._transpose
 
 
 class Csr:

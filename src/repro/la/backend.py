@@ -26,8 +26,8 @@ Equivalence contract (DESIGN §16) against the operator engines:
 Direction optimization falls out as the sparse/dense crossover: the
 BFS runner feeds the existing :class:`DirectionOptimizer` signals and
 lowers push steps to SpMSpV, pull steps to masked SpMV; PageRank/PPR
-switch to the cached transpose SpMV once the frontier's edge volume
-reaches ``n``.
+switch to :func:`repro.graph.csr.transpose_product` once the frontier's
+edge volume reaches ``n`` and the product accepts the frontier.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ import numpy as np
 
 from ..core.engine import Backend, dispatch
 from ..core.frontier import Frontier, FrontierKind
-from ..core.fused import _transpose_ones, transpose_product
 from ..core.superstep import (EMPTY, bfs_direction, frontier_degrees,
                               rank_commit, rank_contribution, run_supersteps)
+from ..graph.csr import transpose_product
 from ..obs.spans import CAT_LA
 from ..simt import calib
 from .semiring import (BOOL_OR_AND, MIN_PLUS, MIN_SELECT, PLUS_TIMES,
@@ -197,24 +197,22 @@ def _run_cc(en, frontier: Frontier) -> Frontier:
 def _run_pagerank(en, frontier: Frontier) -> Frontier:
     """Shared PageRank/PPR loop: same residual schedule as the operator
     engines, lowered to plus-times SpMSpV (sparse frontier) or the
-    cached 0/1-transpose SpMV (dense frontier)."""
+    shared 0/1 transpose product (dense frontier it accepts)."""
     P = en.problem
     g = P.graph
     machine = P.machine
     n = g.n
-    T = _transpose_ones(g)  # None without scipy; the push path covers it
     scratch = Scratch(en.workspace)
 
     def step(f, it):
         contrib, full = rank_contribution(P, f)
         ne = g.m if full else frontier_degrees(g, f)[1]
-        if ne and T is not None and ne >= n:
+        res = np.zeros(n)
+        if ne >= n and transpose_product(g, res, f, contrib):
             # dense regime: pull the whole residual vector through the
             # transpose (stored-order accumulation == lane order)
-            res = transpose_product(T, n, f, contrib, full)
             kernel = "la_spmv[plus_times]"
         else:
-            res = np.zeros(n)
             if ne:
                 ids, vals = spmspv(g, g.artifacts.iota_n if full else f,
                                    contrib, PLUS_TIMES, scratch=scratch)

@@ -68,19 +68,14 @@ class _DistributeFunctor(Functor):
         atomics.atomic_add(P.residual_next, dst, vals, P.machine)
         return P.workspace.false_mask(len(src))
 
-    def apply_edge_segmented(self, P, f, degs, dst, eid):
-        # the scattered value is a function of the source vertex alone,
-        # so compute damping * residual / degree once per frontier vertex
-        # and repeat it across that vertex's edge lanes — the same float
-        # ops on the same values as the per-lane path, minus the m-sized
-        # gathers and arithmetic passes
-        ws = P.workspace
+    def scatter_source(self, P, f):
+        # the scattered value is a function of the source vertex alone:
+        # damping * residual / degree once per frontier vertex, the same
+        # float ops on the same values as apply_edge's per-lane ones
         contrib = P.residual[f]
         np.multiply(contrib, P.damping, out=contrib)
         np.divide(contrib, P.degrees[f], out=contrib)
-        vals = np.repeat(contrib, degs)
-        atomics.atomic_add(P.residual_next, dst, vals, P.machine)
-        return ws.false_mask(len(dst))
+        return P.residual_next, contrib
 
 
 class _CommitFunctor(Functor):

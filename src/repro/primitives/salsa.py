@@ -48,13 +48,11 @@ class _WalkRightFunctor(Functor):
         atomics.atomic_add(P.auth, dst, P.hub[src] / P.out_norm[src], P.machine)
         return np.zeros(len(src), dtype=bool)
 
-    def apply_edge_segmented(self, P, f, degs, dst, eid):
+    def scatter_source(self, P, f):
         # the walked value depends on the source alone: divide once per
-        # frontier vertex and repeat it across its lanes — the same
-        # division on the same operands as apply_edge, as PageRank does
-        vals = np.repeat(P.hub[f] / P.out_norm[f], degs)
-        atomics.atomic_add(P.auth, dst, vals, P.machine)
-        return P.workspace.false_mask(len(dst))
+        # frontier vertex — the same division on the same operands as
+        # apply_edge, as PageRank does
+        return P.auth, P.hub[f] / P.out_norm[f]
 
 
 class _WalkLeftFunctor(Functor):
@@ -64,11 +62,9 @@ class _WalkLeftFunctor(Functor):
         atomics.atomic_add(P.hub, dst, P.auth[src] / P.in_norm[src], P.machine)
         return np.zeros(len(src), dtype=bool)
 
-    def apply_edge_segmented(self, P, f, degs, dst, eid):
-        # per-source value, repeated across the lanes (see _WalkRightFunctor)
-        vals = np.repeat(P.auth[f] / P.in_norm[f], degs)
-        atomics.atomic_add(P.hub, dst, vals, P.machine)
-        return P.workspace.false_mask(len(dst))
+    def scatter_source(self, P, f):
+        # per-source value (see _WalkRightFunctor)
+        return P.hub, P.auth[f] / P.in_norm[f]
 
 
 class SalsaEnactor(EnactorBase):

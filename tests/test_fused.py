@@ -13,13 +13,19 @@ a reason; the refusals common to every engine are pinned in
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from engines import counter_signature as _counter_signature, run_all_engines
+from engines import (ALL_ENGINES, assert_engine_identity,
+                     counter_signature as _counter_signature, run_all_engines,
+                     run_engines)
+from repro.core import Frontier
 from repro.core.engine import (clear_fallbacks, engine, engine_mode,
                                fallback_log, last_fallback, set_engine)
 from repro.graph import from_edges
 from repro.graph.build import with_random_weights
+from repro.graph.generators import rmat
+from repro.primitives.pagerank import PprEnactor, PprProblem, PprResult
 from repro.simt import Machine
 
 
@@ -91,6 +97,34 @@ def test_bc_cross_engine_identity(data, src):
     n, edges = data
     g = from_edges(edges, n=n, undirected=True)
     run_all_engines("bc", g, src=src % n)
+
+
+# -- rank loops from a frontier the transpose product refuses -----------------
+
+
+@pytest.mark.parametrize("charged", [False, True])
+@pytest.mark.parametrize("duplicates", [0, 50])
+@pytest.mark.parametrize("trial", range(3))
+def test_ppr_from_an_unsorted_or_repeating_frontier(charged, duplicates,
+                                                    trial):
+    """A start frontier out of order (or repeating vertices) delivers each
+    cell's lanes out of CSC order: the shared transpose product refuses
+    it, so fused takes its bincount and la its SpMSpV — fused bitwise
+    equal to pooled, la within its rank tolerance."""
+    g = rmat(10, seed=3)
+    rng = np.random.default_rng(trial)
+    start = rng.permutation(g.n)[:g.n // 2]
+    if duplicates:
+        start = np.concatenate([start, rng.choice(start, duplicates)])
+        rng.shuffle(start)
+    seeds = np.unique(start)  # np.unique ok: test input
+
+    def run(machine):
+        P = PprProblem(g, seeds, machine if charged else None)
+        PprEnactor(P, max_iterations=3).enact(Frontier(start))
+        return PprResult(arrays={"rank": P.rank})
+
+    assert_engine_identity(run_engines(run, engines=ALL_ENGINES), "ppr")
 
 
 # -- fallback contract --------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Frontier, ProblemBase, advance, filter_frontier
+from repro.core import Frontier, Functor, ProblemBase, advance, filter_frontier
 from repro.core.engine import engine
 from repro.core.functor import resolve_masks
 from repro.core.loadbalance import default_load_balancer
@@ -21,15 +21,15 @@ from repro.core.operators.neighbor_reduce import neighbor_reduce
 from repro.core.workspace import Workspace
 from repro.graph.build import from_edges
 from repro.primitives.bfs import BfsProblem, _AtomicBfsFunctor
-from repro.primitives.pagerank import (PagerankEnactor, PagerankProblem,
-                                       _CommitFunctor, _DistributeFunctor,
-                                       pagerank)
+from repro.primitives.pagerank import (PagerankProblem, _CommitFunctor,
+                                       _DistributeFunctor, pagerank)
 from repro.primitives.sssp import SsspProblem, _RelaxFunctor
 from repro.simt import Machine
 
 from unpooled_reference import (CommitReference, DistributeReference,
-                                RelaxReference, advance_pull_reference,
-                                expand_push_reference,
+                                ReferencePagerankEnactor, RelaxReference,
+                                advance_pull_reference,
+                                expand_push_reference, filter_edges_reference,
                                 neighbor_reduce_reference,
                                 resolve_masks_reference,
                                 to_bitmap_reference)
@@ -192,6 +192,55 @@ def test_neighbor_reduce_matches_reference(data, pooled, op):
     assert _charges(got_p.machine) == _charges(want_p.machine)
 
 
+class _RecordingEdgeFunctor(Functor):
+    """Logs every triple ``cond_edge``/``apply_edge`` receive; culls by
+    edge id (None: cull nothing)."""
+
+    def __init__(self, cond_keep, apply_keep):
+        self.cond_keep, self.apply_keep, self.log = cond_keep, apply_keep, []
+
+    def cond_edge(self, P, src, dst, eid):
+        self.log.append(("cond", src.copy(), dst.copy(), eid.copy()))
+        return None if self.cond_keep is None else self.cond_keep[eid]
+
+    def apply_edge(self, P, src, dst, eid):
+        self.log.append(("apply", src.copy(), dst.copy(), eid.copy()))
+        return None if self.apply_keep is None else self.apply_keep[eid]
+
+
+@given(st.data(), st.sampled_from(PROVIDERS),
+       st.sampled_from(["nothing", "some", "all"]),
+       st.sampled_from(["nothing", "some", "all"]))
+@settings(max_examples=150, deadline=None)
+def test_edge_filter_matches_reference(data, pooled, cond_cull, apply_cull):
+    g = data.draw(graphs())
+    items = np.asarray(data.draw(st.lists(st.integers(0, max(0, g.m - 1)),
+                                          max_size=2 * g.m)), dtype=np.int64)
+
+    def keep(cull):
+        if cull == "nothing":
+            return None
+        if cull == "all":
+            return np.zeros(g.m, dtype=bool)
+        return np.asarray(data.draw(st.lists(st.booleans(), min_size=g.m,
+                                             max_size=g.m)), dtype=bool)
+
+    cond_keep, apply_keep = keep(cond_cull), keep(apply_cull)
+    got_f = _RecordingEdgeFunctor(cond_keep, apply_keep)
+    want_f = _RecordingEdgeFunctor(cond_keep, apply_keep)
+    got_p = _problem(ProblemBase, g, pooled)
+    want_p = _problem(ProblemBase, g, pooled)
+    got = filter_frontier(got_p, Frontier(items, "edge"), got_f, iteration=1)
+    want = filter_edges_reference(want_p, Frontier(items, "edge"), want_f,
+                                  iteration=1)
+    _same(got.items, want.items)
+    assert [c[0] for c in got_f.log] == [c[0] for c in want_f.log]
+    for g_call, w_call in zip(got_f.log, want_f.log):
+        for a, b in zip(g_call[1:], w_call[1:]):
+            _same(a, b)
+    assert _charges(got_p.machine) == _charges(want_p.machine)
+
+
 # -- primitive functors --------------------------------------------------------
 
 def _ranked(g, pooled, residual):
@@ -233,16 +282,6 @@ def test_pagerank_commit_matches_reference(data, pooled):
     assert _charges(got_p.machine) == _charges(want_p.machine)
 
 
-class _ReferencePagerankEnactor(PagerankEnactor):
-    """Textbook PageRank loop: per-lane scatter, fancy-indexed commit
-    over a fresh ``arange(n)`` every super-step."""
-
-    def _iterate(self, frontier):
-        self.advance(frontier, DistributeReference())
-        return self.filter(Frontier.all_vertices(self.problem.graph.n),
-                           CommitReference())
-
-
 @given(graphs(), st.sampled_from(["pooled", "unpooled"]))
 @settings(max_examples=60, deadline=None)
 def test_pagerank_run_matches_reference(g, mode):
@@ -250,7 +289,7 @@ def test_pagerank_run_matches_reference(g, mode):
     with engine(mode):
         got = pagerank(g, machine=got_m, max_iterations=20).rank
         want_p = PagerankProblem(g, Machine())
-    _ReferencePagerankEnactor(want_p, max_iterations=20).enact(
+    ReferencePagerankEnactor(want_p, max_iterations=20).enact(
         Frontier.all_vertices(g.n))
     _same(got, want_p.rank)
     assert _charges(got_m) == _charges(want_p.machine)

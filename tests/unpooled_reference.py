@@ -17,6 +17,7 @@ import numpy as np
 from expand_reference import row_lanes_reference
 from repro.core import Frontier, FrontierKind, Functor, atomics
 from repro.core.functor import _validate_mask
+from repro.primitives.pagerank import PagerankEnactor
 from repro.simt import calib
 from repro.simt.primitives import first_occurrence
 
@@ -126,6 +127,38 @@ def advance_pull_reference(problem, frontier, functor, lb, iteration=-1):
     return Frontier(child[keep], FrontierKind.VERTEX)
 
 
+def filter_edges_reference(problem, frontier, functor, iteration=-1):
+    """An edge-frontier filter that gathers the endpoints for ``cond_edge``
+    and gathers them again, from the survivors, for ``apply_edge``."""
+    g = problem.graph
+    machine = problem.machine
+    items = frontier.items
+
+    def body():
+        if len(items) == 0:
+            return Frontier.empty(FrontierKind.EDGE)
+        keep = resolve_masks_reference(len(items), functor.cond_edge(
+            problem, g.edge_sources[items], g.indices[items], items))
+        survivors = items[keep]
+        if len(survivors):
+            keep = resolve_masks_reference(len(survivors), functor.apply_edge(
+                problem, g.edge_sources[survivors], g.indices[survivors],
+                survivors))
+            survivors = survivors[keep]
+        if machine is not None:
+            machine.counters.compact_elements += len(items)
+            machine.map_kernel("compact", len(items), calib.C_COMPACT_PER_ELEM)
+        return Frontier(survivors, FrontierKind.EDGE)
+
+    if machine is None:
+        return body()
+    with machine.fused("filter", iteration):
+        out = body()
+    machine.counters.record_frontier(len(out))
+    machine.counters.record_vertices(len(items))
+    return out
+
+
 def neighbor_reduce_reference(problem, frontier, value_fn, op, lb,
                               iteration=-1):
     """Segmented sum through zero-led offsets; min/max scattered through
@@ -177,6 +210,16 @@ class CommitReference(Functor):
         P.residual[v] = res  # lint: allow(raw-write)
         P.residual_next[v] = 0.0  # lint: allow(raw-write)
         return res > P.tolerance
+
+
+class ReferencePagerankEnactor(PagerankEnactor):
+    """Textbook PageRank loop: per-lane scatter, fancy-indexed commit
+    over a fresh ``arange(n)`` every super-step."""
+
+    def _iterate(self, frontier):
+        self.advance(frontier, DistributeReference())
+        return self.filter(Frontier.all_vertices(self.problem.graph.n),
+                           CommitReference())
 
 
 class RelaxReference(Functor):
