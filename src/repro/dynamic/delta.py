@@ -7,13 +7,14 @@ middle ground Gunrock-style engines use: keep the base CSR frozen, log
 edge inserts / deletes / reweights into small per-vertex overlay rows,
 and periodically *compact* the overlay back into a fresh immutable CSR.
 
-Reads go through :meth:`DeltaCsr.out_row` / :meth:`DeltaCsr.in_row`,
-which cost O(degree) per vertex: untouched vertices are served directly
-from the base arrays (zero copies), touched vertices from a materialized
-merged row built once per mutation batch.  Compaction cost is charged to
-the simulated clock byte-for-byte like checkpointing is, and every cache
-that is provably still valid (topology artifacts on a weight-only
-rebase) is carried over instead of recomputed.
+The overlay is write-only: nothing reads the graph through it.  Every
+graph version is read as :meth:`DeltaCsr.snapshot`, the immutable CSR
+the overlay materializes (memoized until the next ``apply``), so queries
+and incremental repairs run on one representation.  Snapshot and
+compaction cost is charged to the simulated clock byte-for-byte like
+checkpointing is, and every cache that is provably still valid
+(topology artifacts on a weight-only rebase) is carried over instead of
+recomputed.
 
 Mutation semantics, fixed for determinism:
 
@@ -164,35 +165,27 @@ def unaffected_primitives(batch: MutationBatch) -> FrozenSet[str]:
 
 @dataclass(frozen=True)
 class GraphUpdate:
-    """A scheduled graph update: the post-mutation CSR plus, on the
-    incremental path, the batch that produced it.  Raw ``Csr`` payloads
-    (the pre-PR-8 update schedule format) stay accepted everywhere via
-    :func:`unwrap_update`."""
+    """A scheduled graph update, the one update payload the serving
+    schedulers accept: the post-mutation CSR plus, on the incremental
+    path, the batch that produced it."""
 
     csr: Csr
     batch: Optional[MutationBatch] = None
 
 
-def unwrap_update(payload) -> Tuple[Csr, Optional[MutationBatch]]:
-    """Accept either a bare ``Csr`` or a :class:`GraphUpdate`."""
-    if isinstance(payload, GraphUpdate):
-        return payload.csr, payload.batch
-    return payload, None
-
-
 class DeltaCsr:
     """A frozen base :class:`Csr` plus materialized overlay rows.
 
-    Overlay state per touched vertex is the fully merged row (surviving
-    base edges in base order, then inserts in arrival order), so reads
-    never re-run the merge: ``out_row``/``in_row`` are O(degree) array
-    slices for any vertex.  ``snapshot()`` compacts the overlay into a
-    fresh immutable CSR and is memoized until the next ``apply``.
+    Overlay state per touched vertex is the fully merged out-row
+    (surviving base edges in base order, then inserts in arrival order),
+    so a later batch edits it without re-running the merge.  The graph
+    itself is read as ``snapshot()``, a fresh immutable CSR memoized
+    until the next ``apply``.
     """
 
     __slots__ = ("base", "compact_threshold", "weighted", "log_edges",
                  "batches_applied", "compactions",
-                 "_m", "_out", "_in", "_degrees", "_structural", "_snapshot")
+                 "_m", "_out", "_degrees", "_structural", "_snapshot")
 
     def __init__(self, base: Csr, *, compact_threshold: float = 0.05):
         self.base = base
@@ -205,12 +198,11 @@ class DeltaCsr:
         self._m = base.m
         # touched vertex -> (neighbor ids, float64 weights or None)
         self._out: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
-        self._in: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
         self._degrees: Optional[np.ndarray] = None
         self._structural = False
         self._snapshot: Optional[Csr] = base
 
-    # -- read side ------------------------------------------------------------
+    # -- shape and merged rows ------------------------------------------------
 
     @property
     def n(self) -> int:
@@ -236,17 +228,6 @@ class DeltaCsr:
         w = None if self.base.edge_values is None \
             else self.base.artifacts.weights64[lo:hi]
         return self.base.indices[lo:hi], w
-
-    def in_row(self, v: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Merged in-row of ``v``: ``(in-neighbors, weights-or-None)``."""
-        row = self._in.get(int(v))
-        if row is not None:
-            return row
-        csc = self.base.csc
-        lo, hi = int(csc.indptr[v]), int(csc.indptr[v + 1])
-        w = None if csc.edge_values is None \
-            else csc.artifacts.weights64[lo:hi]
-        return csc.indices[lo:hi], w
 
     @property
     def pending(self) -> bool:
@@ -289,27 +270,15 @@ class DeltaCsr:
                 by_src.setdefault(int(u), []).append(("ins", int(v), w))
 
         for u in sorted(by_src):
-            self._edit_row(u, by_src[u], forward=True)
-        # mirror edits into the reverse overlay, grouped by destination
-        by_dst: Dict[int, List] = {}
-        for u, ops in by_src.items():
-            for op, v, w in ops:
-                by_dst.setdefault(v, []).append((op, u, w))
-        for v in sorted(by_dst):
-            self._edit_row(v, by_dst[v], forward=False)
+            self._edit_row(u, by_src[u])
 
         self.log_edges += batch.size
         self.batches_applied += 1
         self._snapshot = None
 
-    def _edit_row(self, v: int, ops: List, *, forward: bool) -> None:
-        """Apply (op, other-endpoint, weight) edits to one overlay row.
-
-        ``forward=False`` edits the reverse (in-row) overlay; errors are
-        only raised on the forward pass — the reverse pass re-applies
-        the same already-validated edits.
-        """
-        nbr, w = (self.out_row(v) if forward else self.in_row(v))
+    def _edit_row(self, v: int, ops: List) -> None:
+        """Apply (op, destination, weight) edits to ``v``'s overlay row."""
+        nbr, w = self.out_row(v)
         nbr = np.array(nbr, dtype=VERTEX_DT)
         if self.weighted:
             w = np.ones(len(nbr), dtype=np.float64) if w is None \
@@ -321,7 +290,7 @@ class DeltaCsr:
         for op, other, val in ops:
             if op == "del":
                 keep = nbr != other
-                if forward and keep.all():
+                if keep.all():
                     raise ValueError(
                         f"delete of absent edge ({v}, {other})")
                 nbr = nbr[keep]
@@ -329,7 +298,7 @@ class DeltaCsr:
                     w = w[keep]
             elif op == "rw":
                 hit = nbr == other
-                if forward and not hit.any():
+                if not hit.any():
                     raise ValueError(
                         f"reweight of absent edge ({v}, {other})")
                 w[hit] = val
@@ -342,16 +311,13 @@ class DeltaCsr:
             if w is not None:
                 w = np.concatenate(
                     [w, np.asarray(appended_w, dtype=np.float64)])
-        if forward:
-            self._out[v] = (nbr, w)
-            if self._degrees is not None:
-                old = int(self._degrees[v])
-                self._degrees[v] = len(nbr)
-                self._m += len(nbr) - old
-            self._structural = self._structural or bool(
-                any(op in ("del", "ins") for op, _, _ in ops))
-        else:
-            self._in[v] = (nbr, w)
+        self._out[v] = (nbr, w)
+        if self._degrees is not None:
+            old = int(self._degrees[v])
+            self._degrees[v] = len(nbr)
+            self._m += len(nbr) - old
+        self._structural = self._structural or bool(
+            any(op in ("del", "ins") for op, _, _ in ops))
 
     def _apply_all_weights(self, values: np.ndarray, machine) -> None:
         """Full edge-value replacement: rebase onto the current topology
@@ -451,7 +417,6 @@ class DeltaCsr:
         self.base = csr
         self._m = csr.m
         self._out.clear()
-        self._in.clear()
         self._degrees = None
         self._structural = False
         self.log_edges = 0
@@ -464,16 +429,6 @@ class DeltaCsr:
         machine.launch(name, body_cycles=nbytes * calib.C_MEM_PER_BYTE,
                        items=nbytes)
         machine.counters.record_bytes(float(nbytes))
-
-    # -- audit ----------------------------------------------------------------
-
-    def overlay_nbytes(self) -> int:
-        """Bytes held by overlay rows (the streaming memory overhead)."""
-        total = 0
-        for rows in (self._out, self._in):
-            for nbr, w in rows.values():
-                total += nbr.nbytes + (0 if w is None else w.nbytes)
-        return total
 
     def __repr__(self) -> str:
         return (f"DeltaCsr(n={self.n}, m={self._m}, "

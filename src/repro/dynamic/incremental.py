@@ -26,23 +26,25 @@ region, instead of recomputing the world.
   to a priced from-scratch run when repair is unprofitable or unsound
   (zero/negative weights, damage beyond ``FALLBACK_DAMAGE_FRAC``).
 
-All repair work is charged to the simulated clock with the same
-``C_EDGE``-per-scanned-edge pricing the operators pay.
+Every routine reads immutable CSRs only — the same snapshot the
+queries of that graph version run on, with its CSC for in-rows.  A
+delta chain handed to a public entry is read through its memoized
+snapshot (:func:`_csr`).  All repair work is charged to the simulated
+clock with the same ``C_EDGE``-per-scanned-edge pricing the operators
+pay.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..graph.csr import Csr, row_lanes, transpose_product
 from ..simt import calib
 from ..simt.primitives import first_of_run
-from .delta import (DeltaCsr, MutationBatch, WEIGHT_INSENSITIVE)
-
-GraphView = Union[Csr, DeltaCsr]
+from .delta import DeltaCsr, MutationBatch, WEIGHT_INSENSITIVE
 
 #: repair aborts (falls back to from-scratch) once the damage closure
 #: exceeds this fraction of the vertex set — past that point the wave
@@ -52,75 +54,42 @@ FALLBACK_DAMAGE_FRAC = 0.25
 _MAX_WAVES = 1_000_000
 
 
-# -- graph-view row access (Csr and DeltaCsr) ---------------------------------
+# -- CSR row access -----------------------------------------------------------
 
 
-def _out_row(g: GraphView, v: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    if isinstance(g, DeltaCsr):
-        return g.out_row(v)
+def _csr(g, machine) -> Csr:
+    """The CSR a public entry reads: ``g`` itself, or a
+    :class:`DeltaCsr`'s ``snapshot(machine)`` — free once memoized, else
+    built here and charged to ``machine`` before any repair work."""
+    return g.snapshot(machine) if isinstance(g, DeltaCsr) else g
+
+
+def _row(g: Csr, v: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Row ``v`` as ``(neighbors, float64 weights or None)``; on
+    ``g.csc`` that is ``v``'s in-row."""
     lo, hi = int(g.indptr[v]), int(g.indptr[v + 1])
     w = None if g.edge_values is None else g.artifacts.weights64[lo:hi]
     return g.indices[lo:hi], w
 
 
-def _in_row(g: GraphView, v: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    if isinstance(g, DeltaCsr):
-        return g.in_row(v)
-    csc = g.csc
-    lo, hi = int(csc.indptr[v]), int(csc.indptr[v + 1])
-    w = None if csc.edge_values is None else csc.artifacts.weights64[lo:hi]
-    return csc.indices[lo:hi], w
-
-
-def _n_of(g: GraphView) -> int:
-    return g.n
-
-
-def _min_weight(g: GraphView) -> float:
-    """Lower bound on edge weights in the view (1.0 when unweighted)."""
-    if isinstance(g, DeltaCsr):
-        base = g.base
-        lo = 1.0 if base.edge_values is None or not base.m \
-            else float(base.artifacts.weights64.min())
-        for _, w in g._out.values():
-            if w is not None and len(w):
-                lo = min(lo, float(w.min()))
-        return lo
+def _min_weight(g: Csr) -> float:
+    """The smallest edge weight (1.0 when unweighted or edgeless)."""
     if g.edge_values is None or not g.m:
         return 1.0
     return float(g.artifacts.weights64.min())
 
 
-def _gather_out(g: GraphView, vs: np.ndarray):
-    """Concatenated out-rows of ``vs``: ``(src_rep, dst, w64, counts)``.
-
-    Vectorized over the base CSR; overlay rows (a DeltaCsr's touched
-    vertices) are stitched in per-vertex.
-    """
+def _gather_out(g: Csr, vs: np.ndarray):
+    """Concatenated out-rows of ``vs``: ``(src_rep, dst, w64, counts)``."""
     vs = np.asarray(vs, dtype=np.int64)
-    if isinstance(g, DeltaCsr) and g.pending:
-        srcs, dsts, ws, counts = [], [], [], np.empty(len(vs), np.int64)
-        for i, v in enumerate(vs):
-            nbr, w = g.out_row(int(v))
-            counts[i] = len(nbr)
-            if len(nbr):
-                dsts.append(nbr)
-                ws.append(np.ones(len(nbr)) if w is None else w)
-                srcs.append(np.full(len(nbr), v, dtype=np.int64))
-        if not dsts:
-            z = np.empty(0, np.int64)
-            return z, z, np.empty(0, np.float64), counts
-        return (np.concatenate(srcs), np.concatenate(dsts),
-                np.concatenate(ws), counts)
-    base = g.base if isinstance(g, DeltaCsr) else g
-    counts = base.degrees_of(vs)
+    counts = g.degrees_of(vs)
     total = int(counts.sum())
     if not total:
         z = np.empty(0, np.int64)
         return z, z, np.empty(0, np.float64), counts
-    _, eids = row_lanes(base.indptr, vs, counts, total)
-    dst = base.indices[eids]
-    w = base.artifacts.weights64[eids] if base.edge_values is not None \
+    _, eids = row_lanes(g.indptr, vs, counts, total)
+    dst = g.indices[eids]
+    w = g.artifacts.weights64[eids] if g.edge_values is not None \
         else np.ones(total, dtype=np.float64)
     return np.repeat(vs, counts), dst, w, counts
 
@@ -133,7 +102,7 @@ def _charge_scan(machine, name: str, edges: int) -> None:
 # -- shortest-path repair (shared skeleton) -----------------------------------
 
 
-def _relax_wave(g: GraphView, labels: np.ndarray, preds: np.ndarray,
+def _relax_wave(g: Csr, labels: np.ndarray, preds: np.ndarray,
                 frontier: np.ndarray, *, unit: bool, machine) -> None:
     """Monotone label-correcting relaxation from ``frontier`` to
     quiescence.  ``unit=True`` is BFS (int64 labels, -1 = unreachable);
@@ -168,7 +137,7 @@ def _relax_wave(g: GraphView, labels: np.ndarray, preds: np.ndarray,
         frontier = uniq
 
 
-def _repair_shortest_paths(g: GraphView, src: int, old_labels: np.ndarray,
+def _repair_shortest_paths(g: Csr, src: int, old_labels: np.ndarray,
                            old_preds: np.ndarray, batch: MutationBatch,
                            *, unit: bool, machine=None
                            ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -177,7 +146,8 @@ def _repair_shortest_paths(g: GraphView, src: int, old_labels: np.ndarray,
     Returns ``None`` when repair is unsound or unprofitable and the
     caller should recompute from scratch.
     """
-    n = _n_of(g)
+    n = g.n
+    csc = g.csc
     labels = old_labels.copy()
     preds = old_preds.copy()
     unreached = -1 if unit else np.inf
@@ -209,7 +179,7 @@ def _repair_shortest_paths(g: GraphView, src: int, old_labels: np.ndarray,
         lv, v = heapq.heappop(heap)
         if v in damaged or labels[v] != lv or not finite(lv):
             continue
-        in_nbr, in_w = _in_row(g, v)
+        in_nbr, in_w = _row(csc, v)
         scanned += len(in_nbr)
         if unit:
             support = labels[in_nbr] == lv - 1
@@ -230,7 +200,7 @@ def _repair_shortest_paths(g: GraphView, src: int, old_labels: np.ndarray,
             return None
         labels[v] = unreached
         preds[v] = -1
-        out_nbr, out_w = _out_row(g, v)
+        out_nbr, out_w = _row(g, v)
         scanned += len(out_nbr)
         if unit:
             dep = labels[out_nbr] == lv + 1
@@ -247,7 +217,7 @@ def _repair_shortest_paths(g: GraphView, src: int, old_labels: np.ndarray,
     #    improving mutations (inserts; reweights for SSSP)
     seeds = set()
     for v in damaged:
-        in_nbr, _ = _in_row(g, v)
+        in_nbr, _ = _row(csc, v)
         for u in in_nbr:
             if finite(labels[u]):
                 seeds.add(int(u))
@@ -262,7 +232,7 @@ def _repair_shortest_paths(g: GraphView, src: int, old_labels: np.ndarray,
     return labels, preds
 
 
-def delta_bfs(g: GraphView, src: int, old_labels: np.ndarray,
+def delta_bfs(g: Csr, src: int, old_labels: np.ndarray,
               old_preds: np.ndarray, batch: MutationBatch,
               machine=None) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Repair a BFS labeling after ``batch``; ``None`` = recompute.
@@ -273,13 +243,14 @@ def delta_bfs(g: GraphView, src: int, old_labels: np.ndarray,
     predecessors satisfy ``labels[pred[v]] == labels[v] - 1`` with
     ``(pred[v], v)`` an edge of the new graph.
     """
+    g = _csr(g, machine)
     if batch.weight_only:
         return old_labels.copy(), old_preds.copy()
     return _repair_shortest_paths(g, src, old_labels, old_preds, batch,
                                   unit=True, machine=machine)
 
 
-def delta_sssp(g: GraphView, src: int, old_labels: np.ndarray,
+def delta_sssp(g: Csr, src: int, old_labels: np.ndarray,
                old_preds: np.ndarray, batch: MutationBatch,
                machine=None) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Repair an SSSP labeling after ``batch``; ``None`` = recompute.
@@ -288,6 +259,7 @@ def delta_sssp(g: GraphView, src: int, old_labels: np.ndarray,
     bitwise: both runs converge to the minimal fixpoint over float64
     fold-left path sums, which is unique for positive weights.
     """
+    g = _csr(g, machine)
     if batch.all_weights is not None:
         return None  # full reweight: everything is suspect
     return _repair_shortest_paths(g, src, old_labels, old_preds, batch,
@@ -297,7 +269,7 @@ def delta_sssp(g: GraphView, src: int, old_labels: np.ndarray,
 # -- incremental PageRank -----------------------------------------------------
 
 
-def incremental_pagerank(old_g: GraphView, new_g: GraphView,
+def incremental_pagerank(old_g: Csr, new_g: Csr,
                          old_rank: np.ndarray, batch: MutationBatch, *,
                          damping: float = 0.85,
                          tolerance: Optional[float] = None,
@@ -312,7 +284,8 @@ def incremental_pagerank(old_g: GraphView, new_g: GraphView,
     ``tolerance``.  Weight mutations are no-ops — PageRank reads
     topology only.
     """
-    n = _n_of(new_g)
+    old_g, new_g = _csr(old_g, machine), _csr(new_g, machine)
+    n = new_g.n
     tol = (0.01 / max(1, n)) if tolerance is None else tolerance
     rank = np.asarray(old_rank, dtype=np.float64).copy()
     if batch.weight_only:
@@ -321,8 +294,8 @@ def incremental_pagerank(old_g: GraphView, new_g: GraphView,
     for u in batch.touched_sources:
         u = int(u)
         mass = damping * rank[u]
-        old_nbr, _ = _out_row(old_g, u)
-        new_nbr, _ = _out_row(new_g, u)
+        old_nbr, _ = _row(old_g, u)
+        new_nbr, _ = _row(new_g, u)
         if len(old_nbr):
             np.subtract.at(residual, old_nbr, mass / len(old_nbr))
         if len(new_nbr):
@@ -368,7 +341,7 @@ def pagerank_defect(g: Csr, rank: np.ndarray, *,
 
 
 def repair_payload(primitive: str, params: Dict, old_arrays: Dict,
-                   old_g: GraphView, new_g: GraphView,
+                   old_g: Csr, new_g: Csr,
                    batch: MutationBatch, machine=None
                    ) -> Tuple[Dict[str, np.ndarray], bool]:
     """Repair one cached lane payload; returns ``(arrays, repaired)``.
@@ -381,6 +354,7 @@ def repair_payload(primitive: str, params: Dict, old_arrays: Dict,
     from ..primitives.pagerank import pagerank
     from ..primitives.sssp import sssp
 
+    old_g, new_g = _csr(old_g, machine), _csr(new_g, machine)
     if batch.weight_only and primitive in WEIGHT_INSENSITIVE:
         return dict(old_arrays), True
 
@@ -389,9 +363,7 @@ def repair_payload(primitive: str, params: Dict, old_arrays: Dict,
                         old_arrays["preds"], batch, machine)
         if out is not None:
             return {"labels": out[0], "preds": out[1]}, True
-        snap = new_g.snapshot(machine) if isinstance(new_g, DeltaCsr) \
-            else new_g
-        res = bfs(snap, params["src"], machine=machine,
+        res = bfs(new_g, params["src"], machine=machine,
                   idempotent=False, direction="push")
         return {"labels": res.arrays["labels"],
                 "preds": res.arrays["preds"]}, False
@@ -400,9 +372,7 @@ def repair_payload(primitive: str, params: Dict, old_arrays: Dict,
                          old_arrays["preds"], batch, machine)
         if out is not None:
             return {"labels": out[0], "preds": out[1]}, True
-        snap = new_g.snapshot(machine) if isinstance(new_g, DeltaCsr) \
-            else new_g
-        res = sssp(snap, params["src"], machine=machine,
+        res = sssp(new_g, params["src"], machine=machine,
                    use_priority_queue=False)
         return {"labels": res.arrays["labels"],
                 "preds": res.arrays["preds"]}, False

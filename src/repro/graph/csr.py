@@ -16,7 +16,8 @@ per-row value into every edge's destination without building a lane.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import weakref
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -166,13 +167,22 @@ class ArtifactCache:
     and float64 weights that the operators and load balancers would
     otherwise recompute every call.  All cached arrays are marked
     read-only — they are shared across every problem on the graph.
+
+    The cache holds the graph's arrays and only a weak reference to the
+    graph itself, so a dropped graph is freed at once rather than left
+    in a cycle for the collector.  The artifacts that need the graph
+    object (edge sources, the transpose over its CSC) fall back to a
+    throwaway graph over the same arrays once the owner is gone.
     """
 
-    __slots__ = ("_g", "_out_degrees", "_iota_n", "_iota_m", "_weights64",
+    __slots__ = ("_owner", "_indptr", "_indices", "_values", "_n",
+                 "_out_degrees", "_iota_n", "_iota_m", "_weights64",
                  "_segments", "_transpose")
 
     def __init__(self, g: "Csr"):
-        self._g = g
+        self._owner = weakref.ref(g)
+        self._indptr, self._indices = g.indptr, g.indices
+        self._values, self._n = g.edge_values, g.n
         self._out_degrees: Optional[np.ndarray] = None
         self._iota_n: Optional[np.ndarray] = None
         self._iota_m: Optional[np.ndarray] = None
@@ -186,31 +196,39 @@ class ArtifactCache:
         arr.setflags(write=False)
         return arr
 
+    def _graph(self) -> "Csr":
+        g = self._owner()
+        if g is None:
+            g = Csr(self._indptr, self._indices, self._values, n=self._n,
+                    validate=False)
+        return g
+
     @property
     def out_degrees(self) -> np.ndarray:
         """``np.diff(indptr)`` computed once (read-only)."""
         if self._out_degrees is None:
-            self._out_degrees = self._frozen(np.diff(self._g.indptr))
+            self._out_degrees = self._frozen(np.diff(self._indptr))
         return self._out_degrees
 
     @property
     def degree_prefix(self) -> np.ndarray:
         """Exclusive prefix sum of out-degrees — which is ``indptr``
         itself; exposed under the load-balancer's name for it."""
-        return self._g.indptr
+        return self._indptr
 
     @property
     def iota_n(self) -> np.ndarray:
         """Read-only ``arange(n)`` — the all-vertices frontier ramp."""
         if self._iota_n is None:
-            self._iota_n = self._frozen(np.arange(self._g.n, dtype=np.int64))
+            self._iota_n = self._frozen(np.arange(self._n, dtype=np.int64))
         return self._iota_n
 
     @property
     def iota_m(self) -> np.ndarray:
         """Read-only ``arange(m)`` — the all-edges lane ramp."""
         if self._iota_m is None:
-            self._iota_m = self._frozen(np.arange(self._g.m, dtype=np.int64))
+            self._iota_m = self._frozen(
+                np.arange(len(self._indices), dtype=np.int64))
         return self._iota_m
 
     @property
@@ -218,12 +236,12 @@ class ArtifactCache:
         """Read-only float64 edge weights (ones when unweighted) —
         the cached counterpart of :meth:`Csr.weight_or_ones`."""
         if self._weights64 is None:
-            self._weights64 = self._frozen(self._g.weight_or_ones())
+            self._weights64 = self._frozen(self._graph().weight_or_ones())
         return self._weights64
 
     @property
     def edge_sources(self) -> np.ndarray:
-        return self._g.edge_sources
+        return self._graph().edge_sources
 
     @property
     def segments(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -234,7 +252,7 @@ class ArtifactCache:
         if self._segments is None:
             rows = np.flatnonzero(self.out_degrees)
             self._segments = (self._frozen(rows),
-                              self._frozen(self._g.indptr[rows]))
+                              self._frozen(self._indptr[rows]))
         return self._segments
 
     @property
@@ -244,7 +262,7 @@ class ArtifactCache:
         of unit weights, or None when unavailable.  Like the other
         artifacts it is not counted by :meth:`Csr.nbytes`."""
         if self._transpose is None:
-            T = _transpose_ones(self._g)
+            T = _transpose_ones(self._graph())
             self._transpose = False if T is None else T
         return None if self._transpose is False else self._transpose
 
@@ -266,7 +284,7 @@ class Csr:
 
     __slots__ = ("indptr", "indices", "edge_values", "n", "m",
                  "_csc", "_edge_sources", "_artifacts", "_fused_plans",
-                 "vertex_props", "edge_props")
+                 "vertex_props", "edge_props", "__weakref__")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  edge_values: Optional[np.ndarray] = None,
@@ -281,7 +299,8 @@ class Csr:
         self.vertex_props: Dict[str, np.ndarray] = {}
         #: named per-edge SoA property columns
         self.edge_props: Dict[str, np.ndarray] = {}
-        self._csc: Optional["Csr"] = None
+        #: the CSC, or a weak reference to the graph this one is the CSC of
+        self._csc: Union["Csr", weakref.ref, None] = None
         self._edge_sources: Optional[np.ndarray] = None
         self._artifacts: Optional[ArtifactCache] = None
         #: per-primitive fused execution plans (repro.analysis.plan);
@@ -357,12 +376,19 @@ class Csr:
         """The reverse graph (CSC of this one), used by pull traversal.
 
         ``csc.indices`` holds in-neighbors; ``csc.edge_props['orig_edge']``
-        maps each reverse edge back to its forward edge id.
+        maps each reverse edge back to its forward edge id.  The round
+        trip ``g.csc.csc is g`` holds while ``g`` lives: the CSC points
+        back weakly, so the pair is no reference cycle.
         """
-        if self._csc is None:
-            self._csc = self.reverse()
-            self._csc._csc = self  # avoid rebuilding the round trip
-        return self._csc
+        csc = self._built_csc()
+        if csc is None:
+            csc = self._csc = self.reverse()
+            csc._csc = weakref.ref(self)
+        return csc
+
+    def _built_csc(self) -> Optional["Csr"]:
+        csc = self._csc
+        return csc() if isinstance(csc, weakref.ref) else csc
 
     def reverse(self) -> "Csr":
         """Build the transposed graph (counting sort by destination)."""
@@ -414,15 +440,15 @@ class Csr:
             mine._out_degrees = src._artifacts._out_degrees
             mine._iota_n = src._artifacts._iota_n
             mine._iota_m = src._artifacts._iota_m
-        if src._csc is not None and self._csc is None:
-            old = src._csc
+        old = src._built_csc()
+        if old is not None and self._csc is None:
             order = old.edge_props["orig_edge"]
             vals = None if self.edge_values is None \
                 else np.ascontiguousarray(self.edge_values)[order]
             csc = Csr(old.indptr, old.indices, vals, n=self.n,
                       validate=False)
             csc.edge_props["orig_edge"] = order
-            csc._csc = self
+            csc._csc = weakref.ref(self)
             self._csc = csc
 
     # -- memory audit (Section 6: data size = alpha*|E| + beta*|V|) ----------

@@ -45,8 +45,8 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..dynamic.delta import (MutationBatch, REPAIRABLE_PRIMITIVES,
-                             unaffected_primitives, unwrap_update)
+from ..dynamic.delta import (GraphUpdate, MutationBatch,
+                             REPAIRABLE_PRIMITIVES, unaffected_primitives)
 from ..dynamic.incremental import repair_payload
 from ..graph.csr import Csr
 from ..obs.metrics import MetricsRegistry
@@ -126,8 +126,13 @@ class SchedulerCore:
     the completions that produced), ``_land_update`` / ``_queue_repair``
     (price an incremental update, schedule its cache repairs), its own
     public ``replay`` seeding any extra events before :meth:`_run`, and
-    registers handlers for those events in ``self._handlers``.
+    names handlers for those events in ``_HANDLERS``.
     """
+
+    #: event kind -> name of the method handling it as (payload, now),
+    #: for a subclass's own events (names, not bound methods: a bound
+    #: method stored on the instance would make it a reference cycle)
+    _HANDLERS: Dict[int, str] = {}
 
     def __init__(self, service: GraphService, *, max_queue: int,
                  batch_window_ms: float, max_lanes: int,
@@ -152,8 +157,6 @@ class SchedulerCore:
         self._heap: List[Tuple[float, int, int, object]] = []
         self._seq = 0
         self._wakes: Set[float] = set()
-        #: event kind -> handler(payload, now) for a subclass's own events
-        self._handlers: Dict[int, Callable] = {}
         # streaming-update state: cache repairs are background work the
         # placement schedules behind the priced cost of landing the update
         self.incremental = incremental
@@ -190,7 +193,11 @@ class SchedulerCore:
 
     def _complete(self, done: Completion,
                   sid: Optional[int] = None) -> Completion:
-        """Record one terminal request outcome (list + metrics)."""
+        """Record one terminal request outcome (list + metrics); a
+        request that got no reply must say why."""
+        if not done.served and not done.reason:
+            raise ValueError(f"request {done.rid} ended {done.outcome!r} "
+                             "without a reason")
         self.completions.append(done)
         m = self.metrics
         m.counter("repro_serve_requests_total", outcome=done.outcome,
@@ -252,15 +259,15 @@ class SchedulerCore:
     # -- the replay loop ---------------------------------------------------
 
     def _run(self, requests: List[Request],
-             updates: Optional[List[Tuple[float, str, Csr]]],
+             updates: Optional[List[Tuple[float, str, GraphUpdate]]],
              on_complete: Optional[OnComplete]) -> List[Completion]:
         """Run the full event loop; returns every request's completion.
 
-        ``updates`` are ``(at_ms, graph_name, payload)`` graph-version
-        bumps, where the payload is a new ``Csr`` or a
-        :class:`~repro.dynamic.delta.GraphUpdate` carrying the mutation
-        batch for the incremental path; ``on_complete`` (closed-loop
-        workloads) may return the originating client's next request.
+        ``updates`` are ``(at_ms, graph_name, update)`` graph-version
+        bumps, each a :class:`~repro.dynamic.delta.GraphUpdate` (the new
+        CSR, plus the mutation batch the incremental path needs);
+        ``on_complete`` (closed-loop workloads) may return the
+        originating client's next request.
         """
         by_rid: Dict[int, Request] = {}
         for req in requests:
@@ -284,7 +291,8 @@ class SchedulerCore:
                     if done is not None:
                         finished.append(done)
                 elif kind != _EV_WAKE:  # a wake only triggers the dispatcher
-                    finished.extend(self._handlers[kind](payload, now) or ())
+                    handler = getattr(self, self._HANDLERS[kind])
+                    finished.extend(handler(payload, now) or ())
             finished.extend(self._dispatch(now))
             # forget this tick's wake only now: wakes requested for `now`
             # while it ran were still deduplicated
@@ -365,18 +373,19 @@ class SchedulerCore:
 
     # -- streaming updates -------------------------------------------------
 
-    def _handle_update(self, name: str, payload, now: float) -> None:
+    def _handle_update(self, name: str, update: GraphUpdate,
+                       now: float) -> None:
         """Apply one graph update; on the incremental path the placement
         prices landing the delta (:meth:`_land_update`) and schedules a
         repair job (:meth:`_queue_repair`) for each warm repairable cache
         entry the version bump will orphan."""
-        csr, batch = unwrap_update(payload)
+        batch = update.batch
         self.graph_updates += 1
         kind = "edges" if batch is not None and batch.structural \
             else "weights"
         self.metrics.counter("repro_graph_updates_total", kind=kind).inc()
         if not (self.incremental and batch is not None):
-            self.service.update_graph(csr, name)
+            self.service.update_graph(update.csr, name)
             return
         self.incremental_updates += 1
         vg = self.service.graph_version(name)
@@ -423,14 +432,12 @@ class SchedulerCore:
         machine = holder.machine
         before_ms = machine.elapsed_ms()
         before_cy = machine.counters.cycles
-        view = vg.delta if vg.delta is not None and vg.delta.pending \
-            else vg.csr
         with obs_span("dynamic.repair", CAT_DYNAMIC, machine,
                       primitive=job.primitive, graph=job.graph,
                       **labels) as sp:
             arrays, incremental = repair_payload(
                 job.primitive, job.params, job.old_arrays, job.old_csr,
-                view, job.batch, machine=machine)
+                vg.csr, job.batch, machine=machine)
             sp.set(incremental=incremental)
         ms = machine.elapsed_ms() - before_ms
         payload = LaneResult(arrays)
@@ -489,7 +496,7 @@ class DeadlineScheduler(SchedulerCore):
         self.devices = [Device(i) for i in range(devices)]
 
     def replay(self, requests: List[Request],
-               updates: Optional[List[Tuple[float, str, Csr]]] = None,
+               updates: Optional[List[Tuple[float, str, GraphUpdate]]] = None,
                on_complete: Optional[OnComplete] = None,
                ) -> List[Completion]:
         """Run the full event loop (see :meth:`SchedulerCore._run`)."""

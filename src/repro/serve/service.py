@@ -73,7 +73,8 @@ class Completion:
     deadline_met: bool = True
     #: typed cause for non-ok outcomes — "queue_full", "deadline_passed",
     #: "shard_down", "retries_exhausted", "degraded" — so a report can
-    #: separate overload shedding from shard-loss shedding
+    #: separate overload shedding from shard-loss shedding; every
+    #: non-served completion carries one (``SchedulerCore._complete``)
     reason: str = ""
 
     @property
@@ -93,8 +94,8 @@ class VersionedGraph:
 
     Under incremental updates the service additionally keeps a
     :class:`~repro.dynamic.delta.DeltaCsr` chained off the last
-    compacted base; queries always run against ``csr`` (the latest
-    snapshot), while repair jobs read merged rows from ``delta``.
+    compacted base, which mutation batches are written to; ``csr`` is
+    its snapshot, and both queries and cache repairs read ``csr``.
     """
 
     name: str
@@ -411,10 +412,6 @@ class ServeReport:
     #: vs fallbacks, carried cache entries, compaction counts/cost
     dynamic: Dict[str, object] = field(default_factory=dict)
 
-    #: fallback reasons for completions recorded before reasons existed
-    _LEGACY_REASONS = {"shed": "queue_full", "deadline_drop":
-                       "deadline_passed", "failed": "error"}
-
     @classmethod
     def from_replay(cls, completions: List[Completion], service: GraphService,
                     recovered_faults: int = 0,
@@ -446,10 +443,8 @@ class ServeReport:
             bp = by_primitive.setdefault(c.primitive, {})
             bp[c.outcome] = bp.get(c.outcome, 0) + 1
             if not c.served:
-                reason = c.reason or cls._LEGACY_REASONS.get(
-                    c.outcome, "error")
                 sr = shed_reasons.setdefault(c.primitive, {})
-                sr[reason] = sr.get(reason, 0) + 1
+                sr[c.reason] = sr.get(c.reason, 0) + 1
         stats = service.cache.stats
         return cls(
             requests=len(completions),

@@ -45,8 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..dynamic.delta import MutationBatch
-from ..graph.csr import Csr
+from ..dynamic.delta import GraphUpdate, MutationBatch
 from ..obs.spans import (CAT_DYNAMIC, CAT_SERVE, CAT_SHARD,
                          instant as obs_instant, span as obs_span)
 from ..resilience.recovery import RetryPolicy
@@ -95,6 +94,10 @@ class _Inflight:
 class ShardScheduler(SchedulerCore):
     """Replicated-shard EDF scheduler with failover, hedging and repair."""
 
+    _HANDLERS = {_EV_KILL: "_handle_kill", _EV_REPAIR: "_handle_repair",
+                 _EV_DONE: "_handle_done", _EV_HEDGE: "_handle_hedge",
+                 _EV_CACHE_REPAIR: "_handle_cache_repair"}
+
     def __init__(self, service: ShardedGraphService, *,
                  max_queue: int = 64,
                  batch_window_ms: float = 2.0,
@@ -123,10 +126,6 @@ class ShardScheduler(SchedulerCore):
         self.hedge_waste_ms = 0.0
         self.repairs = 0            # shard-map repairs, not cache repairs
         self.killed_replicas = 0
-        self._handlers = {
-            _EV_KILL: self._handle_kill, _EV_REPAIR: self._handle_repair,
-            _EV_DONE: self._handle_done, _EV_HEDGE: self._handle_hedge,
-            _EV_CACHE_REPAIR: self._handle_cache_repair}
 
     @property
     def shard_down_shed(self) -> int:
@@ -177,7 +176,7 @@ class ShardScheduler(SchedulerCore):
     # -- the replay loop ---------------------------------------------------
 
     def replay(self, requests: List[Request],
-               updates: Optional[List[Tuple[float, str, Csr]]] = None,
+               updates: Optional[List[Tuple[float, str, GraphUpdate]]] = None,
                kills: Optional[List[KillEvent]] = None,
                on_complete: Optional[OnComplete] = None,
                ) -> List[Completion]:

@@ -10,18 +10,19 @@ random interleaving of inserts, deletes, reweights, and compactions,
   artifacts);
 * incremental PageRank is as converged as a from-scratch run, certified
   by the residual-defect bound ``||p − p*||_∞ ≤ ||defect||₁ / (1 − d)``;
-* everything holds identically with workspace pooling on and off.
+* everything holds identically with workspace pooling on and off;
+* a repair handed a ``DeltaCsr`` is the same call on its snapshot CSR,
+  bitwise in outputs and in charged kernels.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.engine import engine
-from repro.dynamic import (DeltaCsr, GraphUpdate, MutationBatch,
-                           WEIGHT_INSENSITIVE, delta_bfs, delta_sssp,
-                           incremental_pagerank, random_mutation_batch,
-                           unaffected_primitives, unwrap_update)
+from repro.dynamic import (DeltaCsr, MutationBatch, WEIGHT_INSENSITIVE,
+                           delta_bfs, delta_sssp, incremental_pagerank,
+                           random_mutation_batch, unaffected_primitives)
 from repro.dynamic.incremental import pagerank_defect, repair_payload
 from repro.graph import from_edges, with_random_weights
 from repro.primitives import bfs, pagerank, sssp
@@ -59,13 +60,6 @@ def test_batch_validation():
         b.validate_for(4)
 
 
-def test_unwrap_update(tiny_graph):
-    assert unwrap_update(tiny_graph) == (tiny_graph, None)
-    b = MutationBatch(inserts=[(0, 5)])
-    up = GraphUpdate(tiny_graph, b)
-    assert unwrap_update(up) == (tiny_graph, b)
-
-
 # -- DeltaCsr mechanics -------------------------------------------------------
 
 
@@ -77,8 +71,6 @@ def test_delta_insert_delete_rows():
     nbr, w = d.out_row(0)
     assert list(nbr) == [2, 3] and w is None
     assert list(d.out_row(2)[0]) == [3]
-    assert sorted(d.in_row(3)[0]) == [0, 2]   # order is internal detail
-    assert list(d.in_row(1)[0]) == []
     assert d.out_degrees[0] == 2 and d.out_degrees[2] == 1
 
 
@@ -324,3 +316,144 @@ def test_repair_payload_charges_machine(kron_graph):
     repair_payload("bfs", {"src": 0}, dict(res.arrays), kron_graph, d,
                    batch, machine=machine)
     assert machine.elapsed_ms() > 0
+
+
+# -- repair reads the snapshot CSR --------------------------------------------
+
+
+@st.composite
+def delta_chains(draw):
+    """``(n, edges, weights-or-None, src, steps)``; a step is a seed for
+    :func:`_step_batch` on the current graph, or an explicit batch."""
+    n = draw(st.integers(min_value=4, max_value=16))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]), min_size=3, max_size=40))
+    weights = None
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 64).map(float),
+                                min_size=len(edges), max_size=len(edges)))
+    src = draw(st.integers(0, n - 1))
+    steps = draw(st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=4))
+    return n, edges, weights, src, steps
+
+
+def _traced(fn, *args):
+    m = Machine()
+    out = fn(*args, machine=m)
+    return out, [(k.name, k.cycles, k.items) for k in m.counters.kernels]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+#: vertex 3's parent 4 loses its edge while 1 -> 3 is inserted: 1 lists
+#: before the surviving supporter 5 in the snapshot's CSC, so the closure
+#: adopts 1 (an overlay that appends inserts would have adopted 5)
+INSERT_BEFORE_OLD_PARENT = (
+    6, [(0, 5), (5, 3), (0, 4), (4, 3), (0, 1)], None, 0,
+    [MutationBatch(deletes=[(4, 3)], inserts=[(1, 3)])])
+
+#: deleting the only zero-weight edge leaves every weight positive, so
+#: SSSP repair runs (a bound that still counted the deleted weight would
+#: have declined it)
+DELETE_LIGHTEST_EDGE = (
+    5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], [0.0, 3.0, 5.0, 1.0, 2.0],
+    0, [MutationBatch(deletes=[(0, 1)])])
+
+
+@pytest.mark.parametrize("compact", [False, True])
+@given(scenario=delta_chains())
+@example(scenario=INSERT_BEFORE_OLD_PARENT)
+@example(scenario=DELETE_LIGHTEST_EDGE)
+@settings(max_examples=30, deadline=None)
+def test_repair_on_delta_is_repair_on_its_snapshot(compact, scenario):
+    n, edges, weights, src, steps = scenario
+    g = from_edges(edges, n=n, weights=weights)
+    delta = DeltaCsr(g)
+    scratch = {
+        "bfs": lambda h: bfs(h, src, idempotent=False, direction="push"),
+        "sssp": lambda h: sssp(h, src, use_priority_queue=False),
+    }
+    repair = {"bfs": delta_bfs, "sssp": delta_sssp}
+    state = {}
+    for name, run in scratch.items():
+        arrays = run(g).arrays
+        state[name] = (arrays["labels"], arrays["preds"])
+    rank = pagerank(g).arrays["rank"]
+    for step in steps:
+        before = delta.snapshot()
+        batch = step if isinstance(step, MutationBatch) \
+            else _step_batch(before, step, weights is not None)
+        delta.apply(batch)
+        snap = delta.snapshot()
+        for name, fix in repair.items():
+            labels, preds = state[name]
+            on_delta, k_delta = _traced(fix, delta, src, labels, preds,
+                                        batch)
+            on_snap, k_snap = _traced(fix, snap, src, labels, preds, batch)
+            assert k_delta == k_snap
+            ref = scratch[name](snap).arrays
+            if on_snap is None:
+                assert on_delta is None
+                state[name] = (ref["labels"], ref["preds"])
+                continue
+            assert all(map(_same_bits, on_delta, on_snap))
+            assert _same_bits(on_snap[0], ref["labels"])
+            _pred_valid(snap, *on_snap, src, unit=name == "bfs")
+            state[name] = on_snap
+        on_delta, k_delta = _traced(incremental_pagerank, before, delta,
+                                    rank, batch)
+        on_snap, k_snap = _traced(incremental_pagerank, before, snap, rank,
+                                  batch)
+        assert _same_bits(on_delta, on_snap) and k_delta == k_snap
+        tol = 0.01 / n
+        assert float(np.abs(pagerank_defect(snap, on_snap)).sum()) \
+            <= 3.0 * n * tol
+        rank = on_snap
+        if compact:
+            assert delta.compact() is snap
+
+
+def test_named_repair_cases_take_the_incremental_path():
+    """The two explicit examples above exercise what they name."""
+    n, edges, _, src, (batch,) = INSERT_BEFORE_OLD_PARENT
+    g = from_edges(edges, n=n)
+    ref = bfs(g, src, idempotent=False, direction="push").arrays
+    assert ref["preds"][3] == 4
+    d = DeltaCsr(g)
+    d.apply(batch)
+    labels, preds = delta_bfs(d, src, ref["labels"], ref["preds"], batch)
+    assert labels[3] == 2 and preds[3] == 1
+
+    n, edges, weights, src, (batch,) = DELETE_LIGHTEST_EDGE
+    g = from_edges(edges, n=n, weights=weights)
+    ref = sssp(g, src, use_priority_queue=False).arrays
+    d = DeltaCsr(g)
+    d.apply(batch)
+    out = delta_sssp(d, src, ref["labels"], ref["preds"], batch)
+    assert out is not None
+    assert _same_bits(out[0], sssp(d.snapshot(), src,
+                                   use_priority_queue=False).labels)
+
+
+def test_unbuilt_snapshot_is_charged_to_the_repair_machine(kron_graph):
+    """The one charging rule for a ``DeltaCsr`` whose snapshot nobody has
+    built yet: the repair builds it first, on the repair's machine, priced
+    as ``DeltaCsr.snapshot`` prices it; a built snapshot is free."""
+    batch = random_mutation_batch(kron_graph, 3, frac=0.002)
+    old = bfs(kron_graph, 0, idempotent=False, direction="push").arrays
+    args = (0, old["labels"], old["preds"], batch)
+    cold, warm = DeltaCsr(kron_graph), DeltaCsr(kron_graph)
+    cold.apply(batch)
+    warm.apply(batch)
+    snap = warm.snapshot()
+    out_cold, k_cold = _traced(delta_bfs, cold, *args)
+    out_warm, k_warm = _traced(delta_bfs, warm, *args)
+    assert k_cold[0] == ("dynamic.compact", k_cold[0][1], snap.nbytes())
+    assert k_cold[1:] == k_warm
+    assert all(map(_same_bits, out_cold, out_warm))
+    built = cold.snapshot()
+    m = Machine()
+    assert cold.snapshot(m) is built and not m.counters.kernels

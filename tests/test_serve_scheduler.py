@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.resilience import RetryPolicy
-from repro.serve import (DeadlineScheduler, GraphService, Overloaded, Request,
+from repro.serve import (Completion, DeadlineScheduler, GraphService,
+                         Overloaded, Request,
                          ServeReport, ShardScheduler, ShardTier,
                          ShardedGraphService, WorkloadSpec, build_workload,
                          parse_kill_schedule, run_serving, zipf_popularity)
@@ -53,6 +54,16 @@ def test_scheduler_knob_validation(kron_graph):
         DeadlineScheduler(svc, max_queue=0)
     with pytest.raises(ValueError):
         DeadlineScheduler(svc, fault_rate=1.5)
+
+
+def test_a_request_without_a_reply_must_say_why(kron_graph):
+    sched = DeadlineScheduler(_service(kron_graph))
+    with pytest.raises(ValueError, match="without a reason"):
+        sched._complete(Completion(0, "bfs", 0.0, 1.0, "shed"))
+    sched._complete(Completion(1, "bfs", 0.0, 1.0, "shed",
+                               reason="queue_full"))
+    sched._complete(Completion(2, "bfs", 0.0, 1.0, "ok"))
+    assert [c.rid for c in sched.completions] == [1, 2]
 
 
 # -- replay semantics ---------------------------------------------------------
