@@ -7,20 +7,27 @@ GPUs on a single node" configuration; parameters default to a
 Kepler-era node (PCIe 3.0 x16 per device, peer-to-peer through the
 switch).
 
+A device has a *slot* (its position in :attr:`MultiMachine.devices`,
+what partitions and :meth:`~MultiMachine.fail_device` index) and a
+*device id* (its ``Machine.device_index``, what fault specs and
+``DeviceLost`` name); :meth:`~MultiMachine.slot_of` maps one to the
+other.  They differ when the machine wraps shared devices.
+
 Fault tolerance (:mod:`repro.resilience`): :meth:`MultiMachine.attach`
 installs a fault injector on every device so ``device-loss`` and
 ``straggler`` faults fire inside per-device kernel launches;
-:meth:`exchange` retries timed-out transfers with exponential backoff;
-:meth:`abort_step` closes out a super-step that died mid-flight (the
-partial compute is still accounted — that time really passed); and
-:meth:`reshard` charges the traffic of redistributing a dead device's
-partition to the survivors.
+:meth:`~MultiMachine.step` accrues a super-step's compute even when a
+fault unwinds it (that time really passed); :meth:`exchange` retries
+timed-out transfers with exponential backoff; and :meth:`reshard`
+charges the traffic of redistributing a dead device's partition to the
+survivors (:func:`repro.multi.superstep.run_partitioned` does the rest).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from ..resilience.faults import ExchangeTimeout, FaultKind, as_injector
 from ..resilience.recovery import RecoveryStats, RetryPolicy
@@ -71,19 +78,17 @@ class MultiMachine:
             self.devices = [Machine(spec=self.spec, device_index=i)
                             for i in range(self.k)]
         self.alive: List[bool] = [True] * self.k
+        #: device id -> slot; a machine whose ids repeat refuses faults
+        self._slots = {dev.device_index: s
+                       for s, dev in enumerate(self.devices)}
         self.comm_ms = 0.0
         self.comm_bytes = 0.0
         self.reshard_ms = 0.0
         self.reshard_bytes = 0.0
-        self.supersteps = 0
         #: ordinal of the next/current exchange — the ``step`` that
-        #: ``exchange``-site fault specs are matched against (distinct from
-        #: ``supersteps``, which advances twice per BSP depth in the
-        #: two-phase drivers)
+        #: ``exchange``-site fault specs are matched against
         self.exchanges = 0
         self._step_ms = 0.0
-        self._marks = [0.0] * self.k
-        self._in_step = False
         self.injector = None
         self.retry = RetryPolicy()
         self.recovery = RecoveryStats()
@@ -93,12 +98,17 @@ class MultiMachine:
     def attach(self, faults=None, retry: Optional[RetryPolicy] = None):
         """Install a fault injector (and retry policy) across all devices."""
         self.injector = as_injector(faults)
+        if self.injector is not None and len(self._slots) < self.k:
+            raise ValueError("fault injection needs distinct device ids")
         if retry is not None:
             self.retry = retry
-        for dev in self.devices:
-            dev.injector = self.injector if self.alive[dev.device_index] \
-                else None
+        for s, dev in enumerate(self.devices):
+            dev.injector = self.injector if self.alive[s] else None
         return self.injector
+
+    def slot_of(self, device_id: int) -> int:
+        """Slot of the device a fault names by its device id."""
+        return self._slots[device_id]
 
     @property
     def n_alive(self) -> int:
@@ -111,8 +121,8 @@ class MultiMachine:
         return [d for d in range(self.k) if self.alive[d]]
 
     def fail_device(self, device: int) -> None:
-        """Mark a device dead; it charges no further time and fires no
-        further faults."""
+        """Mark the device in slot ``device`` dead; it charges no further
+        time and fires no further faults."""
         if not 0 <= device < self.k:
             raise ValueError(f"device {device} out of range for k={self.k}")
         if not self.alive[device]:
@@ -120,38 +130,18 @@ class MultiMachine:
         self.alive[device] = False
         self.devices[device].injector = None
 
-    # -- super-step protocol -------------------------------------------------
+    # -- super-step accounting -----------------------------------------------
 
-    def begin_step(self) -> None:
-        if self._in_step:
-            raise RuntimeError(
-                "begin_step called twice without end_step: unbalanced "
-                "super-step accounting (call end_step or abort_step first)")
-        self._in_step = True
-        self.supersteps += 1
-        self._marks = [d.elapsed_ms() for d in self.devices]
-
-    def end_step(self) -> None:
-        if not self._in_step:
-            raise RuntimeError("end_step without a matching begin_step")
-        self._in_step = False
-        self._accrue()
-
-    def abort_step(self) -> None:
-        """Close out a super-step that died mid-flight (e.g. DeviceLost).
-
-        The compute charged before the fault is real elapsed time, so it
-        is accrued like a normal step; safe to call outside a step.
-        """
-        if not self._in_step:
-            return
-        self._in_step = False
-        self._accrue()
-
-    def _accrue(self) -> None:
-        deltas = [d.elapsed_ms() - m
-                  for d, m in zip(self.devices, self._marks)]
-        self._step_ms += max(deltas) if deltas else 0.0
+    @contextmanager
+    def step(self) -> Iterator[None]:
+        """One concurrent compute phase: on leaving the scope, normally or
+        by an exception, the slowest device's compute in it is accrued."""
+        marks = [d.elapsed_ms() for d in self.devices]
+        try:
+            yield
+        finally:
+            self._step_ms += max(d.elapsed_ms() - m
+                                 for d, m in zip(self.devices, marks))
 
     def exchange(self, total_bytes: float, n_messages: int = None) -> None:
         """An all-to-all frontier exchange of the given volume.
@@ -209,10 +199,6 @@ class MultiMachine:
 
     def compute_ms(self) -> float:
         return self._step_ms
-
-    def total_device_ms(self) -> float:
-        """Sum of all device-busy time (for efficiency metrics)."""
-        return sum(d.elapsed_ms() for d in self.devices)
 
     def recovery_summary(self) -> Optional[dict]:
         """Recovery statistics for a resilient run (None when inert)."""

@@ -2,11 +2,12 @@
 
 "for greater impact, a future Gunrock must scale ... to multiple GPUs on
 a single node" — the standard substrate is a 1D partition: each GPU owns
-a contiguous (or hashed) vertex range plus the CSR rows of its vertices;
-edges whose destination lives elsewhere are *remote* and their traversal
-requires an exchange.  The partitioner reports exactly the quantities the
-cost model needs: per-device vertex/edge counts and the remote-edge
-fraction (the communication volume driver).
+a contiguous (or hashed) vertex range and expands its vertices' rows of
+the one shared CSR; edges whose destination lives elsewhere are *remote*
+and their traversal requires an exchange.  A partition is ownership only.
+The partitioner reports exactly the quantities the cost model needs:
+per-device vertex/edge counts and the remote-edge fraction (the
+communication volume driver).
 """
 
 from __future__ import annotations
@@ -16,33 +17,28 @@ from typing import List
 
 import numpy as np
 
-from ..graph.csr import Csr, row_lanes
+from ..graph.csr import Csr
 
 #: re-shard bytes per vertex of a lost partition: ids + labels + frontier
 #: membership state that the new owners must take over
 RESHARD_BYTES_PER_VERTEX = 24.0
-#: re-shard bytes per local edge (the partition's CSR column indices)
+#: re-shard bytes per owned edge (the CSR column indices of owned rows)
 RESHARD_BYTES_PER_EDGE = 8.0
 
 
 @dataclass(frozen=True)
 class Partition:
-    """One device's share of the graph."""
+    """The vertices one device owns."""
 
     device: int
     #: global ids of owned vertices (sorted)
     vertices: np.ndarray
-    #: CSR over owned rows: local indptr + *global* neighbor ids
-    indptr: np.ndarray
-    indices: np.ndarray
+    #: out-edges of the owned vertices
+    m_local: int
 
     @property
     def n_local(self) -> int:
         return len(self.vertices)
-
-    @property
-    def m_local(self) -> int:
-        return len(self.indices)
 
 
 @dataclass
@@ -72,13 +68,6 @@ class PartitionedGraph:
         if counts.mean() == 0:
             return 1.0
         return float(counts.max() / counts.mean())
-
-    def local_positions(self) -> np.ndarray:
-        """Position of every global vertex inside its owner's partition."""
-        local_pos = np.zeros(self.graph.n, dtype=np.int64)
-        for part in self.parts:
-            local_pos[part.vertices] = np.arange(part.n_local)
-        return local_pos
 
 
 def repair_bytes(pg: PartitionedGraph, sid: int) -> float:
@@ -113,15 +102,13 @@ def partition_1d(graph: Csr, k: int, method: str = "contiguous") -> PartitionedG
 
 
 def _build_parts(graph: Csr, owner: np.ndarray, k: int) -> List[Partition]:
-    """Materialize each device's local CSR from an ownership vector."""
+    """Each device's owned vertices and edge count from an ownership
+    vector."""
     parts = []
     for d in range(k):
         verts = np.flatnonzero(owner == d).astype(np.int64)
-        degs = graph.degrees_of(verts)
-        indptr = np.zeros(len(verts) + 1, dtype=np.int64)
-        np.cumsum(degs, out=indptr[1:])
-        _, eids = row_lanes(graph.indptr, verts, degs, int(indptr[-1]))
-        parts.append(Partition(d, verts, indptr, graph.indices[eids]))
+        parts.append(Partition(d, verts,
+                               int(graph.degrees_of(verts).sum())))
     return parts
 
 

@@ -31,10 +31,9 @@ This module holds the tier's moving parts:
   shard has died (repair);
 * :func:`parse_kill_schedule` — ``at_ms:shard:replica`` device-loss
   schedules for the CLI and CI;
-* :func:`fanout_pagerank` — the whole-graph fan-out with
-  partial-result degradation: :func:`repro.multi.pagerank.push_step`
-  iterated over the live shard groups, accounted through a
-  replica-aware :class:`~repro.multi.machine.MultiMachine`.
+* :func:`fanout_pagerank` — the whole-graph fan-out:
+  :func:`repro.multi.pagerank.partitioned_pagerank` on one replica per
+  live shard group, with a down group's ranks reported NaN.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 
 from ..graph.csr import Csr
 from ..multi.machine import InterconnectSpec, MultiMachine
-from ..multi.pagerank import commit_step, push_step
+from ..multi.pagerank import partitioned_pagerank
 # RESHARD_BYTES_* / repair_bytes: multi's one definition, re-exported
 from ..multi.partition import (RESHARD_BYTES_PER_EDGE,
                                RESHARD_BYTES_PER_VERTEX, PartitionedGraph,
@@ -364,56 +363,30 @@ def fanout_pagerank(graph: Csr, pg: PartitionedGraph,
                     ) -> FanoutResult:
     """Residual-push PageRank fanned out over the live shard groups.
 
-    ``machines`` maps live shard id → the chosen replica's machine; any
-    shard slot of ``pg`` without an entry is *down* and degrades the
-    result: its vertices neither scatter nor commit, and their ranks are
-    reported NaN (typed missing — never a stale or wrong byte), with
-    ``partial=True``.  Each iteration is
-    :func:`repro.multi.pagerank.push_step`, the body
-    :func:`~repro.multi.pagerank.multi_gpu_pagerank` runs — pending
-    contributions reduce in global-edge order — so ranks are bitwise
-    identical for every shard count and replica choice.
-
-    Accounting runs through a replica-aware
-    :class:`~repro.multi.machine.MultiMachine` wrapping the replicas'
-    own machines: scatter/commit kernels land on each replica's clock,
-    and the returned ``elapsed_ms`` is this call's makespan (per-step
-    maxima plus exchange time).
+    ``machines`` maps live shard id → the chosen replica's machine; the
+    run is :func:`repro.multi.pagerank.partitioned_pagerank`, the body
+    :func:`~repro.multi.pagerank.multi_gpu_pagerank` runs, on those
+    machines (kernels land on each replica's clock; ``elapsed_ms`` is
+    this call's makespan), so ranks are bitwise identical for every
+    shard count and replica choice.  Any shard slot of ``pg`` without an
+    entry is *down*: its device is failed before the first step, and
+    its vertices' ranks are reported NaN (typed missing — never a stale
+    or wrong byte), with ``partial=True``.
     """
-    n = max(1, graph.n)
-    tol = (0.01 / n) if tolerance is None else tolerance
-    devices = [machines.get(sid, Machine()) for sid in range(pg.k)]
-    mm = MultiMachine(shared_devices=devices,
+    mm = MultiMachine(shared_devices=[machines.get(sid, Machine())
+                                      for sid in range(pg.k)],
                       interconnect=interconnect if interconnect is not None
                       else InterconnectSpec())
     for sid in range(pg.k):
         if sid not in machines:
             mm.fail_device(sid)
-
-    base = (1.0 - damping) / n
-    rank = np.full(graph.n, base)
-    residual = np.full(graph.n, base)
-    degrees = np.maximum(graph.out_degrees, 1).astype(np.float64)
-
-    local_pos = pg.local_positions()
-
-    active = [part.vertices[residual[part.vertices] > tol]
-              if mm.is_alive(d) else part.vertices[:0]
-              for d, part in enumerate(pg.parts)]
-    iterations = 0
-    while any(len(a) for a in active) and iterations < max_iterations:
-        iterations += 1
-        residual_next = push_step(graph, pg, mm, active, local_pos, residual,
-                                  degrees, damping, iterations, "shard_pr_")
-        active = commit_step(pg, mm, rank, residual, residual_next, tol)
-
-    dead_vertices = 0
-    partial = False
-    for d, part in enumerate(pg.parts):
-        if not mm.is_alive(d) and part.n_local:
-            partial = True
-            dead_vertices += part.n_local
-            rank[part.vertices] = np.nan
-    return FanoutResult(rank=rank, iterations=iterations,
-                        elapsed_ms=mm.elapsed_ms(), partial=partial,
-                        dead_vertices=dead_vertices)
+    r = partitioned_pagerank(graph, pg, mm, "shard_pr_", damping=damping,
+                             tolerance=tolerance,
+                             max_iterations=max_iterations)
+    down = [part for part in pg.parts
+            if part.device not in machines and part.n_local]
+    for part in down:
+        r.rank[part.vertices] = np.nan
+    return FanoutResult(rank=r.rank, iterations=r.iterations,
+                        elapsed_ms=r.elapsed_ms, partial=bool(down),
+                        dead_vertices=sum(p.n_local for p in down))

@@ -20,7 +20,7 @@ tier needs:
   to a sibling replica after :class:`~repro.resilience.recovery.
   RetryPolicy` backoff; a replica *killed* mid-flight hands its work to
   its hedge partner if one is running, else re-dispatches the same way.
-* **Hedging** — once ≥ ``hedge_min_samples`` durations are recorded for
+* **Hedging** — once ≥ :data:`HEDGE_MIN_SAMPLES` durations are recorded for
   a primitive, an execution projected past the p95 duration launches a
   duplicate on a sibling replica at the p95 mark; first completion wins,
   the loser is cancelled and its spent time charged as
@@ -58,7 +58,7 @@ from .shard import (FANOUT, KillEvent, Replica, fanout_pagerank,
                     repair_bytes)
 
 #: minimum recorded durations before hedge delays are trusted
-DEFAULT_HEDGE_MIN_SAMPLES = 8
+HEDGE_MIN_SAMPLES = 8
 
 
 @dataclass
@@ -105,7 +105,6 @@ class ShardScheduler(SchedulerCore):
                  retry: Optional[RetryPolicy] = None,
                  fault_rate: float = 0.0, seed: int = 0,
                  hedging: bool = True,
-                 hedge_min_samples: int = DEFAULT_HEDGE_MIN_SAMPLES,
                  incremental: bool = False,
                  max_repairs_per_update: int = 32):
         super().__init__(
@@ -115,7 +114,6 @@ class ShardScheduler(SchedulerCore):
             max_repairs_per_update=max_repairs_per_update)
         self.tier = service.tier
         self.hedging = hedging and self.tier.replicas_per_shard > 1
-        self.hedge_min_samples = max(1, hedge_min_samples)
         self._parked: Dict[int, List[Request]] = {}
         self._inflight: Dict[int, _Inflight] = {}
         self._eid = 0
@@ -430,7 +428,7 @@ class ShardScheduler(SchedulerCore):
 
     def _hedge_delay(self, primitive: str) -> Optional[float]:
         samples = self._durations.get(primitive)
-        if not samples or len(samples) < self.hedge_min_samples:
+        if not samples or len(samples) < HEDGE_MIN_SAMPLES:
             return None
         return float(np.percentile(np.asarray(samples), 95))
 

@@ -11,7 +11,6 @@ from repro.core.workspace import Workspace
 from repro.dynamic import DeltaCsr
 from repro.graph.build import from_edges
 from repro.graph.csr import row_lanes
-from repro.multi import partition_1d
 
 
 @st.composite
@@ -57,15 +56,6 @@ def test_matches_reference_on_csr_csc_and_delta_base(data):
     g = data.draw(graphs())
     for indptr in (g.indptr, g.csc.indptr, DeltaCsr(g).base.indptr):
         _check(indptr, data.draw(row_sets(g.n)))
-
-
-@given(st.data(), st.integers(1, 4), st.sampled_from(["contiguous", "hash"]))
-@settings(max_examples=100, deadline=None)
-def test_matches_reference_on_every_partition(data, k, method):
-    g = data.draw(graphs())
-    for part in partition_1d(g, k, method=method).parts:
-        eids = _check(part.indptr, data.draw(row_sets(part.n_local)))
-        assert eids.max(initial=-1) < part.m_local
 
 
 @given(st.data())
