@@ -1,9 +1,11 @@
-"""Wall-clock benchmark: pooled vs unpooled operator hot paths.
+"""Wall-clock benchmark: the workspace's cached constants and expansion
+memo vs none.
 
 Measures real elapsed time (``machine=None`` — no simulated-cost
 accounting) for BFS / SSSP / PageRank on an RMAT graph and a road grid,
-with workspace pooling ON vs OFF, and writes
-``benchmarks/BENCH_wallclock.json``.
+under the pooled engine (cached iota / mask constants and the per-graph
+expansion memo) vs the unpooled one (neither), and writes
+``benchmarks/BENCH_wallclock.json``.  Scratch is allocated by both.
 
 Measurement protocol
 --------------------

@@ -3,7 +3,7 @@
 from .frontier import Frontier, FrontierKind
 from .functor import AllPassFunctor, Functor
 from .problem import ProblemBase
-from .workspace import Workspace, pooling_enabled, workspace_of
+from .workspace import Workspace, workspace_of
 from .enactor import EnactorBase, EnactorStats, TraceEvent
 from .direction import DirectionOptimizer, FixedDirection
 from . import atomics, loadbalance, operators
@@ -13,7 +13,7 @@ from .operators import (advance, compute, filter_frontier, neighbor_reduce,
 
 __all__ = [
     "Frontier", "FrontierKind", "Functor", "AllPassFunctor", "ProblemBase",
-    "Workspace", "pooling_enabled", "workspace_of",
+    "Workspace", "workspace_of",
     "EnactorBase", "EnactorStats", "TraceEvent",
     "DirectionOptimizer", "FixedDirection",
     "atomics", "loadbalance", "operators",

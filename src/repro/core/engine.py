@@ -2,12 +2,12 @@
 
 The repo grew four ways to run a primitive:
 
-* **unpooled** — the library operators over a workspace that lends
-  nothing: the same operator bodies as pooled, with every scratch array
-  freshly allocated (:mod:`repro.core.workspace`).  It isolates what
-  pooling buys; the textbook bodies the operators are pinned against
-  live in ``tests/unpooled_reference.py``.
-* **pooled** — the library operators over the pooled workspace (the
+* **unpooled** — the library operators over a workspace that caches
+  nothing: the same operator bodies as pooled, with the constant arrays
+  freshly allocated and no expansion memo (:mod:`repro.core.workspace`).
+  It isolates what those caches buy; the textbook bodies the operators
+  are pinned against live in ``tests/unpooled_reference.py``.
+* **pooled** — the library operators over the caching workspace (the
   production default).
 * **fused** — trace-guided specialization (:mod:`repro.core.fused`):
   the verified operator DAG of a primitive is compiled into a single
@@ -23,12 +23,11 @@ The repo grew four ways to run a primitive:
 
 There is one selector: the ``REPRO_ENGINE`` env var (read when this
 module is imported), overridden process-wide by :func:`set_engine`,
-overridden in a scope by :func:`engine`.  Which scratch provider new
-workspaces get is derived from it
-(:func:`repro.core.workspace.pooling_enabled`): every engine but
-``unpooled`` runs on the pooled one.  ``fused`` and ``la`` borrow
-through the same workspace calls, so a problem built on either provider
-runs under any engine.
+overridden in a scope by :func:`engine`.  Which workspace provider new
+problems get is derived from it (:class:`repro.core.workspace.Workspace`):
+every engine but ``unpooled`` runs on the pooled one.  ``fused`` and
+``la`` read through the same workspace calls, so a problem built on
+either provider runs under any engine.
 
 :func:`dispatch` is the one way into a specialized engine: the refusal
 chain, the fallback record, the dispatch counter and the engine span

@@ -21,7 +21,6 @@ import numpy as np
 from ..simt import calib
 from ..simt.machine import Machine
 from ..simt.primitives import unique_by_sort
-from .workspace import workspace_of
 
 
 class FrontierKind(Enum):
@@ -106,20 +105,21 @@ class Frontier:
 
     # -- layout conversions ----------------------------------------------------
 
-    def to_bitmap(self, size: int, machine: Optional[Machine] = None,
-                  *, workspace=None, role: str = "frontier_bitmap") -> np.ndarray:
-        """Scatter the queue into a dense boolean map of the given size.
+    def to_bitmap(self, size: int,
+                  machine: Optional[Machine] = None) -> np.ndarray:
+        """Scatter the queue into a new zeroed boolean map of the given
+        size.
 
         This is the conversion Gunrock performs internally before a
-        pull-based advance (Section 4.1.1).  The map comes from
-        ``workspace``'s :meth:`~repro.core.workspace.Workspace.bitmap_scatter`
-        (the shared unpooled provider when None): a pooled workspace
-        lends it, valid until the next ``to_bitmap`` with the same
-        workspace and role.  Ids outside ``[0, size)`` raise
-        ``ValueError``; the simulated cost charge is the same either way.
+        pull-based advance (Section 4.1.1).  Ids outside ``[0, size)``
+        raise ``ValueError`` (a negative id would otherwise wrap to the
+        end of the map).
         """
-        ws = workspace if workspace is not None else workspace_of(None)
-        bitmap = ws.bitmap_scatter(role, size, self.items)
+        items = self.items
+        if len(items) and (items.min() < 0 or items.max() >= size):
+            raise ValueError("frontier id exceeds bitmap size")
+        bitmap = np.zeros(size, dtype=bool)
+        bitmap[items] = True
         if machine is not None:
             machine.map_kernel("queue_to_bitmap", len(self.items), 1.0)
         return bitmap

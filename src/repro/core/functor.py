@@ -128,7 +128,7 @@ def resolve_masks(n_lanes: int, *masks: Optional[np.ndarray],
     The no-mask case returns ``workspace``'s all-True mask (a cached
     read-only view on the pooled provider) and the single-mask case
     passes the functor's mask straight through, so callers treat the
-    result as read-only; only the multi-mask case touches scratch.
+    result as read-only; only the multi-mask case builds a new array.
     """
     ws = workspace if workspace is not None else workspace_of(None)
     live = [_validate_mask(m, n_lanes, where)
@@ -137,8 +137,7 @@ def resolve_masks(n_lanes: int, *masks: Optional[np.ndarray],
         return ws.true_mask(n_lanes)
     if len(live) == 1:
         return live[0]
-    out = ws.take("resolve_masks", n_lanes, np.bool_)
-    np.copyto(out, live[0])
-    for mask in live[1:]:
+    out = np.logical_and(live[0], live[1])
+    for mask in live[2:]:
         np.logical_and(out, mask, out=out)
     return out

@@ -27,7 +27,7 @@ walks) gets one lowering of it, which builds no lane at all wherever
 :func:`repro.graph.csr.transpose_product` is bitwise safe and
 uncharged.  There is one body; the
 problem's :class:`~repro.core.workspace.Workspace` only decides whether
-scratch is lent (pooled) or freshly allocated (unpooled).  The textbook
+constants and expansions are cached (pooled) or not (unpooled).  The textbook
 bodies it replaced live on as the oracle in ``tests/unpooled_reference.py``.
 """
 
@@ -265,7 +265,7 @@ def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,
     machine = problem.machine
     ws = workspace_of(problem)
     rev = g.csc
-    in_frontier = frontier.to_bitmap(g.n, machine, workspace=ws)
+    in_frontier = frontier.to_bitmap(g.n, machine)
     unvisited = np.flatnonzero(problem.unvisited_mask())
     if machine is not None:
         # generating the unvisited frontier = one compaction over V
@@ -287,14 +287,14 @@ def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,
     big = np.iinfo(np.int64).max
     pos_in_seg = excl[seg]
     np.subtract(ws.iota(total), pos_in_seg, out=pos_in_seg)
-    first_hit = ws.take("pull_first_hit", len(unvisited), np.int64, fill=big)
+    first_hit = np.full(len(unvisited), big, dtype=np.int64)
     if np.count_nonzero(hits) * 4 >= total:
         # dense hits (the regime pull is chosen for): replace the
         # element-at-a-time ``np.minimum.at`` with one vectorized
         # segmented reduction.  Rows are taken only at nonzero-degree
         # segments so reduceat's empty-slice quirk never applies; the
         # per-segment minimum is the same value either way.
-        vals = ws.take("pull_first_vals", total, np.int64, fill=big)
+        vals = np.full(total, big, dtype=np.int64)
         np.copyto(vals, pos_in_seg, where=hits)
         nz = np.flatnonzero(degs)
         first_hit[nz] = np.minimum.reduceat(vals, excl[nz])

@@ -64,7 +64,7 @@ def _neighbor_reduce_body(problem, frontier, value_fn, op, lb, iteration,
 
     ws = workspace_of(problem)
     n_seg = len(frontier.items)
-    offsets = ws.take("nr_offsets", n_seg + 1, np.int64)
+    offsets = np.empty(n_seg + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(degs, out=offsets[1:])
     if len(eids) == 0:

@@ -1,45 +1,34 @@
-"""Workspace scratch arena — the wall-clock analogue of Gunrock's
-preallocated frontier double-buffers and scan workspaces.
+"""Workspace — the constants and the memo that pay for themselves.
 
-Gunrock allocates its frontier queues, scan temporaries, and bitmap
-companions once per problem and reuses them across BSP iterations
-(Merrill et al.'s BFS does the same with its double-buffered queues).
-That is a decision about who owns memory, not a second copy of each
-operator: every operator has one body, and the :class:`Workspace` it
-borrows scratch from is one of two *providers* answering the same calls.
+Gunrock preallocates its frontier queues, scan temporaries and bitmap
+companions once per problem, because a GPU allocation is expensive.  In
+NumPy an ``np.empty`` is cheap, so scratch here is allocated where it
+is used and every array an operator returns is owned by its caller.  A
+:class:`Workspace` keeps only what a per-role ablation showed to pay
+(DESIGN.md §10):
 
-* The **pooled** provider (every engine but ``unpooled``) keeps
-  reusable buffers keyed by ``(role, dtype)``, growing geometrically and
-  handing out exact-size views, plus cached *constant* arrays (iota
-  ramps, all-True / all-False masks), sparse-clear bitmaps and a
-  per-graph expansion memo.
-* The **unpooled** provider lends nothing: ``take`` / ``iota`` /
-  ``true_mask`` / ``false_mask`` / ``bitmap_scatter`` allocate fresh
-  arrays, ``expansion_memo`` always misses and ``remember_expansion``
-  forgets.
+* read-only constant arrays — an iota ramp and all-True / all-False
+  masks — whose *identity* operators test to skip scans;
+* a per-graph expansion memo, so a frontier pushed again on the same
+  graph is not re-expanded.
+
+Every operator has one body, and a workspace is one of two *providers*
+answering the same calls:
+
+* the **pooled** provider (every engine but ``unpooled``) caches the
+  constants and the memo;
+* the **unpooled** provider caches nothing: ``iota`` / ``true_mask`` /
+  ``false_mask`` allocate fresh arrays, ``expansion_memo`` always misses
+  and ``remember_expansion`` forgets.
 
 This module is the only one that knows which provider it is; operators
 and primitives never branch on it (CI's "One operator body" step).
+Both providers produce identical arrays and identical simulated-cycle
+counters; ``tests/test_unpooled_reference.py`` holds the one body to the
+textbook bodies in ``tests/unpooled_reference.py`` under either.
 
-Borrowing invariants (see DESIGN.md §10):
-
-* **Scratch is borrowed, never owned.** A view returned by
-  :meth:`Workspace.take` is valid only until the next ``take`` of the
-  same role; operators must not let borrowed views escape into
-  structures that outlive the operator call (frontiers, piles,
-  checkpoints).
-* **Frontier items always own their memory.** Operators produce output
-  id arrays by fancy indexing (which copies) or by aliasing *immutable*
-  inputs (cached iota ramps, CSR ``indices``), never by handing out
-  scratch.
-* **Constant views are read-only.** Pooled ``iota`` / ``true_mask`` /
-  ``false_mask`` views are backed by ``writeable=False`` arrays, so an
-  accidental in-place write raises instead of corrupting shared state.
-* **Identical results.** Both providers produce identical arrays and
-  identical simulated-cycle counters; ``tests/test_unpooled_reference.py``
-  holds the one body to the textbook bodies in
-  ``tests/unpooled_reference.py`` under either provider.
-
+The pooled constants are backed by ``writeable=False`` arrays, so an
+accidental in-place write raises instead of corrupting shared state.
 The provider follows the engine selection (:mod:`repro.core.engine`) and
 is captured by each :class:`Workspace` at construction time — i.e. per
 problem — so a single process can build both kinds side by side.
@@ -47,21 +36,15 @@ problem — so a single process can build both kinds side by side.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from .engine import engine_mode
 
-#: minimum backing-buffer length; avoids churning tiny buffers while a
+#: minimum length of a cached constant; avoids regrowing it while a
 #: frontier ramps up from a single source vertex
 _MIN_CAPACITY = 1024
-
-
-def pooling_enabled() -> bool:
-    """Whether new Workspaces (new problems) default to the pooled
-    provider."""
-    return engine_mode() != "unpooled"
 
 
 def _capacity_for(size: int) -> int:
@@ -73,62 +56,24 @@ def _capacity_for(size: int) -> int:
 
 
 class Workspace:
-    """Reusable scratch arena for one problem's operator invocations.
+    """Cached constants and expansion memo for one problem's operator
+    invocations (the unpooled provider caches neither)."""
 
-    The pooled provider's :meth:`take` returns an exact-size view of a
-    geometrically grown backing buffer keyed by ``(role, dtype)``; the
-    unpooled provider allocates fresh on every call (what
-    ``benchmarks/bench_wallclock.py`` compares against).
-    """
-
-    __slots__ = ("pooled", "_pools", "_iota", "_true", "_false",
-                 "_true_views", "_false_views", "_bitmaps", "_expand_memo",
-                 "stats")
+    __slots__ = ("pooled", "_iota", "_true", "_false",
+                 "_true_views", "_false_views", "_expand_memo")
 
     def __init__(self, pooled: Optional[bool] = None):
-        self.pooled = pooling_enabled() if pooled is None else bool(pooled)
-        self._pools: Dict[Tuple[str, np.dtype], np.ndarray] = {}
+        if pooled is None:
+            pooled = engine_mode() != "unpooled"
+        self.pooled = bool(pooled)
         self._iota: Optional[np.ndarray] = None
         self._true: Optional[np.ndarray] = None
         self._false: Optional[np.ndarray] = None
         self._true_views: Dict[int, np.ndarray] = {}
         self._false_views: Dict[int, np.ndarray] = {}
-        #: per-role (backing, last-set-items) pairs for sparse-clear bitmaps
-        self._bitmaps: Dict[str, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
         #: id(graph) -> (graph, frontier, expansion) of the last push
         #: frontier expanded on that graph
         self._expand_memo: Dict[int, tuple] = {}
-        #: allocation accounting, surfaced by bench_wallclock.py
-        self.stats = {"takes": 0, "allocations": 0, "grown_bytes": 0}
-
-    # -- scratch ------------------------------------------------------------
-
-    def take(self, role: str, size: int, dtype=np.int64,
-             fill=None) -> np.ndarray:
-        """Borrow a ``size``-element scratch buffer for ``role``.
-
-        The view is valid until the next ``take`` of the same role.  When
-        ``fill`` is given the view is filled; otherwise contents are
-        uninitialized.
-        """
-        self.stats["takes"] += 1
-        dt = np.dtype(dtype)
-        if not self.pooled:
-            self.stats["allocations"] += 1
-            if fill is None:
-                return np.empty(size, dtype=dt)
-            return np.full(size, fill, dtype=dt)
-        key = (role, dt)
-        buf = self._pools.get(key)
-        if buf is None or len(buf) < size:
-            buf = np.empty(_capacity_for(size), dtype=dt)
-            self._pools[key] = buf
-            self.stats["allocations"] += 1
-            self.stats["grown_bytes"] += buf.nbytes
-        view = buf[:size]
-        if fill is not None:
-            view.fill(fill)
-        return view
 
     # -- cached constant arrays ---------------------------------------------
 
@@ -140,21 +85,17 @@ class Workspace:
         out=x)``).
         """
         if not self.pooled:
-            self.stats["allocations"] += 1
             return np.arange(size, dtype=np.int64)
         if self._iota is None or len(self._iota) < size:
             base = np.arange(_capacity_for(size), dtype=np.int64)
             base.setflags(write=False)
             self._iota = base
-            self.stats["allocations"] += 1
-            self.stats["grown_bytes"] += base.nbytes
         return self._iota[:size]
 
     def _const_mask(self, size: int, value: bool) -> np.ndarray:
         attr = "_true" if value else "_false"
         views = self._true_views if value else self._false_views
         if not self.pooled:
-            self.stats["allocations"] += 1
             return (np.ones if value else np.zeros)(size, dtype=bool)
         base = getattr(self, attr)
         if base is None or len(base) < size:
@@ -162,8 +103,6 @@ class Workspace:
             base.setflags(write=False)
             setattr(self, attr, base)
             views.clear()
-            self.stats["allocations"] += 1
-            self.stats["grown_bytes"] += base.nbytes
         view = views.get(size)
         if view is None:
             view = base[:size]
@@ -223,66 +162,9 @@ class Workspace:
         if self.pooled:
             self._expand_memo[id(graph)] = (graph, f, out)
 
-    # -- bitmaps with sparse clear ------------------------------------------
-
-    def bitmap_scatter(self, role: str, size: int,
-                       items: np.ndarray) -> np.ndarray:
-        """Scatter ``items`` into a dense boolean map of ``size``.
-
-        Ids outside ``[0, size)`` raise ``ValueError`` (a negative id
-        would otherwise wrap to the end of the map).  The pooled provider
-        does not zero the whole map each call: only the positions set by
-        the *previous* scatter of this role are cleared — O(previous
-        frontier) instead of O(n) — and the map is borrowed until that
-        next scatter.  The backing invariant: after every call, the True
-        positions in the backing buffer are exactly ``items``.  The
-        unpooled provider returns a fresh zeroed map.
-        """
-        if len(items) and (items.min() < 0 or items.max() >= size):
-            raise ValueError("frontier id exceeds bitmap size")
-        if not self.pooled:
-            self.stats["allocations"] += 1
-            view = np.zeros(size, dtype=bool)
-            view[items] = True
-            return view
-        buf, last = self._bitmaps.get(role, (None, None))
-        if buf is None or len(buf) < size:
-            buf = np.zeros(_capacity_for(size), dtype=bool)
-            self.stats["allocations"] += 1
-            self.stats["grown_bytes"] += buf.nbytes
-        elif last is not None and len(last):
-            buf[last] = False
-        view = buf[:size]
-        view[items] = True
-        self._bitmaps[role] = (buf, items)
-        return view
-
-    # -- maintenance --------------------------------------------------------
-
-    def nbytes(self) -> int:
-        """Bytes currently held by pooled backing buffers."""
-        total = sum(b.nbytes for b in self._pools.values())
-        for arr in (self._iota, self._true, self._false):
-            if arr is not None:
-                total += arr.nbytes
-        total += sum(b.nbytes for b, _ in self._bitmaps.values())
-        return total
-
-    def clear(self) -> None:
-        """Drop every pooled buffer (memory-pressure escape hatch)."""
-        self._pools.clear()
-        self._iota = None
-        self._true = None
-        self._false = None
-        self._true_views.clear()
-        self._false_views.clear()
-        self._bitmaps.clear()
-        self._expand_memo.clear()
-
 
 #: shared provider for callers without a workspace (duck-typed problem
-#: views, a bare ``Frontier.to_bitmap``): unpooled, so nothing it hands
-#: out is borrowed
+#: views, a bare ``resolve_masks``): unpooled, so it caches nothing
 _FALLBACK = Workspace(pooled=False)
 
 

@@ -44,21 +44,15 @@ def row_lanes(indptr: np.ndarray, rows: np.ndarray, degs: np.ndarray,
     to the caller; ``excl`` is the exclusive prefix sum of ``degs``.
     ``total == 0`` returns two empty arrays.
 
-    ``ws`` provides scratch and selects nothing: a ``Workspace`` lends
-    ``excl`` (role ``"expand_excl"``: borrowed, valid until the next
-    expansion on that workspace) and its iota ramp; ``None`` allocates
-    both.  DESIGN §10 lists the callers.
+    Both arrays are owned by the caller.  ``ws`` selects nothing: a
+    ``Workspace`` supplies its cached read-only iota ramp, ``None``
+    allocates one.  DESIGN §10 lists the callers.
     """
     if total == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
-    nf = len(rows)
-    if ws is None:
-        excl = np.empty(nf, dtype=np.int64)
-        ramp = np.arange(total, dtype=np.int64)
-    else:
-        excl = ws.take("expand_excl", nf, np.int64)
-        ramp = ws.iota(total)
+    excl = np.empty(len(rows), dtype=np.int64)
+    ramp = np.arange(total, dtype=np.int64) if ws is None else ws.iota(total)
     excl[0] = 0
     np.cumsum(degs[:-1], out=excl[1:])
     starts = indptr[rows]

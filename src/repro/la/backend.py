@@ -85,7 +85,7 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
     labels = P.labels
     preds = P.preds if P.record_preds else None
     in_frontier = np.zeros(g.n, dtype=bool)
-    scratch = Scratch(en.workspace)
+    scratch = Scratch()
 
     def step(f, it):
         mode, _, _ = bfs_direction(en.direction, P, f)
@@ -136,7 +136,7 @@ def _run_sssp(en, frontier: Frontier) -> Frontier:
     labels = P.labels
     preds = P.preds
     weights = P.weights
-    scratch = Scratch(en.workspace)
+    scratch = Scratch()
 
     def step(f, it):
         ids, vals, wit = spmspv(g, f, labels[f], MIN_PLUS,
@@ -202,7 +202,7 @@ def _run_pagerank(en, frontier: Frontier) -> Frontier:
     g = P.graph
     machine = P.machine
     n = g.n
-    scratch = Scratch(en.workspace)
+    scratch = Scratch()
 
     def step(f, it):
         contrib, full = rank_contribution(P, f)

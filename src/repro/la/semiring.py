@@ -103,27 +103,24 @@ _SCATTER_VERTICES_PER_LANE = 128
 class Scratch:
     """Dense accumulators a runner lends its products for one run.
 
-    Each buffer holds its fill value in every slot between products:
-    the borrower resets exactly the slots it wrote (the sparse-clear
-    discipline of :meth:`Workspace.bitmap_scatter`), so a product costs
-    no ``np.full(n, ...)``.  Each buffer is taken once from the problem's
-    :class:`~repro.core.workspace.Workspace` (either provider); a product
-    called without one gets throwaway arrays.  ``lanes`` reports the edge lanes the
-    last product expanded — what the runners charge the cost model.
+    Each buffer is allocated filled on first use and held for the run.
+    Between products it holds its fill value in every slot: the product
+    resets exactly the slots it wrote, so only the first product of a
+    run pays an ``np.full(n, ...)``.  A product called without a
+    ``Scratch`` makes a throwaway one.  ``lanes`` reports the edge lanes
+    the last product expanded — what the runners charge the cost model.
     """
 
-    __slots__ = ("_ws", "_held", "lanes")
+    __slots__ = ("_held", "lanes")
 
-    def __init__(self, workspace=None):
-        self._ws = workspace
+    def __init__(self):
         self._held = {}
         self.lanes = 0
 
     def dense(self, role: str, n: int, dtype, fill) -> np.ndarray:
         buf = self._held.get(role)
         if buf is None:
-            buf = np.full(n, fill, dtype=dtype) if self._ws is None else \
-                self._ws.take("la_" + role, n, dtype, fill=fill)
+            buf = np.full(n, fill, dtype=dtype)
             self._held[role] = buf
         return buf
 

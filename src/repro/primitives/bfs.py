@@ -66,9 +66,7 @@ class BfsProblem(ProblemBase):
         self.num_unvisited = self.graph.n - 1
 
     def unvisited_mask(self) -> np.ndarray:
-        out = self.workspace.take("unvisited_mask", self.graph.n, np.bool_)
-        np.less(self.labels, 0, out=out)
-        return out
+        return self.labels < 0
 
     def snapshot_state(self) -> dict:
         return {"num_unvisited": self.num_unvisited}

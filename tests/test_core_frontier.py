@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import Frontier, FrontierKind
-from repro.core.workspace import Workspace
 from repro.simt import Machine
 
 
@@ -53,13 +52,21 @@ def test_bitmap_rejects_overflow():
         f.to_bitmap(5)
 
 
-@pytest.mark.parametrize("pooled", [True, False, None])
-def test_bitmap_rejects_negative_ids(pooled):
-    # -1 must not wrap to the last vertex, on either scratch provider
-    ws = None if pooled is None else Workspace(pooled=pooled)
-    f = Frontier.from_vertices([-1, 2])
-    with pytest.raises(ValueError, match="exceeds bitmap size"):
-        f.to_bitmap(5, workspace=ws)
+@pytest.mark.parametrize("counted", [True, False, None])
+def test_bitmap_rejects_negative_ids(counted):
+    # -1 must not wrap to the last vertex; ``size`` is one past the end.
+    # ``counted``: None omits the machine, False passes machine=None,
+    # True passes a Machine, which a rejected call must not charge.
+    m = Machine() if counted else None
+    for bad in (-1, 5):
+        f = Frontier.from_vertices([bad, 2])
+        with pytest.raises(ValueError, match="exceeds bitmap size"):
+            if counted is None:
+                f.to_bitmap(5)
+            else:
+                f.to_bitmap(5, m)
+    if m is not None:
+        assert m.counters.kernel_launches == 0
 
 
 def test_bitmap_costs_kernel():

@@ -1,68 +1,15 @@
-"""Workspace arena unit tests: scratch pooling, constant views, bitmap
-sparse-clear, expansion memo, pooling derived from the engine."""
+"""Workspace unit tests: constant views, expansion memo, owned operator
+outputs, the provider derived from the engine."""
 
 import numpy as np
 import pytest
 
 from repro.core.engine import engine, engine_mode, set_engine
-from repro.core.workspace import Workspace, pooling_enabled, workspace_of
-
-
-# -- take: pooled scratch ---------------------------------------------------
-
-
-def test_take_returns_exact_size_view():
-    ws = Workspace(pooled=True)
-    a = ws.take("x", 10)
-    assert len(a) == 10
-    assert a.dtype == np.int64
-
-
-def test_take_reuses_backing_for_same_role():
-    ws = Workspace(pooled=True)
-    a = ws.take("x", 10)
-    b = ws.take("x", 10)
-    assert a.base is b.base
-    assert ws.stats["allocations"] == 1
-
-
-def test_take_grows_geometrically():
-    ws = Workspace(pooled=True)
-    ws.take("x", 10)
-    ws.take("x", 5000)   # grows
-    ws.take("x", 3000)   # fits in grown backing
-    assert ws.stats["allocations"] == 2
-
-
-def test_take_roles_are_independent():
-    ws = Workspace(pooled=True)
-    a = ws.take("a", 8)
-    b = ws.take("b", 8)
-    a[:] = 1
-    b[:] = 2
-    assert a.sum() == 8 and b.sum() == 16
-
-
-def test_take_dtypes_are_independent():
-    ws = Workspace(pooled=True)
-    a = ws.take("x", 8, np.int64)
-    b = ws.take("x", 8, np.bool_)
-    assert a.dtype == np.int64 and b.dtype == np.bool_
-
-
-def test_take_fill():
-    ws = Workspace(pooled=True)
-    a = ws.take("x", 6, np.int64, fill=7)
-    assert a.tolist() == [7] * 6
-
-
-def test_take_unpooled_allocates_fresh():
-    ws = Workspace(pooled=False)
-    a = ws.take("x", 10)
-    b = ws.take("x", 10)
-    assert a.base is None and b.base is None
-    a[:] = 1
-    assert b is not a
+from repro.core.functor import resolve_masks
+from repro.core.workspace import Workspace, workspace_of
+from repro.graph.build import from_edges
+from repro.graph.csr import row_lanes
+from repro.primitives.bfs import BfsProblem
 
 
 # -- constant views ---------------------------------------------------------
@@ -112,28 +59,6 @@ def test_unpooled_workspace_never_recognises_a_constant_view():
     assert not ws._true_views and not ws._false_views
 
 
-# -- bitmap scatter ---------------------------------------------------------
-
-
-def test_bitmap_scatter_sets_exactly_items():
-    ws = Workspace(pooled=True)
-    bm = ws.bitmap_scatter("f", 16, np.array([1, 5, 9]))
-    assert np.flatnonzero(bm).tolist() == [1, 5, 9]
-
-
-def test_bitmap_scatter_sparse_clear_between_calls():
-    ws = Workspace(pooled=True)
-    ws.bitmap_scatter("f", 16, np.array([1, 5, 9]))
-    bm = ws.bitmap_scatter("f", 16, np.array([2, 3]))
-    assert np.flatnonzero(bm).tolist() == [2, 3]
-
-
-def test_bitmap_scatter_rejects_out_of_range():
-    ws = Workspace(pooled=True)
-    with pytest.raises(ValueError):
-        ws.bitmap_scatter("f", 4, np.array([4]))
-
-
 # -- expansion memo ---------------------------------------------------------
 
 
@@ -176,44 +101,48 @@ def test_expansion_memo_misses_an_equal_frontier_on_another_graph():
     assert ws.expansion_memo(other, f.copy()) is None
 
 
-def test_clear_forgets_every_expansion():
+# -- operator outputs are owned ---------------------------------------------
+
+
+def test_returned_arrays_are_owned():
+    """No operator output aliases workspace state: a later call on the
+    same pooled workspace leaves an earlier result as it was."""
     ws = Workspace(pooled=True)
-    graphs = [object() for _ in range(3)]
-    f = np.array([4], dtype=np.int64)
-    for g in graphs:
-        ws.remember_expansion(g, f, ("out",))
-    ws.clear()
-    assert all(ws.expansion_memo(g, f) is None for g in graphs)
+    g = from_edges(np.array([[0, 1], [0, 2], [1, 2], [2, 0], [2, 1]]), n=4)
+    rows = np.array([2, 0], dtype=np.int64)
+    degs = g.degrees_of(rows)
+    excl1, _ = row_lanes(g.indptr, rows, degs, 4, ws)
+    excl2, _ = row_lanes(g.indptr, rows, degs, 4, ws)
+    assert not np.shares_memory(excl1, excl2)
+
+    P = BfsProblem(g)
+    P.workspace = ws
+    P.set_source(0)
+    first = P.unvisited_mask()
+    P.labels[2] = 1
+    second = P.unvisited_mask()
+    assert first.tolist() == [False, True, True, True]
+    assert second.tolist() == [False, True, False, True]
+
+    a, b, c = (np.array(m, dtype=bool) for m in
+               ([1, 1, 0, 1], [1, 0, 1, 1], [1, 1, 1, 0]))
+    got = resolve_masks(4, a, b, c, workspace=ws)
+    resolve_masks(4, ~a, ~b, ~c, workspace=ws)
+    assert got.tolist() == [True, False, False, False]
 
 
-# -- stats / maintenance ----------------------------------------------------
-
-
-def test_nbytes_and_clear():
-    ws = Workspace(pooled=True)
-    ws.take("x", 100)
-    ws.iota(100)
-    ws.true_mask(100)
-    ws.bitmap_scatter("f", 100, np.array([3]))
-    assert ws.nbytes() > 0
-    ws.clear()
-    assert ws.nbytes() == 0
-
-
-# -- pooling follows the engine selector ------------------------------------
+# -- the provider follows the engine selector ------------------------------------
 
 
 def test_pooling_context_restores():
     """Pooling is derived from the one engine selector: a scoped
     ``engine()`` flips it for Workspaces built inside and restores the
     previous mode on exit."""
-    before_mode, before = engine_mode(), pooling_enabled()
+    before_mode, before = engine_mode(), Workspace().pooled
     with engine("unpooled" if before else "pooled"):
-        assert pooling_enabled() is (not before)
-        ws = Workspace()
-        assert ws.pooled is (not before)
+        assert Workspace().pooled is (not before)
     assert engine_mode() == before_mode
-    assert pooling_enabled() is before
+    assert Workspace().pooled is before
 
 
 def test_set_engine_returns_previous_and_scopes_nest():
@@ -224,11 +153,11 @@ def test_set_engine_returns_previous_and_scopes_nest():
     saved, before = E._ENGINE, engine_mode()
     try:
         assert set_engine("unpooled") == before
-        assert pooling_enabled() is False
+        assert Workspace().pooled is False
         with engine("fused"):
-            assert pooling_enabled() is True
+            assert Workspace().pooled is True
         assert engine_mode() == "unpooled"
-        assert pooling_enabled() is False
+        assert Workspace().pooled is False
     finally:
         E._ENGINE = saved
 

@@ -76,9 +76,9 @@ def test_dispatch_refusal(mode, refusal):
 
 @pytest.mark.parametrize("mode", ["fused", "la"])
 def test_problem_built_unpooled_runs_under_the_engine(mode):
-    """The provider only decides who lends scratch: a problem built under
-    ``engine("unpooled")`` is taken by fused and la like any other, with
-    labels bitwise equal to the pooled library loop."""
+    """The provider only decides what the workspace caches: a problem
+    built under ``engine("unpooled")`` is taken by fused and la like any
+    other, with labels bitwise equal to the pooled library loop."""
     from repro.graph.generators import kronecker
 
     g = kronecker(8, seed=3)

@@ -202,12 +202,12 @@ def test_engine_rejects_unknown_mode():
 
 
 def test_fused_engine_implies_pooling():
-    from repro.core.workspace import pooling_enabled
+    from repro.core.workspace import Workspace
 
     with engine("fused"):
-        assert pooling_enabled()
+        assert Workspace().pooled
     with engine("unpooled"):
-        assert not pooling_enabled()
+        assert not Workspace().pooled
 
 
 # -- plans and the per-graph cache --------------------------------------------

@@ -505,10 +505,10 @@ def test_resilience_hooks_disable_la():
 
 
 def test_la_engine_implies_pooling():
-    from repro.core.workspace import pooling_enabled
+    from repro.core.workspace import Workspace
 
     with engine("la"):
-        assert pooling_enabled()
+        assert Workspace().pooled
 
 
 # -- SpGEMM triangle counting -------------------------------------------------

@@ -79,18 +79,15 @@ def test_workspace_is_a_scratch_provider_not_a_mode(data):
         assert np.array_equal(_check(g.indptr, rows, ws), plain)
 
 
-def test_eids_are_owned_and_excl_is_borrowed():
+def test_eids_are_owned():
     g = from_edges(np.array([[0, 1], [0, 2], [1, 2], [2, 0], [2, 1]]), n=4)
     ws = Workspace(pooled=True)
     rows = np.array([2, 0], dtype=np.int64)
     degs = g.degrees_of(rows)
-    excl1, first = row_lanes(g.indptr, rows, degs, 4, ws)
-    excl2, second = row_lanes(g.indptr, rows, degs, 4, ws)
+    _, first = row_lanes(g.indptr, rows, degs, 4, ws)
+    _, second = row_lanes(g.indptr, rows, degs, 4, ws)
     assert not np.shares_memory(first, second)
     first[:] = -1
     assert second.tolist() == [3, 4, 0, 1]
-    # excl is the workspace's "expand_excl" buffer: valid until the next
-    # expansion on that workspace
-    assert np.shares_memory(excl1, excl2)
     # and the inputs are never written
     assert g.indptr.tolist() == [0, 2, 3, 5, 5] and rows.tolist() == [2, 0]

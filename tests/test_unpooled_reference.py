@@ -110,12 +110,10 @@ def test_resolve_masks_matches_reference(data, pooled):
     _same(np.asarray(resolve_masks(n, *masks, workspace=ws)), want)
 
 
-@given(st.data(), st.sampled_from([True, False, None]))
+@given(st.data())
 @settings(max_examples=100, deadline=None)
-def test_to_bitmap_matches_reference(data, pooled):
+def test_to_bitmap_matches_reference(data):
     size = data.draw(st.integers(1, 30))
-    ws = None if pooled is None else Workspace(pooled=pooled)
-    # consecutive scatters exercise the pooled provider's sparse clear
     for _ in range(3):
         items = np.asarray(data.draw(st.lists(st.integers(-3, size + 2),
                                               max_size=12)), dtype=np.int64)
@@ -124,9 +122,9 @@ def test_to_bitmap_matches_reference(data, pooled):
             want = to_bitmap_reference(items, size, want_m)
         except ValueError:
             with pytest.raises(ValueError, match="exceeds bitmap size"):
-                Frontier(items).to_bitmap(size, got_m, workspace=ws)
+                Frontier(items).to_bitmap(size, got_m)
             continue
-        _same(Frontier(items).to_bitmap(size, got_m, workspace=ws), want)
+        _same(Frontier(items).to_bitmap(size, got_m), want)
         assert _charges(got_m) == _charges(want_m)
 
 
