@@ -43,10 +43,10 @@ class InfluenceProblem(ProblemBase):
 # ---- 2. the Functor: what happens on every traversed edge ------------------
 
 class InfluenceFunctor(Functor):
-    """Push decayed influence to unvisited neighbors (idempotent: a vertex
-    may be scored by several same-depth parents — that is the semantics)."""
-
-    idempotent = True
+    """Push decayed influence to unvisited neighbors.  A vertex may be
+    scored by several same-depth parents — that is the semantics — so the
+    score accumulates through ``atomic_add`` and the functor must not
+    declare ``idempotent = True``: a duplicate apply would double-count."""
 
     def __init__(self, depth):
         self.depth = depth
@@ -56,7 +56,8 @@ class InfluenceFunctor(Functor):
         return P.depth[dst] < 0
 
     def apply_edge(self, P, src, dst, eid):
-        P.depth[dst] = self.depth
+        # duplicate lanes all store the same depth, so the race is benign
+        P.depth[dst] = self.depth  # lint: allow(raw-write)
         atomics.atomic_add(P.score, dst,
                            P.score[src] * P.decay / np.maximum(
                                1, P.graph.out_degrees[src]),

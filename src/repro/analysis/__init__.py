@@ -1,4 +1,4 @@
-"""Functor sanitizer: static BSP-contract linter + dynamic race detector.
+"""Functor sanitizer: static BSP-contract analysis + dynamic race detector.
 
 Two cooperating halves police the contract Gunrock documents but never
 checks (Sections 4.1.1 and 4.3): functors fused into advance/filter
@@ -6,16 +6,17 @@ kernels must read only pre-kernel state, route concurrent writes through
 :mod:`repro.core.atomics`, and declare ``idempotent = True`` only when
 duplicate applies are harmless.
 
-* :func:`lint_paths` / ``python -m repro lint`` — AST pass over Functor
-  and Problem classes (rule IDs GR001-GR005, see :mod:`.rules`).
+* :mod:`.effects` — the one static pass: abstract interpretation of each
+  functor body into an effect summary, from which every rule GR001–GR012
+  (:mod:`.rules`) is read.
+* :func:`lint_paths` / ``python -m repro lint`` — that pass's violations,
+  filtered by ``# lint: allow(...)`` comments.
+* :func:`analyze_paths` / ``python -m repro analyze`` — the same list plus
+  a fusion-safety verdict per primitive over the statically recovered
+  operator DAG (:mod:`.fusion`), rendered by :mod:`.report`.
 * :func:`sanitize` / ``python -m repro run --sanitize`` — runtime kernel
   instrumentation that snapshots problem arrays, tracks write-sets, and
   reports write-write conflicts and read-after-write hazards.
-* :func:`analyze_paths` / ``python -m repro analyze`` — abstract
-  interpretation of functor bodies into effect summaries (rule IDs
-  GR006-GR012, see :mod:`.effects`) plus a fusion-safety verdict per
-  primitive over the statically recovered operator DAG
-  (:mod:`.fusion`), rendered by :mod:`.report`.
 """
 
 from .effects import (ArraySpec, FunctorSummary, MethodSummary,

@@ -15,9 +15,17 @@ summary**:
 * a **dtype lattice** inferred from ``add_vertex_array``/``add_edge_array``
   registration sites, flagging narrowing stores;
 * mask **purity** of ``cond_*`` (no writes, allowlisted calls only);
-* **determinism** (no calls into np.random/random/time/uuid/...).
+* **determinism** (no calls into np.random/random/time/uuid/...);
+* the Python loops and the stores to functor attributes in the body.
 
-The summaries drive rules GR006–GR012 and feed the fusion-safety verifier
+This is the only walk over a functor body: rules GR001–GR004 and
+GR006–GR012 are all read off its summaries, GR005 off the problem classes
+of the same module pass.  An *element* write (subscript store or ``+=``,
+``np.<ufunc>.at``) is GR001 whatever alias reaches the array; a
+*whole-array* in-place mutation (``out=``, ``.fill()``, ``alias += v``)
+is GR009.
+
+The summaries also feed the fusion-safety verifier
 (:mod:`repro.analysis.fusion`).  The write sets are deliberately
 over-approximate: soundness (static write set ⊇ anything the dynamic
 sanitizer ever observes) is what the fusion compiler needs, and is pinned
@@ -30,9 +38,10 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .linter import (FUNCTOR_METHODS, _is_functor_class, _is_problem_class,
-                     collect_source_violations)
 from .rules import RULES, Violation
+
+#: the fused-kernel methods whose bodies execute inside advance/filter
+FUNCTOR_METHODS = ("cond_edge", "apply_edge", "cond_vertex", "apply_vertex")
 
 #: repro.core.atomics entry points and their reduction ops
 ATOMIC_WRITERS: Dict[str, str] = {
@@ -46,6 +55,9 @@ COMMUTATIVE_OPS = frozenset({"min", "max", "add", "cas"})
 
 #: reduction ops that accumulate (unsound under ``idempotent = True``)
 ACCUMULATING_OPS = frozenset({"add"})
+
+#: ``np.<ufunc>.at`` scatters that accumulate
+_ACCUMULATING_UFUNCS = frozenset({"add", "subtract", "multiply", "divide"})
 
 #: plain (non-atomic) write kinds
 PLAIN_KINDS = frozenset({"store", "augstore", "inplace", "scatter"})
@@ -81,6 +93,52 @@ _ALLOWED_BUILTINS = frozenset({
 #: calls that defeat static analysis outright
 _DYNAMIC_CALLS = frozenset({"setattr", "delattr", "getattr", "eval", "exec",
                             "vars", "globals", "locals", "__import__"})
+
+#: numpy allocators, and the functions that *derive* a fresh per-element
+#: array from existing state (np.maximum(deg, 1) and friends): assigning
+#: either to a problem attribute hides the array from the registry
+_FRESH_ARRAY_FUNCS = frozenset({
+    "zeros", "ones", "full", "empty", "zeros_like", "ones_like",
+    "full_like", "empty_like", "arange",
+    "maximum", "minimum", "where", "clip", "concatenate", "repeat",
+})
+
+
+# ------------------------------------------------------ class recognisers
+# structural, so the pass runs on source trees without importing them
+
+def _base_names(cls: ast.ClassDef) -> List[str]:
+    names = []
+    for base in cls.bases:
+        if isinstance(base, ast.Name):
+            names.append(base.id)
+        elif isinstance(base, ast.Attribute):
+            names.append(base.attr)
+    return names
+
+
+def _is_functor_class(cls: ast.ClassDef) -> bool:
+    return any(n.endswith("Functor") for n in [cls.name] + _base_names(cls))
+
+
+def _is_problem_class(cls: ast.ClassDef) -> bool:
+    return any(n.endswith(("Problem", "ProblemBase"))
+               for n in [cls.name] + _base_names(cls))
+
+
+def _class_declares_idempotent(cls: ast.ClassDef) -> bool:
+    for stmt in cls.body:
+        targets: List[ast.expr] = []
+        value: Optional[ast.expr] = None
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        for t in targets:
+            if isinstance(t, ast.Name) and t.id == "idempotent":
+                if isinstance(value, ast.Constant) and value.value is True:
+                    return True
+    return False
 
 
 def dtype_level(name: Optional[str]) -> Optional[int]:
@@ -180,15 +238,42 @@ _BOTTOM = _Value()
 
 
 def _is_pure_slice(node: ast.AST) -> bool:
-    """True when a subscript key yields a *view* (basic slicing); a fancy
-    index (array/list key) yields a copy instead."""
+    """True when a subscript key yields a *view* (basic slicing) or the
+    stored object itself (a constant string key looks an array up in a
+    dict); a fancy index (array/list key) yields a copy instead."""
     if isinstance(node, ast.Slice):
         return True
     if isinstance(node, ast.Tuple):
         return all(_is_pure_slice(e) for e in node.elts)
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return True                              # row view of an nd array
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, str)):
+        return True                              # row view / dict lookup
     return False
+
+
+def _root_name(node: ast.AST) -> Optional[str]:
+    """The base Name of an Attribute/Subscript chain (``P.labels[i]`` -> P)."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _flat_targets(target: ast.expr, value: Optional[ast.expr]) \
+        -> List[Tuple[ast.expr, Optional[ast.expr]]]:
+    """(target, value) pairs of one assignment with tuple, list and
+    starred targets opened; ``value`` is None where no single right-hand
+    element matches the target."""
+    if isinstance(target, ast.Starred):
+        return _flat_targets(target.value, None)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        values: List[Optional[ast.expr]] = [None] * len(target.elts)
+        if isinstance(value, (ast.Tuple, ast.List)) \
+                and len(value.elts) == len(target.elts):
+            values = list(value.elts)
+        return [pair for t, v in zip(target.elts, values)
+                for pair in _flat_targets(t, v)]
+    return [(target, value)]
 
 
 def _dotted(func: ast.AST) -> Optional[str]:
@@ -215,6 +300,9 @@ class WriteEvent:
     op: Optional[str]         # reduction op for atomics, ufunc for scatter
     line: int
     value_level: Optional[int] = None
+    #: a per-lane element write (subscript store or ``+=``, ufunc.at) as
+    #: opposed to a whole-array in-place mutation
+    element: bool = False
 
 
 @dataclass
@@ -228,6 +316,10 @@ class MethodSummary:
     nondet_calls: List[Tuple[str, int]] = field(default_factory=list)
     outside_calls: List[Tuple[str, int]] = field(default_factory=list)
     unknown_effects: List[Tuple[str, int]] = field(default_factory=list)
+    #: Python loops in the body: ("for" | "while", line)
+    loops: List[Tuple[str, int]] = field(default_factory=list)
+    #: lines that store to an attribute of ``self``
+    self_stores: List[int] = field(default_factory=list)
     #: constant-mask classification of the method's return value —
     #: ``known_true`` (returns None / all-true: every lane survives),
     #: ``known_false`` (constant false mask: output frontier provably
@@ -481,19 +573,14 @@ class _MethodAnalyzer:
                 elif isinstance(node, ast.NamedExpr):
                     pairs.append((node.target, node.value))
                 for target, value in pairs:
-                    if isinstance(target, (ast.Tuple, ast.List)) \
-                            and isinstance(value, (ast.Tuple, ast.List)) \
-                            and len(target.elts) == len(value.elts):
-                        for t, v in zip(target.elts, value.elts):
-                            pairs.append((t, v))
-                        continue
-                    if not isinstance(target, ast.Name):
-                        continue
-                    new = self.env.get(target.id, _BOTTOM).join(
-                        self.resolve(value))
-                    if new != self.env.get(target.id, _BOTTOM):
-                        self.env[target.id] = new
-                        changed = True
+                    for t, v in _flat_targets(target, value):
+                        if not isinstance(t, ast.Name) or v is None:
+                            continue
+                        new = self.env.get(t.id, _BOTTOM).join(
+                            self.resolve(v))
+                        if new != self.env.get(t.id, _BOTTOM):
+                            self.env[t.id] = new
+                            changed = True
             if not changed:
                 break
 
@@ -501,9 +588,13 @@ class _MethodAnalyzer:
 
     def run(self) -> MethodSummary:
         for node in ast.walk(self.method):
-            if isinstance(node, ast.Assign):
+            if isinstance(node, (ast.For, ast.While)):
+                kind = "for" if isinstance(node, ast.For) else "while"
+                self.summary.loops.append((kind, node.lineno))
+            elif isinstance(node, ast.Assign):
                 for target in node.targets:
-                    self._effect_store(target, node.value, node.lineno)
+                    for t, v in _flat_targets(target, node.value):
+                        self._effect_store(t, v, node.lineno)
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 self._effect_store(node.target, node.value, node.lineno)
             elif isinstance(node, ast.AugAssign):
@@ -523,24 +614,27 @@ class _MethodAnalyzer:
         return self.summary
 
     def _write(self, arrays: FrozenSet[str], kind: str, line: int,
-               op: Optional[str] = None,
-               value_level: Optional[int] = None) -> None:
+               op: Optional[str] = None, value_level: Optional[int] = None,
+               element: bool = False) -> None:
         for arr in sorted(arrays):
             self.summary.writes.append(
-                WriteEvent(arr, kind, op, line, value_level))
+                WriteEvent(arr, kind, op, line, value_level, element))
 
     def _effect_read(self, node: ast.Attribute) -> None:
         base = self.resolve(node.value)
         if base.is_problem and node.attr in self.registry:
             self.summary.reads.add(node.attr)
 
-    def _effect_store(self, target: ast.expr, value: ast.expr,
+    def _effect_store(self, target: ast.expr, value: Optional[ast.expr],
                       line: int) -> None:
+        if _root_name(target) == "self" and not isinstance(target, ast.Name):
+            self.summary.self_stores.append(line)
         if isinstance(target, ast.Subscript):
             base = self.resolve(target.value)
             if base.refs:
-                self._write(base.refs, "store", line,
-                            value_level=self.resolve(value).level)
+                level = None if value is None else self.resolve(value).level
+                self._write(base.refs, "store", line, value_level=level,
+                            element=True)
         elif isinstance(target, ast.Attribute):
             base = self.resolve(target.value)
             if base.is_problem and not self.problem_of_self:
@@ -552,11 +646,13 @@ class _MethodAnalyzer:
     def _effect_augstore(self, node: ast.AugAssign) -> None:
         target = node.target
         value_level = self.resolve(node.value).level
+        if _root_name(target) == "self" and not isinstance(target, ast.Name):
+            self.summary.self_stores.append(node.lineno)
         if isinstance(target, ast.Subscript):
             base = self.resolve(target.value)
             if base.refs:
                 self._write(base.refs, "augstore", node.lineno,
-                            value_level=value_level)
+                            value_level=value_level, element=True)
         elif isinstance(target, ast.Attribute):
             base = self.resolve(target.value)
             if base.is_problem:
@@ -600,7 +696,7 @@ class _MethodAnalyzer:
                 level = (self.resolve(node.args[2]).level
                          if len(node.args) > 2 else None)
                 self._write(base.refs, "scatter", node.lineno, op=ufunc,
-                            value_level=level)
+                            value_level=level, element=True)
             return
         # 3. in-place ufunc via out=; the call's own value gives the level
         for kw in node.keywords:
@@ -685,20 +781,27 @@ class ModuleEffects:
 
 def _functor_violations(filename: str, summary: FunctorSummary,
                         registry: Dict[str, ArraySpec],
-                        relaxed: FrozenSet[str],
-                        legacy_lines: Dict[str, Set[int]]) -> List[Violation]:
-    """Map one functor's effect summaries onto rules GR006–GR012."""
-    out: List[Violation] = []
+                        relaxed: FrozenSet[str]) -> List[Violation]:
+    """Map one functor's effect summaries onto rules GR001–GR004 and
+    GR006–GR012."""
+    # an ordered set: a store through an alias of several arrays is one
+    # write event per array but one raw-write finding
+    out: Dict[Violation, None] = {}
 
     def add(rule: str, line: int, msg: str) -> None:
-        out.append(Violation(filename, line, RULES[rule], msg))
+        out[Violation(filename, line, RULES[rule], msg)] = None
 
-    gr001 = legacy_lines.get("GR001", set())
-    gr002 = legacy_lines.get("GR002", set())
     for mname, m in summary.methods.items():
         label = f"{summary.name}.{mname}"
-        is_cond = mname.startswith("cond")
-        if is_cond:
+        for kind, line in m.loops:
+            add("scalar-loop", line,
+                f"{label} contains a Python `{kind}` loop; functor "
+                "bodies must be vectorized over lanes")
+        for line in m.self_stores:
+            add("functor-state", line,
+                f"{label} mutates functor attribute state; move it to "
+                "the problem object")
+        if mname.startswith("cond"):
             for w in m.writes:
                 add("cond-impure", w.line,
                     f"{label} writes problem array '{w.array}' ({w.kind}); "
@@ -723,16 +826,31 @@ def _functor_violations(filename: str, summary: FunctorSummary,
                     f"{w.value_level}) into '{w.array}' registered as "
                     f"{spec.dtype} (level {spec.level}); the implicit cast "
                     "truncates")
-        # unrouted stores the legacy GR001 dataflow does not see
         for w in m.writes:
-            if w.kind not in PLAIN_KINDS or w.array not in registry:
-                continue
-            if w.line in gr001:
-                continue                         # GR001 already owns it
-            add("unrouted-store", w.line,
-                f"{label} mutates '{w.array}' via {w.kind} without "
-                "routing through repro.core.atomics (invisible to the "
-                "GR001 syntactic check)")
+            # the write's shape decides the rule: element writes race
+            # lane against lane (GR001), whole-array mutations bypass the
+            # atomics layer wholesale (GR009)
+            if w.element and w.kind == "scatter":
+                add("raw-write", w.line,
+                    f"{label} scatters with np.{w.op}.at on a problem "
+                    "array; use the repro.core.atomics equivalent")
+            elif w.element:
+                shape = "fancy-index" if w.kind == "store" else "augmented"
+                add("raw-write", w.line,
+                    f"{label} performs a raw {shape} assignment on a "
+                    "problem array; route concurrent writes through "
+                    "repro.core.atomics")
+            elif w.kind in PLAIN_KINDS and w.array in registry:
+                add("unrouted-store", w.line,
+                    f"{label} mutates the whole of '{w.array}' in place "
+                    f"({w.kind}) without routing through repro.core.atomics")
+            if summary.idempotent and (
+                    (w.kind == "atomic" and w.op in ACCUMULATING_OPS)
+                    or w.kind == "augstore"
+                    or (w.kind == "scatter" and w.op in _ACCUMULATING_UFUNCS)):
+                add("idempotent-accumulate", w.line,
+                    f"{label} accumulates into '{w.array}' while declaring "
+                    "idempotent = True; duplicate applies double-count")
         # per-method atomic-op consistency
         ops_by_array: Dict[str, Set[str]] = {}
         for w in m.writes:
@@ -762,21 +880,50 @@ def _functor_violations(filename: str, summary: FunctorSummary,
                     f"{label} writes '{arr}' both atomically and via plain "
                     f"stores ({', '.join(sorted(slot['kinds'] - {'atomic'}))})"
                     "; the plain store races with the atomic window")
-        # idempotent functors must not accumulate (via-alias cases the
-        # legacy GR002 syntactic check misses)
-        if summary.idempotent:
-            for w in m.writes:
-                accumulates = (
-                    (w.kind == "atomic" and w.op in ACCUMULATING_OPS)
-                    or w.kind == "augstore"
-                    or (w.kind == "scatter" and w.op in ("add", "subtract",
-                                                         "multiply",
-                                                         "divide")))
-                if accumulates and w.line not in gr002:
-                    add("idempotent-accumulate", w.line,
-                        f"{label} accumulates into '{w.array}' while "
-                        "declaring idempotent = True; duplicate applies "
-                        "double-count")
+    return list(out)
+
+
+def _np_rooted_call(value: ast.AST) -> Optional[str]:
+    """Name of the numpy call when ``value`` is an np-rooted expression
+    that materializes a fresh array: a direct ``np.X(...)`` allocator or
+    deriver, or ``.astype(...)`` on one."""
+    if not isinstance(value, ast.Call):
+        return None
+    func = value.func
+    if (isinstance(func, ast.Attribute) and func.attr == "astype"
+            and _np_rooted_call(func.value) is not None):
+        return f"{_np_rooted_call(func.value)}(...).astype"
+    if (isinstance(func, ast.Attribute)
+            and func.attr in _FRESH_ARRAY_FUNCS
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("np", "numpy")):
+        return func.attr
+    return None
+
+
+def _problem_class_violations(filename: str,
+                              cls: ast.ClassDef) -> List[Violation]:
+    """GR005: per-element arrays a problem class allocates on ``self``
+    without going through the registration API."""
+    out: List[Violation] = []
+    for method in cls.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(method):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                if not (isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"):
+                    continue
+                npcall = _np_rooted_call(node.value)
+                if npcall is not None:
+                    out.append(Violation(
+                        filename, node.lineno, RULES["unregistered-array"],
+                        f"{cls.name}.{method.name} allocates "
+                        f"self.{target.attr} with np.{npcall}; "
+                        "register it via add_vertex_array/add_edge_array"))
     return out
 
 
@@ -785,8 +932,9 @@ def analyze_module_source(source: str, filename: str = "<string>") \
     """Run the effect pass over one module's source text.
 
     Returns per-functor summaries, the statically-extracted problem-array
-    registry, and **pre-suppression** GR006–GR012 violations (callers
-    apply ``# lint: allow(...)`` filtering; see :mod:`.fusion`).
+    registry, and the **pre-suppression** violations of every rule
+    (callers apply ``lint: allow(...)`` comment filtering; see
+    :mod:`.linter` and :mod:`.fusion`).
     """
     out = ModuleEffects(file=filename)
     try:
@@ -806,12 +954,8 @@ def analyze_module_source(source: str, filename: str = "<string>") \
             out.problems[node.name] = arrays
             out.registry.update(arrays)
             relaxed |= cls_relaxed
+            out.violations.extend(_problem_class_violations(filename, node))
     out.relaxed = frozenset(relaxed)
-
-    # legacy GR001/GR002 sites, so the new rules do not double-report
-    legacy_lines: Dict[str, Set[int]] = {}
-    for v in collect_source_violations(source, filename, tree=tree):
-        legacy_lines.setdefault(v.rule.id, set()).add(v.line)
 
     # pass 2: functor effect summaries + rule evaluation
     for node in ast.walk(tree):
@@ -831,24 +975,9 @@ def analyze_module_source(source: str, filename: str = "<string>") \
         out.functors[node.name] = summary
         out.violations.extend(
             _functor_violations(filename, summary, out.registry,
-                                out.relaxed, legacy_lines))
+                                out.relaxed))
     out.violations.sort(key=lambda v: (v.file, v.line, v.rule.id, v.message))
     return out
-
-
-def _class_declares_idempotent(cls: ast.ClassDef) -> bool:
-    for stmt in cls.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for t in targets:
-            if isinstance(t, ast.Name) and t.id == "idempotent":
-                if isinstance(value, ast.Constant) and value.value is True:
-                    return True
-    return False
 
 
 def enactor_method_effects(method: ast.FunctionDef,

@@ -29,10 +29,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .effects import (FunctorSummary, ModuleEffects, analyze_module_source,
-                      enactor_method_effects)
-from .linter import (_base_names, _suppressions, collect_source_violations,
-                     filter_suppressed, iter_python_files)
+from .effects import (FunctorSummary, ModuleEffects, _base_names,
+                      analyze_module_source, enactor_method_effects)
+from .linter import (_comment_suppressions, _suppressions, filter_suppressed,
+                     iter_python_files)
 from .rules import Violation
 
 #: rules whose *unsuppressed* presence on a DAG functor blocks fusion
@@ -369,24 +369,17 @@ def analyze_paths(paths: Sequence[str]) -> AnalysisReport:
         report.modules[path] = effects
         allowed = _suppressions(source)
         used: Set[tuple] = set()
+        unsuppressed = filter_suppressed(effects.violations, allowed, used)
+        report.violations.extend(unsuppressed)
+        stale = [(line, token) for line, tokens in sorted(allowed.items())
+                 for token in sorted(tokens) if (line, token) not in used]
+        if stale:
+            comments = _comment_suppressions(source)
+            report.stale.extend((path, line, token) for line, token in stale
+                                if token in comments.get(line, ()))
 
-        # suppression accounting covers the legacy rules too: a token is
-        # stale only if *neither* pass needs it
-        legacy = [] if effects.tree is None else collect_source_violations(
-            source, path, tree=effects.tree)
-        filter_suppressed(legacy, allowed, used)
-        unsuppressed_new = filter_suppressed(list(effects.violations),
-                                             allowed, used)
-        report.violations.extend(unsuppressed_new)
-        for line, tokens in sorted(allowed.items()):
-            for token in sorted(tokens):
-                if (line, token) not in used:
-                    report.stale.append((path, line, token))
-
-        # per-functor unsuppressed blocking violations (legacy + new)
-        unsup_all = filter_suppressed(legacy, allowed) + unsuppressed_new
         blocking_by_functor = _attribute_violations(
-            effects, [v for v in unsup_all if v.rule.id in BLOCKING_RULES])
+            effects, [v for v in unsuppressed if v.rule.id in BLOCKING_RULES])
 
         stem = os.path.splitext(os.path.basename(path))[0]
         if effects.tree is None:

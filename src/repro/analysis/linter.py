@@ -1,55 +1,36 @@
 """Static BSP-contract linter — the compile-time half of the sanitizer.
 
-An AST pass over :class:`~repro.core.functor.Functor` subclasses and
-``Problem`` classes.  GraphIt-style compilers get to *reject* operator
-bodies that break the bulk-synchronous contract; raw Gunrock (and our
-reproduction) documents the contract in docstrings and hopes.  This
-linter closes that gap for the patterns that matter:
-
-* writes to problem arrays that bypass :mod:`repro.core.atomics`
-  (``raw-write``),
-* ``idempotent = True`` functors whose apply accumulates
-  (``idempotent-accumulate``),
-* per-run state mutated on the functor instance (``functor-state``),
-* Python-level lane loops in functor bodies (``scalar-loop``),
-* problem arrays allocated outside the registration API
-  (``unregistered-array``).
-
-Classes are recognized structurally — a class is functor-like when its
-name or any base name ends with ``Functor``, problem-like when it ends
-with ``Problem`` or ``ProblemBase`` — so the linter runs on plain source
-trees without importing them.
+GraphIt-style compilers get to *reject* operator bodies that break the
+bulk-synchronous contract; raw Gunrock documents it and hopes.  ``repro
+lint`` reports every rule of :mod:`.rules`.  The findings come from the
+one functor analysis in :mod:`.effects`; this module owns the rest:
+``lint: allow(...)`` suppression comments, path walking, and the
+``lint_*`` entry points.  ``repro analyze`` prints the same filtered list
+and adds the fusion verdicts.
 """
 
 from __future__ import annotations
 
-import ast
+import io
 import os
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+import tokenize
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .rules import RULES, Rule, Violation
-
-#: the fused-kernel methods whose bodies execute inside advance/filter
-FUNCTOR_METHODS = ("cond_edge", "apply_edge", "cond_vertex", "apply_vertex")
-
-#: numpy allocators whose result is a per-element state array
-_ALLOC_FUNCS = frozenset({
-    "zeros", "ones", "full", "empty", "zeros_like", "ones_like",
-    "full_like", "empty_like", "arange",
-})
-
-#: numpy functions that *derive* a fresh per-element array from existing
-#: state (np.maximum(deg, 1) and friends); assigning their result to a
-#: problem attribute hides it from the registry just like an allocator
-_DERIVE_FUNCS = frozenset({
-    "maximum", "minimum", "where", "clip", "concatenate", "repeat",
-})
-
-#: ufunc-method scatters that are raw writes unless wrapped by atomics
-_UFUNC_AT_ACCUMULATORS = frozenset({"add", "subtract", "multiply", "divide"})
+from .effects import analyze_module_source
+from .rules import Rule, Violation
 
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(([^)]*)\)")
+
+
+def _allow_tokens(lines: Iterable[Tuple[int, str]]) -> Dict[int, Set[str]]:
+    allowed: Dict[int, Set[str]] = {}
+    for lineno, text in lines:
+        m = _ALLOW_RE.search(text)
+        if m:
+            allowed[lineno] = {n.strip() for n in m.group(1).split(",")
+                               if n.strip()}
+    return allowed
 
 
 def _suppressions(source: str) -> Dict[int, Set[str]]:
@@ -58,13 +39,20 @@ def _suppressions(source: str) -> Dict[int, Set[str]]:
     A token is either a rule name (``raw-write``) or a rule id
     (``GR001``); :func:`_token_matches` treats them interchangeably.
     """
-    allowed: Dict[int, Set[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        m = _ALLOW_RE.search(line)
-        if m:
-            names = {n.strip() for n in m.group(1).split(",") if n.strip()}
-            allowed[lineno] = names
-    return allowed
+    return _allow_tokens(enumerate(source.splitlines(), start=1))
+
+
+def _comment_suppressions(source: str) -> Dict[int, Set[str]]:
+    """:func:`_suppressions` read from comments only, not string literals.
+    Tokenizing costs more than the line scan, so only the stale check
+    calls it, and only on a file with stale candidates."""
+    try:
+        comments = [(tok.start[0], tok.string) for tok in
+                    tokenize.generate_tokens(io.StringIO(source).readline)
+                    if tok.type == tokenize.COMMENT]
+    except (tokenize.TokenError, SyntaxError):
+        return _suppressions(source)
+    return _allow_tokens(comments)
 
 
 def _token_matches(token: str, rule: Rule) -> bool:
@@ -97,235 +85,10 @@ def filter_suppressed(violations: List[Violation],
     return kept
 
 
-def _base_names(cls: ast.ClassDef) -> List[str]:
-    names = []
-    for base in cls.bases:
-        if isinstance(base, ast.Name):
-            names.append(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.append(base.attr)
-    return names
-
-
-def _is_functor_class(cls: ast.ClassDef) -> bool:
-    candidates = [cls.name] + _base_names(cls)
-    return any(n.endswith("Functor") for n in candidates)
-
-
-def _is_problem_class(cls: ast.ClassDef) -> bool:
-    candidates = [cls.name] + _base_names(cls)
-    return any(n.endswith(("Problem", "ProblemBase")) for n in candidates)
-
-
-def _root_name(node: ast.AST) -> Optional[str]:
-    """The base Name of an Attribute/Subscript chain (``P.labels[i]`` -> P)."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def _declares_idempotent(cls: ast.ClassDef) -> bool:
-    for stmt in cls.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for t in targets:
-            if isinstance(t, ast.Name) and t.id == "idempotent":
-                if isinstance(value, ast.Constant) and value.value is True:
-                    return True
-    return False
-
-
-class _FunctorMethodChecker:
-    """Walks one ``cond_*``/``apply_*`` body collecting violations."""
-
-    def __init__(self, filename: str, cls: ast.ClassDef,
-                 method: ast.FunctionDef, idempotent: bool):
-        self.filename = filename
-        self.cls = cls
-        self.method = method
-        self.idempotent = idempotent
-        self.violations: List[Violation] = []
-        args = method.args.args
-        self.problem_param = args[1].arg if len(args) > 1 else None
-        self.tainted: Set[str] = (
-            {self.problem_param} if self.problem_param else set())
-        self._collect_aliases()
-
-    def _collect_aliases(self) -> None:
-        """Names bound to problem-rooted expressions count as the problem
-        (``arr = P.labels`` then ``arr[i] = v`` is still a raw write)."""
-        for _ in range(3):  # chase chains like a = P.x; b = a
-            grew = False
-            for node in ast.walk(self.method):
-                if (isinstance(node, ast.Assign)
-                        and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)):
-                    root = _root_name(node.value)
-                    name = node.targets[0].id
-                    if root in self.tainted and name not in self.tainted:
-                        # only alias bare attribute/subscript access, not
-                        # arbitrary expressions (P.labels[v] + 1 is a copy)
-                        if isinstance(node.value, (ast.Attribute,
-                                                   ast.Subscript, ast.Name)):
-                            self.tainted.add(name)
-                            grew = True
-            if not grew:
-                break
-
-    def _add(self, rule_name: str, line: int, message: str) -> None:
-        self.violations.append(
-            Violation(self.filename, line, RULES[rule_name], message))
-
-    def run(self) -> List[Violation]:
-        label = f"{self.cls.name}.{self.method.name}"
-        for node in ast.walk(self.method):
-            if isinstance(node, (ast.For, ast.While)):
-                kind = "for" if isinstance(node, ast.For) else "while"
-                self._add("scalar-loop", node.lineno,
-                          f"{label} contains a Python `{kind}` loop; functor "
-                          "bodies must be vectorized over lanes")
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    self._check_write_target(target, node.lineno, label,
-                                             augmented=False)
-            elif isinstance(node, ast.AugAssign):
-                self._check_write_target(node.target, node.lineno, label,
-                                         augmented=True)
-            elif isinstance(node, ast.Call):
-                self._check_call(node, label)
-        return self.violations
-
-    def _check_write_target(self, target: ast.expr, line: int, label: str,
-                            augmented: bool) -> None:
-        root = _root_name(target)
-        if root == "self" and not isinstance(target, ast.Name):
-            self._add("functor-state", line,
-                      f"{label} mutates functor attribute state; move it to "
-                      "the problem object")
-            return
-        if root in self.tainted and isinstance(target,
-                                               (ast.Subscript, ast.Attribute)):
-            what = ("augmented assignment" if augmented
-                    else "fancy-index assignment")
-            self._add("raw-write", line,
-                      f"{label} performs a raw {what} on a problem array; "
-                      "route concurrent writes through repro.core.atomics")
-            if augmented and self.idempotent:
-                self._add("idempotent-accumulate", line,
-                          f"{label} accumulates in place while declaring "
-                          "idempotent = True; duplicate applies would "
-                          "double-count")
-
-    def _check_call(self, node: ast.Call, label: str) -> None:
-        func = node.func
-        # ufunc scatter: np.add.at(P.arr, idx, vals) and friends
-        if (isinstance(func, ast.Attribute) and func.attr == "at"
-                and node.args and _root_name(node.args[0]) in self.tainted):
-            ufunc = func.value.attr if isinstance(func.value,
-                                                  ast.Attribute) else "?"
-            self._add("raw-write", node.lineno,
-                      f"{label} scatters with np.{ufunc}.at on a problem "
-                      "array; use the repro.core.atomics equivalent")
-            if self.idempotent and ufunc in _UFUNC_AT_ACCUMULATORS:
-                self._add("idempotent-accumulate", node.lineno,
-                          f"{label} accumulates with np.{ufunc}.at while "
-                          "declaring idempotent = True")
-            return
-        # atomic_add under idempotent = True is routed but still unsound
-        callee = None
-        if isinstance(func, ast.Attribute):
-            callee = func.attr
-        elif isinstance(func, ast.Name):
-            callee = func.id
-        if callee == "atomic_add" and self.idempotent:
-            self._add("idempotent-accumulate", node.lineno,
-                      f"{label} calls atomic_add while declaring "
-                      "idempotent = True; duplicate applies would "
-                      "double-count even through atomics")
-
-
-def _np_rooted_call(value: ast.AST) -> Optional[str]:
-    """Name of the numpy call when ``value`` is an np-rooted expression
-    that materializes a fresh array: a direct ``np.X(...)`` allocator or
-    deriver, or ``.astype(...)`` on one."""
-    if not isinstance(value, ast.Call):
-        return None
-    func = value.func
-    if (isinstance(func, ast.Attribute) and func.attr == "astype"
-            and _np_rooted_call(func.value) is not None):
-        return f"{_np_rooted_call(func.value)}(...).astype"
-    if (isinstance(func, ast.Attribute)
-            and func.attr in (_ALLOC_FUNCS | _DERIVE_FUNCS)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in ("np", "numpy")):
-        return func.attr
-    return None
-
-
-def _check_problem_class(filename: str, cls: ast.ClassDef) -> List[Violation]:
-    out: List[Violation] = []
-    for method in cls.body:
-        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in ast.walk(method):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if not (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    continue
-                npcall = _np_rooted_call(node.value)
-                if npcall is not None:
-                    out.append(Violation(
-                        filename, node.lineno, RULES["unregistered-array"],
-                        f"{cls.name}.{method.name} allocates "
-                        f"self.{target.attr} with np.{npcall}; "
-                        "register it via add_vertex_array/add_edge_array"))
-    return out
-
-
-def collect_source_violations(source: str, filename: str = "<string>", *,
-                              tree: Optional[ast.Module] = None
-                              ) -> List[Violation]:
-    """All GR001–GR005 violations in one module, **before** suppression
-    filtering.  The effect pass (:mod:`.effects`) and the stale-suppression
-    check both need the raw findings."""
-    if tree is None:
-        try:
-            tree = ast.parse(source, filename=filename)
-        except SyntaxError as err:
-            return [Violation(filename, err.lineno or 0, RULES["parse-error"],
-                              f"syntax error: {err.msg}")]
-    violations: List[Violation] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        if _is_functor_class(node):
-            idempotent = _declares_idempotent(node)
-            for method in node.body:
-                if (isinstance(method, ast.FunctionDef)
-                        and method.name in FUNCTOR_METHODS):
-                    checker = _FunctorMethodChecker(filename, node, method,
-                                                    idempotent)
-                    violations.extend(checker.run())
-        if _is_problem_class(node):
-            violations.extend(_check_problem_class(filename, node))
-    return violations
-
-
 def lint_source(source: str, filename: str = "<string>") -> List[Violation]:
     """Lint one module's source text; returns unsuppressed violations."""
-    violations = collect_source_violations(source, filename)
-    allowed = _suppressions(source)
-    return sorted(filter_suppressed(violations, allowed),
-                  key=lambda v: (v.file, v.line, v.rule.id))
+    violations = analyze_module_source(source, filename).violations
+    return filter_suppressed(violations, _suppressions(source))
 
 
 def lint_file(path: str) -> List[Violation]:

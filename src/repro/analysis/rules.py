@@ -8,9 +8,14 @@ duplicate applies are harmless, and keep per-run state on the problem
 (Sections 4.1.1 and 4.3 of the paper).  Each rule below names one way a
 functor can silently break that contract.
 
+Every rule is read off one analysis of the functor bodies
+(:mod:`.effects`); ``repro lint`` and ``repro analyze`` report the same
+list.
+
 Suppression: append ``# lint: allow(<rule-name>): justification`` to the
-violating line (or the line directly above it).  Suppressions without a
-matching violation are harmless.
+violating line (or the line directly above it).  A suppression without a
+matching violation is harmless to ``repro lint``; ``repro analyze
+--strict`` reports it as stale.
 """
 
 from __future__ import annotations
@@ -70,11 +75,11 @@ RULES: Dict[str, Rule] = {
              "implicit cast truncates and breaks bitwise equivalence under "
              "a fused kernel"),
         Rule("GR009", "unrouted-store",
-             "problem-array mutation invisible to the GR001 syntactic "
-             "check: an in-place ufunc (out=), np.copyto, .fill(), or a "
-             "store through an alias shape the legacy dataflow misses; "
-             "route it through repro.core.atomics or suppress with a "
-             "uniqueness justification"),
+             "whole-array in-place mutation of a registered problem "
+             "array: an in-place ufunc (out=), np.copyto, .fill(), or "
+             "alias += v (element writes are GR001); route it through "
+             "repro.core.atomics or suppress with a uniqueness "
+             "justification"),
         Rule("GR010", "fused-write-hazard",
              "one functor writes the same problem array both through "
              "atomics and through plain stores; inside a single fused "

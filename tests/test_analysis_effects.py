@@ -121,7 +121,7 @@ def test_alias_chain_tracked_to_write():
     """)
     s = eff.functors["AliasFunctor"]
     assert s.write_arrays() == {"labels"}
-    # the legacy GR001 pass owns the plain store; no GR009 double-report
+    # an element store is GR001's finding; no GR009 double-report
     assert "unrouted-store" not in _rules(eff)
 
 
@@ -138,6 +138,31 @@ def test_fancy_index_subscript_is_a_copy_not_an_alias():
     s = eff.functors["GatherFunctor"]
     assert s.write_kinds()["labels"]["kinds"] == {"atomic"}
     assert _rules(eff) == set()
+
+
+def test_tuple_targets_are_writes():
+    """Each element of a tuple/list/starred assignment target is its own
+    store: the static write set must cover both arrays."""
+    eff = _effects(_PROBLEM + """
+    class PairFunctor(Functor):
+        def apply_edge(self, P, src, dst, eid):
+            P.labels[dst], [*P.preds[dst]] = 0, [src]
+    """)
+    s = eff.functors["PairFunctor"]
+    assert s.write_arrays() == {"labels", "preds"}
+    assert {w.kind for w in s.methods["apply_edge"].writes} == {"store"}
+
+
+def test_constant_string_subscript_is_a_lookup_not_a_copy():
+    """P._vertex_arrays["labels"] looks the array up (a dict key), so a
+    store through it writes problem state."""
+    eff = _effects(_PROBLEM + """
+    class StashedFunctor(Functor):
+        def apply_vertex(self, P, v):
+            P._vertex_arrays["labels"][v] = 9
+    """)
+    assert eff.functors["StashedFunctor"].write_arrays() == {"_vertex_arrays"}
+    assert "raw-write" in _rules(eff)
 
 
 def test_slice_subscript_is_a_view_alias():
@@ -402,7 +427,7 @@ def test_scalar_attribute_mutation_flagged():
 # ---------------------- GR002 extension: accumulate through the deep engine
 
 def test_idempotent_inplace_accumulate_flagged():
-    """alias += v accumulation the legacy syntactic GR002 misses."""
+    """alias += v accumulation: a whole-array write, still GR002."""
     eff = _effects(_PROBLEM + """
     class SneakyFunctor(Functor):
         idempotent = True

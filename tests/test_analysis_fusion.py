@@ -271,6 +271,25 @@ def test_stale_suppression_detected(tmp_path):
         == [(4, "raw-write")]
 
 
+def test_shipped_package_has_no_stale_suppressions():
+    """Only comments suppress: allow(...) text inside a docstring or a
+    string literal is neither a suppression nor a stale one."""
+    assert analyze_paths([os.path.dirname(repro.__file__)]).stale == []
+
+
+def test_suppression_text_in_a_string_is_not_stale(tmp_path):
+    f = tmp_path / "doc.py"
+    f.write_text(textwrap.dedent('''
+        """Append ``# lint: allow(raw-write)`` to the violating line."""
+        class CleanFunctor(Functor):
+            def apply_vertex(self, P, v):
+                return None  # lint: allow(GR009)
+        '''))
+    report = analyze_paths([str(f)])
+    assert [(line, token) for _, line, token in report.stale] \
+        == [(5, "GR009")]
+
+
 def test_live_suppression_not_stale(tmp_path):
     f = tmp_path / "live.py"
     f.write_text(textwrap.dedent("""

@@ -3,6 +3,8 @@ plus suppression and file-walking behavior."""
 
 import textwrap
 
+import pytest
+
 from repro.analysis import RULES, RULES_BY_ID, lint_paths, lint_source
 
 
@@ -282,3 +284,101 @@ def test_shipped_package_lints_clean():
     import os
     pkg = os.path.dirname(repro.__file__)
     assert lint_paths([pkg]) == []
+
+
+# ----------------------------------- the element / whole-array boundary
+
+#: one registered problem class for the table below
+_TABLE_PROBLEM = """
+import numpy as np
+from repro.core import atomics
+
+class CaseProblem(ProblemBase):
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.add_vertex_array("labels", np.int64, -1)
+        self.add_vertex_array("preds", np.int64, -1)
+        self.add_vertex_array("ranks", np.float64, 0.0)
+
+class CaseFunctor(Functor):
+"""
+
+#: snippet (the body of CaseFunctor) -> the full rule set lint_source
+#: returns.  An element write (subscript store, subscript ``+=``,
+#: ``np.<ufunc>.at``) is GR001 whatever alias shape reaches the array; a
+#: whole-array in-place mutation is GR009.  A ``# was`` row read
+#: differently when ``lint`` reported GR001-GR005 from one AST walk and
+#: ``analyze`` GR006-GR012 from another; it records what each printed.
+RULE_BOUNDARY = [
+    pytest.param("""
+        def apply_edge(self, P, src, dst, eid):
+            arr = P.labels if eid is None else P.preds
+            arr[dst] = 0
+        """, {"raw-write"}, id="ifexp-alias-store"),  # was: lint -, analyze unrouted-store
+    pytest.param("""
+        def apply_edge(self, P, src, dst, eid):
+            if (arr := P.labels) is not None:
+                arr[dst] = 0
+        """, {"raw-write"}, id="walrus-alias-store"),  # was: lint -, analyze unrouted-store
+    pytest.param("""
+        def apply_edge(self, P, src, dst, eid):
+            lab, pre = P.labels, P.preds
+            lab[dst] = 0
+        """, {"raw-write"}, id="tuple-alias-store"),  # was: lint -, analyze unrouted-store
+    pytest.param("""
+        def apply_edge(self, P, src, dst, eid):
+            P.labels[dst]: int = 0
+        """, {"raw-write"}, id="annotated-store"),  # was: lint -, analyze unrouted-store
+    pytest.param("""
+        def apply_edge(self, P, src, dst, eid):
+            vals = P.labels[src]
+            vals[0] = 1
+            return vals > 0
+        """, set(), id="store-into-fancy-copy"),  # was: lint raw-write, analyze -
+    pytest.param("""
+        idempotent = True
+        def apply_edge(self, P, src, dst, eid):
+            buf = np.zeros(len(dst))
+            atomics.atomic_add(buf, dst, 1.0, P.machine)
+            return buf > 0
+        """, set(),
+        id="idempotent-atomic-add-local"),  # was: lint idempotent-accumulate, analyze -
+    pytest.param("""
+        def apply_edge(self, P, src, dst, eid):
+            P.labels[dst], P.preds[dst] = 0, src
+        """, {"raw-write"}, id="tuple-target-store"),  # was: lint -, analyze -
+    pytest.param("""
+        def apply_edge(self, P, src, dst, eid):
+            self.seen, n = dst, 2
+        """, {"functor-state"}, id="tuple-target-self"),  # was: lint -, analyze -
+    pytest.param("""
+        def apply_vertex(self, P, v):
+            P._vertex_arrays["labels"][v] = 9
+        """, {"raw-write"}, id="constant-key-lookup-store"),
+    pytest.param("""
+        def apply_vertex(self, P, v):
+            r = P.ranks
+            r += 1.0
+        """, {"unrouted-store"}, id="alias-augassign"),  # was: lint -, analyze unrouted-store
+    pytest.param("""
+        def apply_vertex(self, P, v):
+            P.ranks /= 2.0
+        """, {"unrouted-store"}, id="attribute-augassign"),  # was: lint raw-write, analyze -
+    pytest.param("""
+        def apply_vertex(self, P, v):
+            P.labels = v
+        """, {"unknown-effect"},
+        id="attribute-rebind"),  # was: lint raw-write, analyze unknown-effect
+    pytest.param("""
+        idempotent = True
+        def apply_vertex(self, P, v):
+            P.ranks[v] += 1.0
+        """, {"raw-write", "idempotent-accumulate"},
+        id="idempotent-element-augassign"),
+]
+
+
+@pytest.mark.parametrize("body, expected", RULE_BOUNDARY)
+def test_rule_boundary_table(body, expected):
+    source = _TABLE_PROBLEM + textwrap.indent(textwrap.dedent(body), "    ")
+    assert _rules(lint_source(source, "case.py")) == expected
