@@ -41,41 +41,58 @@ def _tracked(array: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 #: cells of histogram scratch allowed per lane: the address range
 #: ``max - min`` must stay below this many times the lane count for
-#: ``_charge`` to count cells with ``np.bincount``.  At 4x the histogram
-#: beat the sort at every lane count measured (2 to 65k) and at 16x it lost
-#: from 512 lanes up; at 4x its transient scratch is at most 32 bytes a lane.
+#: :func:`cell_stats` to count cells with ``np.bincount``.  At 4x the
+#: histogram beat the sort at every lane count measured (2 to 65k) and at
+#: 16x it lost from 512 lanes up; at 4x its transient scratch is at most
+#: 32 bytes a lane.
 _HISTOGRAM_CELLS_PER_LANE = 4
 
+#: what an atomic launch is priced from: ``(lanes, distinct cells, the
+#: hottest cell's multiplicity)``
+CellStats = Tuple[int, int, int]
 
-def _charge(machine: Optional[Machine], name: str, idx: np.ndarray) -> None:
-    """Price one atomic launch from its lane -> cell distribution.
 
-    Needs two integers: the distinct-cell count (conflicts = lanes beyond
-    the first per cell) and the hottest cell's multiplicity (the serial
-    chain).  Serving always runs machine-attached, so this sits on the
-    host hot path: a histogram over the touched range when that range is
-    commensurate with the lane count, a sort otherwise — ``[0, 2**40]``
-    must not allocate O(max - min).
+def cell_stats(idx: np.ndarray) -> CellStats:
+    """The :data:`CellStats` of a lane -> cell array.
+
+    A histogram over the touched range when that range is commensurate
+    with the lane count, a sort otherwise — ``[0, 2**40]`` must not
+    allocate O(max - min).  A scatter that knows its per-cell lane counts
+    without lanes (:func:`repro.graph.csr.transpose_cell_stats`) skips
+    this and prices the counts directly.
     """
     lanes = len(idx)
-    if machine is None or lanes == 0:
-        return
+    if lanes == 0:
+        return 0, 0, 0
     lo = int(idx.min())
     if int(idx.max()) - lo < _HISTOGRAM_CELLS_PER_LANE * lanes:
         counts = np.bincount(idx - lo)
-        distinct = int(np.count_nonzero(counts))
-        hottest = int(counts.max())
-    else:
-        ordered = np.sort(idx)
-        # last lane of every run of equal cells but the final run
-        ends = np.flatnonzero(ordered[1:] != ordered[:-1])
-        distinct = len(ends) + 1
-        hottest = int(np.diff(ends, prepend=-1, append=lanes - 1).max())
+        return lanes, int(np.count_nonzero(counts)), int(counts.max())
+    ordered = np.sort(idx)
+    # last lane of every run of equal cells but the final run
+    ends = np.flatnonzero(ordered[1:] != ordered[:-1])
+    return (lanes, len(ends) + 1,
+            int(np.diff(ends, prepend=-1, append=lanes - 1).max()))
+
+
+def price(machine: Machine, name: str, stats: CellStats) -> None:
+    """Charge one atomic launch from its :data:`CellStats`: conflicts are
+    the lanes beyond the first per cell, and the hottest cell's
+    multiplicity is the serial chain.  No lane, no launch."""
+    lanes, distinct, hottest = stats
+    if lanes == 0:
+        return
     machine.counters.record_atomics(lanes, lanes - distinct)
     # aggregate throughput term + serial chain on the hottest address
     body = (lanes * calib.C_ATOMIC_THROUGHPUT
             + (hottest - 1) * calib.C_ATOMIC_CONFLICT)
     machine.launch(name, body_cycles=body, items=lanes)
+
+
+def _charge(machine: Optional[Machine], name: str, idx: np.ndarray) -> None:
+    """Price one atomic launch from its lane -> cell distribution."""
+    if machine is not None:
+        price(machine, name, cell_stats(idx))
 
 
 def atomic_min(array: np.ndarray, idx: np.ndarray, vals: np.ndarray,

@@ -62,7 +62,9 @@ class Functor:
     #: with the same float ops ``apply_edge`` runs per lane.  The push
     #: advance (with no ``cond_edge``) then owns the scatter and has one
     #: lowering for it: ``graph.csr.transpose_product`` where that is
-    #: bitwise safe, else ``atomic_add(accumulator, dst,
+    #: bitwise safe and no sanitizer watches, with a machine attached or
+    #: not (a machine prices the atomic from the product's per-cell lane
+    #: counts), else ``atomic_add(accumulator, dst,
     #: np.repeat(values, degrees))`` over the expanded lanes.
     #: ``apply_edge`` stays the per-lane spelling the analyzer and the
     #: sanitizer read.

@@ -43,7 +43,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..graph.csr import row_lanes, transpose_product
+from ..graph.csr import row_lanes, transpose_cell_stats, transpose_product
 from ..obs.spans import CAT_FUSED
 from ..simt import calib
 from ..simt.primitives import first_occurrence, unique_by_sort
@@ -213,13 +213,16 @@ def _run_pagerank(en, frontier: Frontier) -> Frontier:
             degs, ne = frontier_degrees(g, f)
         res = np.zeros(n)
         summed = ne >= spmv_min_edges and transpose_product(g, res, f, contrib)
-        # the destination lanes price the atomics and feed the bincount;
-        # an uncharged product step never needs them
+        # the destination lanes feed the bincount, and price the atomic
+        # when there are any; a product step prices it from its per-cell
+        # lane counts instead and never builds them
         lanes = EMPTY
-        if ne and (machine is not None or not summed):
+        if ne and not summed:
             lanes = indices if full else \
                 indices[row_lanes(g.indptr, f, degs, ne, P.workspace)[1]]
-        charge_push(P, lb, degs, ne, it, ("atomic_add", lanes))
+        cells = transpose_cell_stats(g, f, ne) \
+            if summed and machine is not None else lanes
+        charge_push(P, lb, degs, ne, it, ("atomic_add", cells))
         if machine is not None:
             machine.counters.record_frontier(0)
         if ne and not summed:

@@ -24,8 +24,9 @@ repeated frontiers from the workspace's expansion memo, and compaction
 copies are skipped when no lane was culled.  A functor that declares a
 source scatter (``Functor.scatter_source``: PageRank's and SALSA's
 walks) gets one lowering of it, which builds no lane at all wherever
-:func:`repro.graph.csr.transpose_product` is bitwise safe and
-uncharged.  There is one body; the
+:func:`repro.graph.csr.transpose_product` is bitwise safe and no
+sanitizer watches; a machine prices that step's atomic from per-cell
+lane counts, not lanes.  There is one body; the
 problem's :class:`~repro.core.workspace.Workspace` only decides whether
 constants and expansions are cached (pooled) or not (unpooled).  The textbook
 bodies it replaced live on as the oracle in ``tests/unpooled_reference.py``.
@@ -38,7 +39,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ...analysis.sanitizer import current_sanitizer, kernel_scope
-from ...graph.csr import row_lanes, transpose_min_edges, transpose_product
+from ...graph.csr import (row_lanes, transpose_cell_stats, transpose_min_edges,
+                          transpose_product)
 from ...obs.spans import CAT_OPERATOR, span as obs_span
 from ...simt import calib
 from .. import atomics
@@ -220,22 +222,31 @@ def _push_scatter(problem, f_vertices, functor, lb, iteration) -> None:
     """The one lowering of a declared source scatter
     (``Functor.scatter_source``); it admits nothing.
 
-    With no machine to charge the atomic's conflicts from the destination
-    lanes and no sanitizer to observe them, and an edge volume past
-    :func:`~repro.graph.csr.transpose_min_edges`, the scatter is the
-    transpose product, which refuses inputs it would not equal the lanes
-    on.  Everything else expands the lanes and adds each source's value
-    along them.
+    With no sanitizer to observe the atomic's per-cell writes and an edge
+    volume past :func:`~repro.graph.csr.transpose_min_edges`, the scatter
+    is the transpose product, which refuses inputs it would not equal the
+    lanes on.  A machine prices that step from the product's per-cell
+    lane counts (:func:`~repro.graph.csr.transpose_cell_stats`), with the
+    same launches in the same order as the lane path.  Everything else
+    expands the lanes and adds each source's value along them.
     """
     g = problem.graph
+    machine = problem.machine
     f = np.asarray(f_vertices, dtype=np.int64)
     acc = values = None
-    if problem.machine is None and current_sanitizer() is None:
+    if current_sanitizer() is None:
         art = g.artifacts
-        ne = g.m if f is art.iota_n else int(art.out_degrees[f].sum())
+        full = f is art.iota_n
+        degs = art.out_degrees if full else art.out_degrees[f]
+        ne = g.m if full else int(degs.sum())
         if ne >= transpose_min_edges(g.m):
             acc, values = functor.scatter_source(problem, f)
             if transpose_product(g, acc, f, values):
+                if machine is not None:
+                    _charge_advance(problem, degs, lb, "advance_push", ne,
+                                    iteration)
+                    atomics.price(machine, "atomic_add",
+                                  transpose_cell_stats(g, f, ne))
                 return
     _, dsts, eids, degs = expand_push(problem, f, need_srcs=False)
     _charge_advance(problem, degs, lb, "advance_push", len(eids), iteration)
@@ -244,8 +255,7 @@ def _push_scatter(problem, f_vertices, functor, lb, iteration) -> None:
     with kernel_scope("advance_push", problem, functor):
         if values is None:
             acc, values = functor.scatter_source(problem, f)
-        atomics.atomic_add(acc, dsts, np.repeat(values, degs),
-                           problem.machine)
+        atomics.atomic_add(acc, dsts, np.repeat(values, degs), machine)
 
 
 def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,

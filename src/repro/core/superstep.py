@@ -12,11 +12,12 @@ them, so each exists once.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
 from . import atomics
+from .atomics import CellStats
 from .operators.advance import _charge_advance
 
 EMPTY = np.zeros(0, dtype=np.int64)
@@ -73,17 +74,21 @@ def bfs_direction(policy, P, f: np.ndarray):
 
 
 def charge_push(P, lb, degs: np.ndarray, ne: int, it: int,
-                *atomic_charges: Tuple[str, np.ndarray]) -> None:
+                *atomic_charges: Tuple[str, Union[np.ndarray, CellStats]]
+                ) -> None:
     """Replicate a push advance's kernel record: the load-balanced
     expansion plus each ``(atomic name, touched cells)`` the functor
-    issues, fused into one launch as the library operator does."""
+    issues, fused into one launch as the library operator does.  The
+    cells are the lanes' cell array or, from a scatter that built no
+    lanes, their :data:`~repro.core.atomics.CellStats`."""
     machine = P.machine
     if machine is None:
         return
     with machine.fused(f"advance_push[{lb.name}]", it):
         _charge_advance(P, degs, lb, "advance_push", ne, it)
         for name, cells in atomic_charges:
-            atomics._charge(machine, name, cells)
+            atomics.price(machine, name, cells if isinstance(cells, tuple)
+                          else atomics.cell_stats(cells))
 
 
 def rank_contribution(P, f: np.ndarray) -> Tuple[np.ndarray, bool]:

@@ -11,7 +11,9 @@ edge-source expansion used by edge frontiers.
 
 Two kernels turn rows into work on their edges: :func:`row_lanes` expands
 them into one lane per edge, and :func:`transpose_product` sums a
-per-row value into every edge's destination without building a lane.
+per-row value into every edge's destination without building a lane;
+:func:`transpose_cell_stats` counts that product's lanes per cell, which
+is all an atomic's charge needs.
 """
 
 from __future__ import annotations
@@ -111,6 +113,28 @@ def transpose_product(graph: "Csr", acc: np.ndarray, rows: np.ndarray,
     return True
 
 
+def transpose_cell_stats(graph: "Csr", rows: np.ndarray,
+                         lanes: int) -> Tuple[int, int, int]:
+    """``(lanes, distinct, hottest)`` of the scatter
+    :func:`transpose_product` just summed from ``rows`` (``lanes`` edges):
+    the statistics :func:`repro.core.atomics.price` charges the atomic
+    from, read off its per-cell lane counts with no lane built.
+
+    Call it only after the product accepted ``rows``, so they hold each
+    vertex at most once.  A scatter along every edge (``lanes == m``:
+    the all-vertices frontier, a bipartite side) counts each cell's
+    in-degree, whose pair is cached (:attr:`ArtifactCache.in_degree_stats`);
+    any other counts are one more product, ``T @ 1_rows``, exact in
+    float64 below 2**53 lanes a cell.
+    """
+    if lanes == graph.m:
+        return (lanes, *graph.artifacts.in_degree_stats)
+    x = np.zeros(graph.n)
+    x[rows] = 1.0
+    counts = graph.artifacts.transpose_ones @ x
+    return lanes, int(np.count_nonzero(counts)), int(counts.max())
+
+
 #: read-only unit weights; every transpose's ``data`` is a prefix view
 _UNITS = np.ones(0)
 
@@ -171,7 +195,7 @@ class ArtifactCache:
 
     __slots__ = ("_owner", "_indptr", "_indices", "_values", "_n",
                  "_out_degrees", "_iota_n", "_iota_m", "_weights64",
-                 "_segments", "_transpose")
+                 "_segments", "_transpose", "_in_degree_stats")
 
     def __init__(self, g: "Csr"):
         self._owner = weakref.ref(g)
@@ -184,6 +208,7 @@ class ArtifactCache:
         self._segments: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: the transpose, or False once known to be unavailable
         self._transpose = None
+        self._in_degree_stats: Optional[Tuple[int, int]] = None
 
     @staticmethod
     def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -259,6 +284,17 @@ class ArtifactCache:
             T = _transpose_ones(self._graph())
             self._transpose = False if T is None else T
         return None if self._transpose is False else self._transpose
+
+    @property
+    def in_degree_stats(self) -> Tuple[int, int]:
+        """``(vertices with an in-edge, largest in-degree)``: the distinct
+        cells and hottest cell of a scatter along every edge, read off
+        the row offsets of :attr:`transpose_ones`, which must exist."""
+        if self._in_degree_stats is None:
+            indeg = np.diff(self.transpose_ones.indptr)
+            self._in_degree_stats = (int(np.count_nonzero(indeg)),
+                                     int(indeg.max()))
+        return self._in_degree_stats
 
 
 class Csr:

@@ -8,27 +8,38 @@ untouched whenever it refuses, and refuse exactly the inputs the
 equality does not cover: an accumulator that is not all +0.0, a frontier
 that is neither the cached iota nor strictly increasing, a graph without
 edges, or a transpose whose rows list sources out of order.
+
+With a machine attached the product step prices the atomic from
+``graph.csr.transpose_cell_stats`` instead of the lanes: every charged
+rank run must equal the same run with the product forced to refuse, on
+every kernel record, counter and output bit, and the count-derived
+statistics must equal ``atomics.cell_stats`` over the lanes.
 """
 
 import importlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from engines import counter_signature
 from repro.analysis.sanitizer import sanitize
-from repro.core import Frontier, advance
+from repro.core import Frontier, advance, atomics
+from repro.core.engine import clear_fallbacks, engine, last_fallback
 from repro.dynamic.incremental import pagerank_defect
 from repro.graph import generators
 from repro.graph.build import from_edges
 from repro.graph.coo import Coo
-from repro.graph.csr import row_lanes, transpose_min_edges, transpose_product
+from repro.graph.csr import (row_lanes, transpose_cell_stats,
+                             transpose_min_edges, transpose_product)
 from repro.primitives.bipartite import BipartiteGraph, induced_bipartite
 from repro.primitives.hits import _ReverseView
 from repro.primitives.pagerank import (PagerankProblem, _DistributeFunctor,
-                                       pagerank)
+                                       pagerank, ppr)
 from repro.primitives.salsa import (SalsaProblem, _WalkLeftFunctor,
                                     _WalkRightFunctor, salsa)
+from repro.primitives.wtf import who_to_follow
+from repro.serve.batcher import batched_ppr
 from repro.simt import Machine
 
 from unpooled_reference import ReferencePagerankEnactor
@@ -309,20 +320,164 @@ def test_pagerank_builds_no_lanes_above_the_crossover(monkeypatch):
     assert all(v < transpose_min_edges(g.m) for _, v in calls)
 
 
-def test_pagerank_with_a_machine_expands_every_step(monkeypatch):
-    """Charging prices the atomic from its destination lanes, so with a
-    machine attached every step expands, and the kernel stream is the
-    per-lane reference loop's."""
+def test_charged_pagerank_builds_no_lanes_above_the_crossover(monkeypatch):
+    """Charging prices the atomic from the product's per-cell lane counts,
+    so a machine-attached run builds no lane at or above the crossover
+    either, and the kernel stream is still the per-lane reference
+    loop's."""
     g = generators.rmat(10)
     calls = _spy_expansions(monkeypatch)
     machine = Machine()
     r = pagerank(g, machine=machine, max_iterations=1000)
-    expansions = [v for kind, v in calls if kind == "expand"]
-    assert len(expansions) == r.enactor_stats.iterations > 1
-    assert expansions[0] == g.m
+    assert r.enactor_stats.iterations > 1
+    assert all(v < transpose_min_edges(g.m) for _, v in calls)
     want_p = PagerankProblem(g, Machine())
     ReferencePagerankEnactor(want_p, max_iterations=1000).enact(
         Frontier.all_vertices(g.n))
     assert np.array_equal(_bits(r.rank), _bits(want_p.rank))
     assert counter_signature(machine) == counter_signature(want_p.machine)
     assert machine.counters.cycles == want_p.machine.counters.cycles
+
+
+# -- charged product steps against the charged lane path -----------------------
+
+def _fan_graph():
+    """Vertices 0-49 have no in-edge and 250-299 no edge at all."""
+    rng = np.random.default_rng(7)
+    src = rng.integers(0, 200, size=2000)
+    dst = rng.integers(50, 250, size=2000)
+    return from_edges(np.stack([src, dst], axis=1), n=300)
+
+
+CHARGED_GRAPHS = {
+    "rmat": lambda: generators.rmat(8, seed=1),
+    "road": lambda: generators.road_grid(16, 16, seed=1),
+    "kron": lambda: generators.kronecker(8, seed=11, undirected=False),
+    "fan": _fan_graph,
+    "star": lambda: generators.star(200),
+}
+
+
+def _hub(g):
+    return int(np.argmax(g.out_degrees))
+
+
+def _bipartite(g):
+    return induced_bipartite(g, np.arange(0, g.n, 3, dtype=np.int64))
+
+
+def _fused_pagerank(g, m):
+    clear_fallbacks()
+    with engine("fused"):
+        r = pagerank(g, machine=m)
+    assert last_fallback() is None
+    return r
+
+
+CHARGED_RUNS = {
+    "pagerank": lambda g, m: pagerank(g, machine=m),
+    "ppr": lambda g, m: ppr(g, [_hub(g)], machine=m),
+    "batched_ppr2": lambda g, m: batched_ppr(g, [[_hub(g)], [0, 1]],
+                                             machine=m),
+    "batched_ppr3": lambda g, m: batched_ppr(
+        g, [[_hub(g)], [0], [g.n // 2, g.n - 1]], machine=m),
+    "salsa": lambda g, m: salsa(_bipartite(g), machine=m),
+    "who_to_follow": lambda g, m: who_to_follow(g, _hub(g), machine=m),
+    "fused_pagerank": _fused_pagerank,
+}
+
+
+def _outputs(result):
+    if isinstance(result, list):                  # one LaneResult a lane
+        return [a for lane in result for a in lane.arrays.values()]
+    if hasattr(result, "arrays"):
+        return list(result.arrays.values())
+    return [result.recommendations, result.similar_users, result.circle]
+
+
+def _charged(run, g):
+    machine = Machine()
+    out = _outputs(run(g, machine))
+    return out, machine
+
+
+@pytest.mark.parametrize("graph_name", CHARGED_GRAPHS)
+@pytest.mark.parametrize("run_name", CHARGED_RUNS)
+def test_charged_product_matches_the_charged_lane_path(run_name, graph_name,
+                                                       monkeypatch):
+    """A machine-attached scatter step that takes the transpose product
+    prices its atomic from per-cell lane counts; forcing every step onto
+    the lanes (the product refuses) must leave every kernel record,
+    counter and output bit where it was."""
+    advance_mod = importlib.import_module("repro.core.operators.advance")
+    fused_mod = importlib.import_module("repro.core.fused")
+    g, run = CHARGED_GRAPHS[graph_name](), CHARGED_RUNS[run_name]
+    got, got_m = _charged(run, g)
+    for mod in (advance_mod, fused_mod):
+        monkeypatch.setattr(mod, "transpose_product", lambda *args: False)
+    want, want_m = _charged(run, g)
+    assert [(k.name, k.cycles, k.items) for k in got_m.counters.kernels] \
+        == [(k.name, k.cycles, k.items) for k in want_m.counters.kernels]
+    assert counter_signature(got_m) == counter_signature(want_m)
+    assert got_m.counters.cycles == want_m.counters.cycles
+    assert got_m.counters.as_dict() == want_m.counters.as_dict()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@pytest.mark.parametrize("run_name", CHARGED_RUNS)
+def test_every_charged_run_takes_the_product(run_name, monkeypatch):
+    """The differential above is not vacuous: on rmat every run prices
+    some step from its counts, and PPR's frontiers, which grow from the
+    seeds, include one along part of the graph (counted by ``T @ 1_f``,
+    not from the cached in-degrees)."""
+    counted = []
+
+    def counting(graph, rows, lanes):
+        counted.append(lanes < graph.m)
+        return transpose_cell_stats(graph, rows, lanes)
+
+    for name in ("repro.core.operators.advance", "repro.core.fused"):
+        monkeypatch.setattr(importlib.import_module(name),
+                            "transpose_cell_stats", counting)
+    _charged(CHARGED_RUNS[run_name], CHARGED_GRAPHS["rmat"]())
+    assert counted
+    if "ppr" in run_name:
+        assert any(counted)
+
+
+def _stats_check(g, rows):
+    degs = g.degrees_of(rows)
+    ne = int(degs.sum())
+    if not transpose_product(g, np.zeros(g.n), rows, np.ones(len(rows))):
+        return None
+    lanes = g.indices[row_lanes(g.indptr, rows, degs, ne)[1]]
+    assert transpose_cell_stats(g, rows, ne) == atomics.cell_stats(lanes)
+    return lanes
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_count_derived_stats_equal_the_lane_stats(data):
+    g = data.draw(graphs())
+    rows = data.draw(frontiers(g, data.draw(st.sampled_from(
+        ["one", "iota_identity", "iota_value", "sorted"]))))
+    _stats_check(g, rows)
+
+
+@pytest.mark.parametrize("branch", ["histogram", "sort"])
+def test_count_derived_stats_cover_both_lane_branches(branch):
+    """``cell_stats`` counts a narrow cell range with a histogram and a
+    wide one with a sort; the counts agree with both."""
+    if branch == "histogram":
+        g = generators.star(50)
+        rows = g.artifacts.iota_n
+    else:
+        g = from_edges(np.array([[0, 1], [0, 999], [5, 999], [7, 3]]), n=1000)
+        rows = np.array([0, 5], dtype=np.int64)
+    lanes = _stats_check(g, rows)
+    spread = int(lanes.max() - lanes.min())
+    wide = spread >= atomics._HISTOGRAM_CELLS_PER_LANE * len(lanes)
+    assert wide == (branch == "sort")

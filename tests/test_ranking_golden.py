@@ -106,10 +106,11 @@ def test_ranking_pooled_equals_unpooled(graph_name, primitive):
 @pytest.mark.parametrize("graph_name", GRAPHS)
 def test_salsa_expands_each_direction_once(graph_name, monkeypatch):
     """Every SALSA iteration walks the same left frontier on the graph and
-    the same right frontier on its reverse.  With no machine attached the
-    walks take the transpose product and build no expansion; with one (as
-    serving always has) one memo entry per graph builds each expansion
-    exactly once, however many iterations the run takes."""
+    the same right frontier on its reverse, each along every edge of its
+    graph.  So the walks take the transpose product and build each
+    direction's expansion at most once, and in fact never: with no
+    machine attached, and with one (as serving always has), which prices
+    the atomic from the cached in-degree statistics."""
     # the package re-exports the function `advance` over its module name
     advance_mod = importlib.import_module("repro.core.operators.advance")
     csr_mod = importlib.import_module("repro.graph.csr")
@@ -128,7 +129,7 @@ def test_salsa_expands_each_direction_once(graph_name, monkeypatch):
     assert calls == []
     r = P.salsa(bp, machine=Machine())
     assert r.enactor_stats.iterations > 2
-    assert len(calls) == 2
+    assert calls == []
 
 
 if __name__ == "__main__":
