@@ -7,9 +7,11 @@ region, instead of recomputing the world.
 
 * :func:`delta_bfs` / :func:`delta_sssp` — Ramalingam–Reps-style repair:
   deletions (and weight increases) compute the *damage closure* — the
-  set of vertices whose shortest-path label provably lost its support —
-  then a monotone label-correcting wave re-relaxes outward from the
-  intact boundary plus the endpoints of improving mutations.  The
+  set of vertices whose shortest-path label provably lost its support,
+  closed in frontier waves to its unique fixpoint and charged what an
+  ascending-label worklist would have scanned — then a monotone
+  label-correcting wave re-relaxes outward from the intact boundary
+  plus the endpoints of improving mutations.  The
   repaired label array is **bitwise equal** to a from-scratch run on the
   compacted graph: both converge to the unique minimal fixpoint of the
   Bellman recurrence under float64 fold-left path sums (predecessors are
@@ -36,14 +38,13 @@ pay.
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..graph.csr import Csr, row_lanes, transpose_product
 from ..simt import calib
-from ..simt.primitives import first_of_run
+from ..simt.primitives import first_of_run, unique_by_sort
 from .delta import DeltaCsr, MutationBatch, WEIGHT_INSENSITIVE
 
 #: repair aborts (falls back to from-scratch) once the damage closure
@@ -64,14 +65,6 @@ def _csr(g, machine) -> Csr:
     return g.snapshot(machine) if isinstance(g, DeltaCsr) else g
 
 
-def _row(g: Csr, v: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Row ``v`` as ``(neighbors, float64 weights or None)``; on
-    ``g.csc`` that is ``v``'s in-row."""
-    lo, hi = int(g.indptr[v]), int(g.indptr[v + 1])
-    w = None if g.edge_values is None else g.artifacts.weights64[lo:hi]
-    return g.indices[lo:hi], w
-
-
 def _min_weight(g: Csr) -> float:
     """The smallest edge weight (1.0 when unweighted or edgeless)."""
     if g.edge_values is None or not g.m:
@@ -79,19 +72,16 @@ def _min_weight(g: Csr) -> float:
     return float(g.artifacts.weights64.min())
 
 
-def _gather_out(g: Csr, vs: np.ndarray):
-    """Concatenated out-rows of ``vs``: ``(src_rep, dst, w64, counts)``."""
-    vs = np.asarray(vs, dtype=np.int64)
+def _lanes(g: Csr, vs: np.ndarray):
+    """The lanes of rows ``vs`` (in-rows on ``g.csc``):
+    ``(seg, nbr, w64, counts)``, ``seg`` the lane's index into ``vs``."""
     counts = g.degrees_of(vs)
-    total = int(counts.sum())
-    if not total:
-        z = np.empty(0, np.int64)
-        return z, z, np.empty(0, np.float64), counts
-    _, eids = row_lanes(g.indptr, vs, counts, total)
-    dst = g.indices[eids]
+    _, eids = row_lanes(g.indptr, vs, counts, int(counts.sum()))
+    seg = np.repeat(np.arange(len(vs)), counts)
+    # ones for an unweighted graph: its m-sized weights64 is never built
     w = g.artifacts.weights64[eids] if g.edge_values is not None \
-        else np.ones(total, dtype=np.float64)
-    return np.repeat(vs, counts), dst, w, counts
+        else np.ones(len(eids))
+    return seg, g.indices[eids], w, counts
 
 
 def _charge_scan(machine, name: str, edges: int) -> None:
@@ -113,7 +103,8 @@ def _relax_wave(g: Csr, labels: np.ndarray, preds: np.ndarray,
         waves += 1
         if waves > _MAX_WAVES:  # pragma: no cover - safety valve
             raise RuntimeError("repair wave failed to converge")
-        src_rep, dst, w, _ = _gather_out(g, frontier)
+        seg, dst, w, _ = _lanes(g, frontier)
+        src_rep = frontier[seg]
         _charge_scan(machine, "dynamic.repair_advance", len(dst))
         if not len(dst):
             break
@@ -137,97 +128,98 @@ def _relax_wave(g: Csr, labels: np.ndarray, preds: np.ndarray,
         frontier = uniq
 
 
+def _supported(labels: np.ndarray, lv: np.ndarray, nbr: np.ndarray,
+               w: np.ndarray, unit: bool) -> np.ndarray:
+    """Per lane ``nbr -> v`` (``lv`` = ``v``'s label): does it support
+    ``v``?  An unreached ``nbr`` never does."""
+    if unit:
+        return labels[nbr] == lv - 1
+    return labels[nbr] + w == lv
+
+
 def _repair_shortest_paths(g: Csr, src: int, old_labels: np.ndarray,
                            old_preds: np.ndarray, batch: MutationBatch,
                            *, unit: bool, machine=None
                            ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Shared delete-closure + re-relax skeleton for BFS and SSSP.
+    """Shared damage-closure + re-relax skeleton for BFS and SSSP;
+    ``None`` = unsound or unprofitable, recompute from scratch.
 
-    Returns ``None`` when repair is unsound or unprofitable and the
-    caller should recompute from scratch.
+    The closure runs in frontier waves from the trigger set: a wave
+    marks its unsupported candidates damaged (``D``) and hands on their
+    dependents.  Weights are positive, so any order reaches the fixpoint
+    an ascending ``(label, v)`` worklist reaches, and that worklist's
+    scan is the charge: ``D`` scans in- and out-rows once, a pushed
+    vertex that stayed supported its in-row once per push.  Past the
+    fallback limit the charge is the worklist's prefix up to the first
+    damaged vertex over it, plus that vertex's in-row.
     """
-    n = g.n
+    if not unit and _min_weight(g) <= 0.0:
+        return None  # zero-weight edges break ascending-label closure
     csc = g.csc
     labels = old_labels.copy()
     preds = old_preds.copy()
-    unreached = -1 if unit else np.inf
+    reached = (lambda x: x >= 0) if unit else np.isfinite
 
-    def finite(x) -> bool:
-        return (x >= 0) if unit else bool(np.isfinite(x))
-
-    if not unit and _min_weight(g) <= 0.0:
-        return None  # zero-weight edges break ascending-label closure
-
-    # -- trigger suspects: targets of deleted (and, for SSSP, reweighted)
-    #    edges whose label may have lost its support
-    triggers = [batch.deletes]
+    # -- wave 0: targets of deleted (and, for SSSP, reweighted) edges
+    #    whose label may have lost its support
+    parts = [batch.deletes[:, 1]]
     if not unit:
-        triggers.append(batch.reweights)
-    heap: list = []
-    seen_push = set()
-    for pairs in triggers:
-        for u, v in pairs:
-            v = int(v)
-            if v != src and finite(labels[v]) and v not in seen_push:
-                seen_push.add(v)
-                heapq.heappush(heap, (labels[v], v))
+        parts.append(batch.reweights[:, 1])
+    cand = np.concatenate(parts).astype(np.int64)
+    cand = unique_by_sort(cand[(cand != src) & reached(labels[cand])])
+    damaged = np.zeros(g.n, dtype=bool)
+    pushes = np.zeros(g.n, dtype=np.int64)
+    pushes[cand] = 1
+    while len(cand):
+        seg, nbr, w, _ = _lanes(csc, cand)
+        has = np.zeros(len(cand), dtype=bool)
+        has[seg[_supported(labels, labels[cand][seg], nbr, w, unit)]] = True
+        lost = cand[~has]
+        damaged[lost] = True
+        labels[lost] = -1 if unit else np.inf
+        seg, nbr, w, _ = _lanes(g, lost)
+        lv = old_labels[lost][seg]
+        dep = nbr[(labels[nbr] == (lv + 1 if unit else lv + w))
+                  & (nbr != src)]
+        np.add.at(pushes, dep, 1)
+        cand = unique_by_sort(dep)
+    preds[damaged] = -1
 
-    damaged: set = set()
-    scanned = 0
-    limit = max(16, int(FALLBACK_DAMAGE_FRAC * n))
-    while heap:
-        lv, v = heapq.heappop(heap)
-        if v in damaged or labels[v] != lv or not finite(lv):
-            continue
-        in_nbr, in_w = _row(csc, v)
-        scanned += len(in_nbr)
-        if unit:
-            support = labels[in_nbr] == lv - 1
-        else:
-            w64 = np.ones(len(in_nbr)) if in_w is None else in_w
-            support = labels[in_nbr] + w64 == lv
-        if support.any():
-            # keep the label; keep the old pred if it still supports it,
-            # else adopt the first supporting in-neighbor (deterministic)
-            old_p = int(preds[v])
-            if not (old_p >= 0 and bool(support[in_nbr == old_p].any())):
-                preds[v] = int(in_nbr[np.flatnonzero(support)[0]])
-            continue
-        damaged.add(v)
-        if len(damaged) > limit:
-            # the wave would re-relax most of the graph; recompute instead
-            _charge_scan(machine, "dynamic.repair_closure", scanned)
-            return None
-        labels[v] = unreached
-        preds[v] = -1
-        out_nbr, out_w = _row(g, v)
-        scanned += len(out_nbr)
-        if unit:
-            dep = labels[out_nbr] == lv + 1
-        else:
-            w64 = np.ones(len(out_nbr)) if out_w is None else out_w
-            dep = labels[out_nbr] == lv + w64
-        for w_v in out_nbr[dep]:
-            w_v = int(w_v)
-            if w_v != src and w_v not in damaged:
-                heapq.heappush(heap, (labels[w_v], w_v))
-    _charge_scan(machine, "dynamic.repair_closure", scanned)
+    # -- the worklist's charge: damaged D, supported S, pushes per vertex
+    pushed = np.flatnonzero(pushes)
+    din = csc.degrees_of(pushed)
+    lost = damaged[pushed]
+    cost = np.where(lost, din + g.degrees_of(pushed), pushes[pushed] * din)
+    limit = max(16, int(FALLBACK_DAMAGE_FRAC * g.n))
+    if int(lost.sum()) > limit:
+        # ``pushed`` ascends, so a stable sort orders by ``(label, v)``
+        order = np.argsort(old_labels[pushed], kind="stable")
+        stop = np.flatnonzero(lost[order])[limit]
+        _charge_scan(machine, "dynamic.repair_closure",
+                     int(cost[order[:stop]].sum() + din[order[stop]]))
+        return None
+    _charge_scan(machine, "dynamic.repair_closure", int(cost.sum()))
+
+    # -- preds of S: the old pred if it still supports, else the first
+    #    supporting lane
+    kept = pushed[~lost]
+    seg, nbr, w, _ = _lanes(csc, kept)
+    sup = _supported(labels, labels[kept][seg], nbr, w, unit)
+    keep = np.zeros(len(kept), dtype=bool)
+    keep[seg[sup & (nbr == old_preds[kept][seg])]] = True
+    lanes = np.flatnonzero(sup)
+    first = lanes[first_of_run(seg[lanes])]
+    adopt = ~keep[seg[first]]
+    preds[kept[seg[first[adopt]]]] = nbr[first[adopt]]
 
     # -- seed frontier: intact boundary of the damage + sources of
     #    improving mutations (inserts; reweights for SSSP)
-    seeds = set()
-    for v in damaged:
-        in_nbr, _ = _row(csc, v)
-        for u in in_nbr:
-            if finite(labels[u]):
-                seeds.add(int(u))
-    improvers = [batch.inserts] if unit \
-        else [batch.inserts, batch.reweights]
-    for pairs in improvers:
-        for u, _v in pairs:
-            if finite(labels[int(u)]):
-                seeds.add(int(u))
-    frontier = np.asarray(sorted(seeds), dtype=np.int64)
+    _, nbr, _, _ = _lanes(csc, np.flatnonzero(damaged))
+    parts = [nbr, batch.inserts[:, 0]]
+    if not unit:
+        parts.append(batch.reweights[:, 0])
+    seeds = np.concatenate(parts).astype(np.int64)
+    frontier = unique_by_sort(seeds[reached(labels[seeds])])
     _relax_wave(g, labels, preds, frontier, unit=unit, machine=machine)
     return labels, preds
 
@@ -290,16 +282,19 @@ def incremental_pagerank(old_g: Csr, new_g: Csr,
     rank = np.asarray(old_rank, dtype=np.float64).copy()
     if batch.weight_only:
         return rank
+    # retract along the old row, re-scatter along the new one: one
+    # scatter whose lanes run old row then new row per source, sources
+    # ascending (``a - x == a + (-x)``, so the order pins the bits)
+    srcs = batch.touched_sources.astype(np.int64)
+    mass = damping * rank[srcs]
+    seg_old, nbr_old, _, deg_old = _lanes(old_g, srcs)
+    seg_new, nbr_new, _, deg_new = _lanes(new_g, srcs)
+    share_old = -mass / np.maximum(deg_old, 1)
+    share_new = mass / np.maximum(deg_new, 1)
+    order = np.argsort(np.concatenate([seg_old, seg_new]), kind="stable")
     residual = np.zeros(n, dtype=np.float64)
-    for u in batch.touched_sources:
-        u = int(u)
-        mass = damping * rank[u]
-        old_nbr, _ = _row(old_g, u)
-        new_nbr, _ = _row(new_g, u)
-        if len(old_nbr):
-            np.subtract.at(residual, old_nbr, mass / len(old_nbr))
-        if len(new_nbr):
-            np.add.at(residual, new_nbr, mass / len(new_nbr))
+    np.add.at(residual, np.concatenate([nbr_old, nbr_new])[order],
+              np.concatenate([share_old[seg_old], share_new[seg_new]])[order])
     for _ in range(max_rounds):
         active = np.flatnonzero(np.abs(residual) > tol)
         if not len(active):
@@ -307,11 +302,10 @@ def incremental_pagerank(old_g: Csr, new_g: Csr,
         move = residual[active].copy()
         residual[active] = 0.0
         rank[active] += move
-        src_rep, dst, _, counts = _gather_out(new_g, active)
+        seg, dst, _, counts = _lanes(new_g, active)
         _charge_scan(machine, "dynamic.pagerank_push", len(dst))
         if len(dst):
-            vals = damping * np.repeat(
-                move / np.maximum(counts, 1), counts)
+            vals = damping * (move / np.maximum(counts, 1))[seg]
             np.add.at(residual, dst, vals)
     else:  # pragma: no cover - safety valve
         raise RuntimeError("incremental pagerank failed to converge")
