@@ -1,8 +1,8 @@
 """The fresh-subprocess ABBA wall-clock protocol, once.
 
-``bench_wallclock.py`` (pooled vs unpooled), ``bench_fused.py`` (fused vs
-pooled) and ``bench_la.py`` (la vs pooled) each name an engine pair, an
-identity check and a cell schema; everything else is here:
+``bench_fused.py`` (fused vs pooled) and ``bench_la.py`` (la vs pooled)
+each name an engine pair, an identity check and a cell schema;
+everything else is here:
 
 * the graph table and builders, and ``make_runner``;
 * the child (this file run as a script): select the engine, warm up once,

@@ -5,7 +5,7 @@ accounting) for BFS / SSSP / PageRank on an RMAT graph and a road grid,
 with the fused engine vs pooled operator execution, and writes
 ``benchmarks/BENCH_fused.json``.
 
-The measurement protocol is the one ``bench_wallclock.py`` established:
+The measurement protocol is ``_protocol.py``'s:
 every cell × engine measurement runs in its own fresh subprocess (modes
 never share a heap), subprocess rounds are interleaved ABBA so
 machine-level drift cancels, and each engine takes the minimum across

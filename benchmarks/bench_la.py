@@ -5,7 +5,7 @@ accounting) for BFS / SSSP / PageRank / CC on an RMAT graph and a road grid,
 with the la engine (masked SpMV/SpMSpV over frozen CSR/CSC) vs pooled
 operator execution, and writes ``benchmarks/BENCH_la.json``.
 
-The measurement protocol is the one ``bench_wallclock.py`` established:
+The measurement protocol is ``_protocol.py``'s:
 every cell × engine measurement runs in its own fresh subprocess (modes
 never share a heap), subprocess rounds are interleaved ABBA so
 machine-level drift cancels, and each engine takes the minimum across

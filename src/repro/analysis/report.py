@@ -8,9 +8,9 @@ caller passed in.  ``analyze-smoke`` CI pins byte-identity across runs.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from .fusion import AnalysisReport, PrimitiveReport
+from .fusion import AnalysisReport
 from .rules import RULES
 
 #: bump when the report shape changes incompatibly
@@ -215,7 +215,3 @@ def render_dot(report: AnalysisReport) -> str:
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def primitive_index(report: AnalysisReport) -> Dict[str, PrimitiveReport]:
-    return {p.name: p for p in report.primitives}

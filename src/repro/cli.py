@@ -33,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core.engine import ENGINES
 from .graph import datasets, generators, io, properties
 from .graph.build import with_random_weights
 from .graph.csr import Csr
@@ -546,11 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", type=int, default=None)
     p.add_argument("--sanitize", action="store_true",
                    help="run under the dynamic race detector")
-    p.add_argument("--engine",
-                   choices=("unpooled", "pooled", "fused", "la"),
-                   default=None,
-                   help="execution engine: library loop without/with memory "
-                        "pooling, the trace-guided fused specializer, or "
+    p.add_argument("--engine", choices=ENGINES, default=None,
+                   help="execution engine: the library loop, the "
+                        "trace-guided fused specializer, or "
                         "the linear-algebra (masked SpMV/SpMSpV) backend "
                         "(both fall back to pooled when a run has no "
                         "specialization); "
@@ -620,9 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "replica * kills the whole group")
     p.add_argument("--no-hedge", action="store_true",
                    help="disable hedged (duplicate) dispatch")
-    p.add_argument("--engine",
-                   choices=("unpooled", "pooled", "fused", "la"),
-                   default=None,
+    p.add_argument("--engine", choices=ENGINES, default=None,
                    help="execution engine for cacheable (coalesced/solo) "
                         "batches; fused dispatches the compiled plan, "
                         "cached per graph version; la dispatches the "

@@ -105,11 +105,6 @@ class EnactorBase:
         self._ops_this_step = 0
 
     @property
-    def workspace(self):
-        """The problem's scratch arena (pooled or unpooled)."""
-        return self.problem.workspace
-
-    @property
     def primitive_name(self) -> str:
         """Observability identity: ``BfsEnactor`` -> ``bfs`` (DESIGN §11)."""
         name = type(self).__name__

@@ -1,14 +1,10 @@
-"""Execution-engine selection and dispatch: unpooled / pooled / fused / la.
+"""Execution-engine selection and dispatch: pooled / fused / la.
 
-The repo grew four ways to run a primitive:
+The repo runs a primitive one of three ways:
 
-* **unpooled** — the library operators over a workspace that caches
-  nothing: the same operator bodies as pooled, with the constant arrays
-  freshly allocated and no expansion memo (:mod:`repro.core.workspace`).
-  It isolates what those caches buy; the textbook bodies the operators
-  are pinned against live in ``tests/unpooled_reference.py``.
-* **pooled** — the library operators over the caching workspace (the
-  production default).
+* **pooled** — the library operators (the production default).  The
+  textbook bodies they replaced are the oracle in
+  ``tests/unpooled_reference.py``.
 * **fused** — trace-guided specialization (:mod:`repro.core.fused`):
   the verified operator DAG of a primitive is compiled into a single
   super-step loop with no intermediate frontier materialization.  Only
@@ -23,11 +19,9 @@ The repo grew four ways to run a primitive:
 
 There is one selector: the ``REPRO_ENGINE`` env var (read when this
 module is imported), overridden process-wide by :func:`set_engine`,
-overridden in a scope by :func:`engine`.  Which workspace provider new
-problems get is derived from it (:class:`repro.core.workspace.Workspace`):
-every engine but ``unpooled`` runs on the pooled one.  ``fused`` and
-``la`` read through the same workspace calls, so a problem built on
-either provider runs under any engine.
+overridden in a scope by :func:`engine`.  A problem captures none of
+it, so a problem built under one engine runs under any other.  The
+retired name ``unpooled`` is accepted as an alias of ``pooled``.
 
 :func:`dispatch` is the one way into a specialized engine: the refusal
 chain, the fallback record, the dispatch counter and the engine span
@@ -45,18 +39,22 @@ from typing import Callable, Iterator, List, Mapping, Optional, Tuple
 from ..analysis.sanitizer import current_sanitizer
 from ..obs.spans import current_observer, span as obs_span
 
-ENGINES = ("unpooled", "pooled", "fused", "la")
+ENGINES = ("pooled", "fused", "la")
+#: retired engine names and the engine each selects: ``benchmarks/e2e``
+#: still asks for ``unpooled``, whose caches were the only difference
+_ALIASES = {"unpooled": "pooled"}
 
 #: process-wide override; None = ``REPRO_ENGINE``, else pooled
 _ENGINE: Optional[str] = None
 #: ``REPRO_ENGINE`` as the process started with it.  Read once, here:
-#: the mode is resolved for every new problem and every enact, and an
+#: the mode is resolved for every enact, and an
 #: ``os.environ`` lookup per super-step once cost road-network
 #: traversals ~2.5 %.
 _ENV_ENGINE = os.environ.get("REPRO_ENGINE", "").strip().lower()
 
 
 def _checked(mode: str) -> str:
+    mode = _ALIASES.get(mode, mode)
     if mode not in ENGINES:
         raise ValueError(f"unknown engine {mode!r}; expected one of {ENGINES}")
     return mode
@@ -78,7 +76,7 @@ def engine_mode() -> str:
 def set_engine(mode: str) -> str:
     """Select the engine process-wide; returns the previous resolved mode."""
     global _ENGINE
-    _checked(mode)
+    mode = _checked(mode)
     previous = engine_mode()
     _ENGINE = mode
     return previous

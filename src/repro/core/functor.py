@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .workspace import workspace_of
+from ..graph.csr import true_mask
 
 
 class Functor:
@@ -119,7 +119,7 @@ def _validate_mask(mask: np.ndarray, n_lanes: int, where: str) -> np.ndarray:
 
 
 def resolve_masks(n_lanes: int, *masks: Optional[np.ndarray],
-                  where: str = "functor", workspace=None) -> np.ndarray:
+                  where: str = "functor") -> np.ndarray:
     """AND together optional lane masks (None == all-True).
 
     ``where`` names the functor method that produced the mask, so the
@@ -127,16 +127,15 @@ def resolve_masks(n_lanes: int, *masks: Optional[np.ndarray],
     rejected: an int mask would silently reinterpret arbitrary values as
     lane admission bits.
 
-    The no-mask case returns ``workspace``'s all-True mask (a cached
-    read-only view on the pooled provider) and the single-mask case
-    passes the functor's mask straight through, so callers treat the
-    result as read-only; only the multi-mask case builds a new array.
+    The no-mask case returns the shared read-only
+    :func:`~repro.graph.csr.true_mask` and the single-mask case passes
+    the functor's mask straight through, so callers treat the result as
+    read-only; only the multi-mask case builds a new array.
     """
-    ws = workspace if workspace is not None else workspace_of(None)
     live = [_validate_mask(m, n_lanes, where)
             for m in masks if m is not None]
     if not live:
-        return ws.true_mask(n_lanes)
+        return true_mask(n_lanes)
     if len(live) == 1:
         return live[0]
     out = np.logical_and(live[0], live[1])

@@ -88,7 +88,6 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
     P = en.problem
     g = P.graph
     machine = P.machine
-    ws = P.workspace
     lb = en.lb
     coarse = en._fused_plan.regimes.coarse_edges
     indptr, indices = g.indptr, g.indices
@@ -105,7 +104,7 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
             if ne == 0:
                 out_items = EMPTY
             else:
-                excl, eids = row_lanes(indptr, f, degs, ne, ws)
+                excl, eids = row_lanes(indptr, f, degs, ne)
                 dsts = indices[eids]
                 keep = labels[dsts] < 0
                 if keep.all():
@@ -148,7 +147,6 @@ def _run_sssp(en, frontier: Frontier) -> Frontier:
     P = en.problem
     g = P.graph
     machine = P.machine
-    ws = P.workspace
     lb = en.lb
     indptr, indices = g.indptr, g.indices
     labels, preds, weights = P.labels, P.preds, P.weights
@@ -160,7 +158,7 @@ def _run_sssp(en, frontier: Frontier) -> Frontier:
         if ne == 0:
             charge_push(P, lb, degs, 0, it)
         else:
-            excl, eids = row_lanes(indptr, f, degs, ne, ws)
+            excl, eids = row_lanes(indptr, f, degs, ne)
             dsts = indices[eids]
             new_label = labels[f].repeat(degs)
             np.add(new_label, weights[eids], out=new_label)
@@ -219,7 +217,7 @@ def _run_pagerank(en, frontier: Frontier) -> Frontier:
         lanes = EMPTY
         if ne and not summed:
             lanes = indices if full else \
-                indices[row_lanes(g.indptr, f, degs, ne, P.workspace)[1]]
+                indices[row_lanes(g.indptr, f, degs, ne)[1]]
         cells = transpose_cell_stats(g, f, ne) \
             if summed and machine is not None else lanes
         charge_push(P, lb, degs, ne, it, ("atomic_add", cells))
@@ -294,7 +292,6 @@ def _run_bc(en, frontier: Frontier) -> Frontier:
     P = en.problem
     g = P.graph
     machine = P.machine
-    ws = P.workspace
     lb = en.lb
     indptr, indices = g.indptr, g.indices
     labels, sigma = P.labels, P.sigma
@@ -307,7 +304,7 @@ def _run_bc(en, frontier: Frontier) -> Frontier:
         if ne == 0:
             charge_push(P, lb, degs, 0, it)
         else:
-            _, eids = row_lanes(indptr, f, degs, ne, ws)
+            _, eids = row_lanes(indptr, f, degs, ne)
             dsts = indices[eids]
             keep = labels[dsts] < 0
             if keep.all():

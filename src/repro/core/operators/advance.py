@@ -20,16 +20,14 @@ pays one launch overhead.
 Rows become edge lanes in one place, :func:`repro.graph.csr.row_lanes`;
 this file adds what advance needs around it: all-vertices frontiers are
 served straight from the graph's :class:`~repro.graph.csr.ArtifactCache`,
-repeated frontiers from the workspace's expansion memo, and compaction
-copies are skipped when no lane was culled.  A functor that declares a
+and compaction copies are skipped when no lane was culled (a mask that
+is a view of :func:`~repro.graph.csr.true_mask`).  A functor that declares a
 source scatter (``Functor.scatter_source``: PageRank's and SALSA's
 walks) gets one lowering of it, which builds no lane at all wherever
 :func:`repro.graph.csr.transpose_product` is bitwise safe and no
 sanitizer watches; a machine prices that step's atomic from per-cell
-lane counts, not lanes.  There is one body; the
-problem's :class:`~repro.core.workspace.Workspace` only decides whether
-constants and expansions are cached (pooled) or not (unpooled).  The textbook
-bodies it replaced live on as the oracle in ``tests/unpooled_reference.py``.
+lane counts, not lanes.  The textbook bodies this one replaced live on
+as the oracle in ``tests/unpooled_reference.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +37,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ...analysis.sanitizer import current_sanitizer, kernel_scope
-from ...graph.csr import (row_lanes, transpose_cell_stats, transpose_min_edges,
+from ...graph.csr import (iota, is_false_mask, is_true_mask, row_lanes,
+                          transpose_cell_stats, transpose_min_edges,
                           transpose_product)
 from ...obs.spans import CAT_OPERATOR, span as obs_span
 from ...simt import calib
@@ -48,7 +47,6 @@ from ..frontier import Frontier, FrontierKind
 from ..functor import Functor, resolve_masks
 from ..loadbalance import LoadBalancer, default_load_balancer
 from ..problem import ProblemBase
-from ..workspace import workspace_of
 
 
 def _frontier_vertices(problem: ProblemBase, frontier: Frontier) -> np.ndarray:
@@ -79,22 +77,10 @@ def expand_push(problem: ProblemBase, source_vertices: np.ndarray,
     """
     g = problem.graph
     f = np.asarray(source_vertices, dtype=np.int64)
-    ws = workspace_of(problem)
     if len(f) == g.n:
         art = g.artifacts
         if f is art.iota_n or np.array_equal(f, art.iota_n):
             return art.edge_sources, g.indices, art.iota_m, art.out_degrees
-    # slowly-shrinking frontiers (PageRank) re-expand the same vertex
-    # set for many super-steps: an O(|f|) compare replaces the O(m)
-    # rebuild.  The memoized arrays are safe to hand out again because
-    # lane arrays are immutable by contract (compaction copies).
-    memo = ws.expansion_memo(g, f)
-    if memo is not None:
-        srcs, dsts, eids, degs = memo
-        if need_srcs and srcs is None:
-            srcs = np.repeat(f, degs)  # == f[seg] by construction
-            ws.remember_expansion(g, f, (srcs, dsts, eids, degs))
-        return srcs, dsts, eids, degs
     # no per-lane segment-id array is ever built: srcs (when wanted)
     # is repeat(f, degs), identical to the oracle's gather through
     # the segment ids
@@ -102,14 +88,11 @@ def expand_push(problem: ProblemBase, source_vertices: np.ndarray,
     # every throwaway block-diagonal graph the serving tier expands
     # here cost serve-steady 17 % peak RSS)
     degs = g.degrees_of(f)
-    _, eids = row_lanes(g.indptr, f, degs, int(degs.sum()), ws)
+    _, eids = row_lanes(g.indptr, f, degs, int(degs.sum()))
     if len(eids) == 0:
         return eids, eids, eids, degs
-    dsts = g.indices[eids]
     srcs = np.repeat(f, degs) if need_srcs else None
-    out = (srcs, dsts, eids, degs)
-    ws.remember_expansion(g, f, out)
-    return out
+    return srcs, g.indices[eids], eids, degs
 
 
 def _charge_advance(problem: ProblemBase, degs: np.ndarray, lb: LoadBalancer,
@@ -187,7 +170,6 @@ def _push_body(problem, f_vertices, functor, output_kind, lb, iteration):
             and type(functor).cond_edge is Functor.cond_edge:
         _push_scatter(problem, f_vertices, functor, lb, iteration)
         return Frontier.empty(output_kind)
-    ws = workspace_of(problem)
     srcs, dsts, eids, degs = expand_push(problem, f_vertices)
     _charge_advance(problem, degs, lb, "advance_push", len(eids), iteration)
     if len(eids) == 0:
@@ -195,21 +177,20 @@ def _push_body(problem, f_vertices, functor, output_kind, lb, iteration):
     fname = type(functor).__name__
     with kernel_scope("advance_push", problem, functor):
         cond = functor.cond_edge(problem, srcs, dsts, eids)
-        keep = resolve_masks(len(eids), cond, where=f"{fname}.cond_edge",
-                             workspace=ws)
-        if not ws.is_true_view(keep) and not keep.all():
+        keep = resolve_masks(len(eids), cond, where=f"{fname}.cond_edge")
+        if not is_true_mask(keep) and not keep.all():
             srcs, dsts, eids = srcs[keep], dsts[keep], eids[keep]
         if len(eids) == 0:
             return Frontier.empty(output_kind)
         applied = functor.apply_edge(problem, srcs, dsts, eids)
         keep = resolve_masks(len(eids), applied,
-                             where=f"{fname}.apply_edge", workspace=ws)
+                             where=f"{fname}.apply_edge")
     out_src = dsts if output_kind is FrontierKind.VERTEX else eids
-    if ws.is_true_view(keep):
+    if is_true_mask(keep):
         # no lane culled: alias the (immutable) lane array instead of a
         # full fancy-index copy — frontier items are never mutated
         out_items = out_src
-    elif ws.is_false_view(keep):
+    elif is_false_mask(keep):
         # admit-nothing mask: skip the compaction scan that would
         # produce an empty array anyway
         out_items = out_src[:0]
@@ -273,7 +254,6 @@ def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,
     """
     g = problem.graph
     machine = problem.machine
-    ws = workspace_of(problem)
     rev = g.csc
     in_frontier = frontier.to_bitmap(g.n, machine)
     unvisited = np.flatnonzero(problem.unvisited_mask())
@@ -285,18 +265,18 @@ def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,
         return Frontier.empty(FrontierKind.VERTEX)
 
     degs = rev.degrees_of(unvisited)
-    excl, eids = row_lanes(rev.indptr, unvisited, degs, int(degs.sum()), ws)
+    excl, eids = row_lanes(rev.indptr, unvisited, degs, int(degs.sum()))
     total = len(eids)
     if total == 0:
         return Frontier.empty(FrontierKind.VERTEX)
-    seg = np.repeat(ws.iota(len(unvisited)), degs)
+    seg = np.repeat(iota(len(unvisited)), degs)
     parents = rev.indices[eids]
     hits = in_frontier[parents]
 
     # First-hit position per segment (the lane where the serial scan stops).
     big = np.iinfo(np.int64).max
     pos_in_seg = excl[seg]
-    np.subtract(ws.iota(total), pos_in_seg, out=pos_in_seg)
+    np.subtract(iota(total), pos_in_seg, out=pos_in_seg)
     first_hit = np.full(len(unvisited), big, dtype=np.int64)
     if np.count_nonzero(hits) * 4 >= total:
         # dense hits (the regime pull is chosen for): replace the
@@ -335,14 +315,12 @@ def _advance_pull(problem: ProblemBase, frontier: Frontier, functor: Functor,
     fname = type(functor).__name__
     with kernel_scope("advance_pull", problem, functor):
         cond = functor.cond_edge(problem, parent, child, orig_eid)
-        keep = resolve_masks(len(child), cond, where=f"{fname}.cond_edge",
-                             workspace=ws)
-        if not ws.is_true_view(keep):
+        keep = resolve_masks(len(child), cond, where=f"{fname}.cond_edge")
+        if not is_true_mask(keep):
             parent, child, orig_eid = parent[keep], child[keep], orig_eid[keep]
         if len(child) == 0:
             return Frontier.empty(FrontierKind.VERTEX)
         applied = functor.apply_edge(problem, parent, child, orig_eid)
-        keep = resolve_masks(len(child), applied, where=f"{fname}.apply_edge",
-                             workspace=ws)
-    out_items = child if ws.is_true_view(keep) else child[keep]
+        keep = resolve_masks(len(child), applied, where=f"{fname}.apply_edge")
+    out_items = child if is_true_mask(keep) else child[keep]
     return Frontier(out_items, FrontierKind.VERTEX)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...analysis.sanitizer import kernel_scope
+from ...graph.csr import is_true_mask
 from ...obs.spans import CAT_OPERATOR, span as obs_span
 from ...simt import calib
 from ..frontier import Frontier, FrontierKind
@@ -55,10 +56,7 @@ def compute_masked(problem: ProblemBase, frontier: Frontier, functor: Functor,
     Handy for "compute the degree distribution"-style single steps that
     both transform state and shrink the frontier.
     """
-    from ..workspace import workspace_of
-
     machine = problem.machine
-    ws = workspace_of(problem)
     items = frontier.items
     if len(items) == 0:
         return frontier
@@ -70,8 +68,7 @@ def compute_masked(problem: ProblemBase, frontier: Frontier, functor: Functor,
             if frontier.kind is FrontierKind.VERTEX:
                 mask = functor.apply_vertex(problem, items)
                 keep = resolve_masks(len(items), mask,
-                                     where=f"{fname}.apply_vertex",
-                                     workspace=ws)
+                                     where=f"{fname}.apply_vertex")
             else:
                 g = problem.graph
                 mask = functor.apply_edge(problem,
@@ -79,13 +76,12 @@ def compute_masked(problem: ProblemBase, frontier: Frontier, functor: Functor,
                                           g.indices[items],
                                           items)
                 keep = resolve_masks(len(items), mask,
-                                     where=f"{fname}.apply_edge",
-                                     workspace=ws)
+                                     where=f"{fname}.apply_edge")
         if machine is not None:
             machine.map_kernel("compute", len(items), calib.C_VERTEX,
                                iteration=iteration)
             machine.counters.record_vertices(len(items))
-        out = items if ws.is_true_view(keep) else items[keep]
+        out = items if is_true_mask(keep) else items[keep]
         if sp.enabled:
             sp.set(frontier_out=len(out))
     return Frontier(out, frontier.kind)

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ...analysis.sanitizer import kernel_scope
+from ...graph.csr import is_true_mask
 from ...obs.spans import CAT_OPERATOR, span as obs_span
 from ...simt import calib
 from ...simt.machine import Machine
@@ -32,7 +33,6 @@ from ...simt.primitives import first_occurrence
 from ..frontier import Frontier, FrontierKind
 from ..functor import Functor, resolve_masks
 from ..problem import ProblemBase
-from ..workspace import workspace_of
 
 
 @dataclass
@@ -172,7 +172,6 @@ def filter_frontier(problem: ProblemBase, frontier: Frontier, functor: Functor,
 
 
 def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machine]):
-    ws = workspace_of(problem)
     items = frontier.items
     n = len(items)
     if n == 0:
@@ -196,18 +195,16 @@ def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machi
             g = problem.graph
             srcs, dsts = g.edge_sources[items], g.indices[items]
             cond = functor.cond_edge(problem, srcs, dsts, items)
-            cmask = resolve_masks(n, cond, where=f"{fname}.cond_edge",
-                                  workspace=ws)
+            cmask = resolve_masks(n, cond, where=f"{fname}.cond_edge")
         else:
             cond = functor.cond_vertex(problem, items)
-            cmask = resolve_masks(n, cond, where=f"{fname}.cond_vertex",
-                                  workspace=ws)
+            cmask = resolve_masks(n, cond, where=f"{fname}.cond_vertex")
         if keep is None:
             keep = cmask  # borrowed (possibly read-only) — never mutated
-        elif not ws.is_true_view(cmask):
+        elif not is_true_mask(cmask):
             keep &= cmask
 
-        if ws.is_true_view(keep):
+        if is_true_mask(keep):
             survivors = items  # nothing culled: alias the immutable queue
         elif edges:
             # three compactions by one index list (a boolean compaction
@@ -223,14 +220,12 @@ def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machi
             if edges:
                 applied = functor.apply_edge(problem, srcs, dsts, survivors)
                 mask2 = resolve_masks(len(survivors), applied,
-                                      where=f"{fname}.apply_edge",
-                                      workspace=ws)
+                                      where=f"{fname}.apply_edge")
             else:
                 applied = functor.apply_vertex(problem, survivors)
                 mask2 = resolve_masks(len(survivors), applied,
-                                      where=f"{fname}.apply_vertex",
-                                      workspace=ws)
-            if not ws.is_true_view(mask2):
+                                      where=f"{fname}.apply_vertex")
+            if not is_true_mask(mask2):
                 survivors = survivors[mask2]
     if machine is not None:
         # the scan+scatter compaction pass over the input frontier

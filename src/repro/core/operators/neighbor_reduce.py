@@ -14,13 +14,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ...graph.csr import iota
 from ...obs.spans import CAT_OPERATOR, span as obs_span
 from ...simt import calib
 from ...simt.primitives import segmented_reduce_sum
 from ..frontier import Frontier, FrontierKind
 from ..loadbalance import LoadBalancer, default_load_balancer
 from ..problem import ProblemBase
-from ..workspace import workspace_of
 from .advance import expand_push
 
 #: value accessor: (problem, srcs, dsts, eids) -> per-edge values
@@ -62,7 +62,6 @@ def _neighbor_reduce_body(problem, frontier, value_fn, op, lb, iteration,
                        iteration=iteration)
         machine.counters.record_edges(len(eids))
 
-    ws = workspace_of(problem)
     n_seg = len(frontier.items)
     offsets = np.empty(n_seg + 1, dtype=np.int64)
     offsets[0] = 0
@@ -81,7 +80,7 @@ def _neighbor_reduce_body(problem, frontier, value_fn, op, lb, iteration,
         identity = np.inf if op == "min" else -np.inf
         out = np.full(n_seg, identity, dtype=np.float64)
         if len(values):
-            seg = np.repeat(ws.iota(n_seg), degs)
+            seg = np.repeat(iota(n_seg), degs)
             ufunc.at(out, seg, values)
         return out
     raise ValueError(f"unsupported reduction op {op!r}; use sum/min/max")

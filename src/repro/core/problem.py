@@ -20,7 +20,6 @@ import numpy as np
 
 from ..graph.csr import Csr
 from ..simt.machine import Machine
-from .workspace import Workspace
 
 
 class ProblemBase:
@@ -36,9 +35,6 @@ class ProblemBase:
     def __init__(self, graph: Csr, machine: Optional[Machine] = None):
         self.graph = graph
         self.machine = machine
-        #: per-problem scratch arena; captures the global pooling mode at
-        #: construction (see :mod:`repro.core.workspace`)
-        self.workspace = Workspace()
         self._vertex_arrays: Dict[str, np.ndarray] = {}
         self._edge_arrays: Dict[str, np.ndarray] = {}
 

@@ -7,11 +7,9 @@ from .powergraph import PowerGraphFramework, PowerGraphEngine, GasProgram
 from .medusa import MedusaFramework, MedusaEngine
 from .mapgraph import MapGraphFramework, MapGraphEngine
 from .hardwired import HardwiredFramework
-from .pregel import PregelFramework, PregelEngine, VertexProgram
 from .gunrock import GunrockFramework
 
-#: Table 2's column order (Pregel appears in Figure 4 only, so it is
-#: exported but not part of the table grid)
+#: Table 2's column order
 ALL_FRAMEWORKS = [
     BglFramework, PowerGraphFramework, MedusaFramework, MapGraphFramework,
     HardwiredFramework, LigraFramework, GunrockFramework,
@@ -33,7 +31,6 @@ __all__ = [
     "PowerGraphFramework", "PowerGraphEngine", "GasProgram",
     "MedusaFramework", "MedusaEngine",
     "MapGraphFramework", "MapGraphEngine",
-    "PregelFramework", "PregelEngine", "VertexProgram",
     "HardwiredFramework", "GunrockFramework",
     "ALL_FRAMEWORKS", "by_name",
 ]

@@ -37,7 +37,7 @@ EDGE_DT = np.int64
 
 
 def row_lanes(indptr: np.ndarray, rows: np.ndarray, degs: np.ndarray,
-              total: int, ws=None) -> Tuple[np.ndarray, np.ndarray]:
+              total: int) -> Tuple[np.ndarray, np.ndarray]:
     """Expand CSR rows into one lane per edge: ``(excl, eids)``.
 
     ``rows`` index ``indptr`` (an array; any order, duplicates allowed),
@@ -46,21 +46,19 @@ def row_lanes(indptr: np.ndarray, rows: np.ndarray, degs: np.ndarray,
     to the caller; ``excl`` is the exclusive prefix sum of ``degs``.
     ``total == 0`` returns two empty arrays.
 
-    Both arrays are owned by the caller.  ``ws`` selects nothing: a
-    ``Workspace`` supplies its cached read-only iota ramp, ``None``
-    allocates one.  DESIGN §10 lists the callers.
+    Both arrays are owned by the caller; the ramp added to the row
+    starts is the shared :func:`iota`.  DESIGN §10 lists the callers.
     """
     if total == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
     excl = np.empty(len(rows), dtype=np.int64)
-    ramp = np.arange(total, dtype=np.int64) if ws is None else ws.iota(total)
     excl[0] = 0
     np.cumsum(degs[:-1], out=excl[1:])
     starts = indptr[rows]
     np.subtract(starts, excl, out=starts)  # rebase: edge id of lane 0
     eids = np.repeat(starts, degs)
-    np.add(eids, ramp, out=eids)
+    np.add(eids, iota(total), out=eids)
     return excl, eids
 
 
@@ -152,6 +150,68 @@ def _unit_weights(m: int) -> np.ndarray:
     return u[:m]
 
 
+#: process-wide read-only runs behind :func:`iota`, :func:`true_mask` and
+#: :func:`false_mask`, handed out as prefix views.  A mask is known
+#: all-True (all-False) when its ``.base`` is the current run, so a view
+#: taken before its run was outgrown is still correct, just not recognised
+_IOTA = np.zeros(0, dtype=np.int64)
+_TRUE = np.zeros(0, dtype=bool)
+_FALSE = np.zeros(0, dtype=bool)
+
+
+def _frozen_run(make, size: int) -> np.ndarray:
+    """A frozen ``make(capacity)`` for ``size`` lanes: the next power of
+    two from 1024 up, so a frontier ramping up from one source does not
+    regrow it every super-step."""
+    run = make(max(1024, 1 << (size - 1).bit_length()))
+    run.setflags(write=False)
+    return run
+
+
+def iota(size: int) -> np.ndarray:
+    """Read-only ``arange(size)`` (int64): the lane ramp of the expansion
+    hot path, used as an operand (``np.add(x, iota(k), out=x)``)."""
+    # sliced from the local, like _unit_weights: a thread that loses a
+    # race to grow the run still gets a ramp of the right length
+    global _IOTA
+    run = _IOTA
+    if len(run) < size:
+        run = _IOTA = _frozen_run(
+            lambda c: np.arange(c, dtype=np.int64), size)
+    return run[:size]
+
+
+def true_mask(size: int) -> np.ndarray:
+    """Read-only all-True lane mask: the "no functor mask" result."""
+    global _TRUE
+    run = _TRUE
+    if len(run) < size:
+        run = _TRUE = _frozen_run(lambda c: np.ones(c, dtype=bool), size)
+    return run[:size]
+
+
+def false_mask(size: int) -> np.ndarray:
+    """Read-only all-False lane mask: an "admit nothing" result."""
+    global _FALSE
+    run = _FALSE
+    if len(run) < size:
+        run = _FALSE = _frozen_run(lambda c: np.zeros(c, dtype=bool), size)
+    return run[:size]
+
+
+def is_true_mask(mask: np.ndarray) -> bool:
+    """Whether ``mask`` is a view of the current all-True run: the O(1)
+    test operators use to skip ``.all()`` scans and full-copy
+    compactions when no lane was culled."""
+    return mask.base is _TRUE
+
+
+def is_false_mask(mask: np.ndarray) -> bool:
+    """O(1) test for a view of the current all-False run (advance skips
+    the output compaction when a functor admits nothing)."""
+    return mask.base is _FALSE
+
+
 def _transpose_ones(g: "Csr"):
     """The scipy CSR of ``g``'s transpose with unit weights, or None.
 
@@ -180,11 +240,11 @@ def _transpose_ones(g: "Csr"):
 class ArtifactCache:
     """Memoized derived structures of one :class:`Csr`.
 
-    The per-graph companion of the per-problem
-    :class:`~repro.core.workspace.Workspace`: degree arrays, iota ramps,
-    and float64 weights that the operators and load balancers would
-    otherwise recompute every call.  All cached arrays are marked
-    read-only — they are shared across every problem on the graph.
+    Degree arrays, iota ramps, and float64 weights that the operators
+    and load balancers would otherwise recompute every call.  All cached
+    arrays are marked read-only — they are shared across every problem
+    on the graph.  Constants that depend on a length only (:func:`iota`,
+    :func:`true_mask`, :func:`false_mask`) are process-wide instead.
 
     The cache holds the graph's arrays and only a weak reference to the
     graph itself, so a dropped graph is freed at once rather than left
@@ -228,12 +288,6 @@ class ArtifactCache:
         if self._out_degrees is None:
             self._out_degrees = self._frozen(np.diff(self._indptr))
         return self._out_degrees
-
-    @property
-    def degree_prefix(self) -> np.ndarray:
-        """Exclusive prefix sum of out-degrees — which is ``indptr``
-        itself; exposed under the load-balancer's name for it."""
-        return self._indptr
 
     @property
     def iota_n(self) -> np.ndarray:

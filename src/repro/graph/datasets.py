@@ -116,11 +116,6 @@ def load(name: str, scale: float = DEFAULT_SCALE, seed: int = 42) -> Csr:
     return spec.build(scale, seed)
 
 
-def load_all(scale: float = DEFAULT_SCALE, seed: int = 42) -> Dict[str, Csr]:
-    """Build all four Table 1 twins."""
-    return {name: load(name, scale, seed) for name in TABLE_ORDER}
-
-
 def kron_scalability_series(min_logn: int = 11, max_logn: int = 15,
                             seed: int = 42) -> Dict[str, Csr]:
     """The Table 3 sweep: kron graphs of doubling size.

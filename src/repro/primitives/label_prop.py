@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import Frontier, Functor, ProblemBase, EnactorBase
+from ..core import Frontier, ProblemBase, EnactorBase
 from ..graph.csr import Csr, row_lanes
 from ..simt.machine import Machine
 from ..simt.primitives import unique_by_sort
@@ -58,10 +58,6 @@ def _mode_per_segment(labels: np.ndarray, seg: np.ndarray, n_seg: int,
     # reversed scatter: earlier (smaller-label) runs overwrite later ones
     out[run_seg[is_best][::-1]] = run_label[is_best][::-1]
     return out
-
-
-class _GatherModeFunctor(Functor):
-    """advance (as neighbor gather): compute the modal neighbor label."""
 
 
 class LabelPropEnactor(EnactorBase):

@@ -27,7 +27,7 @@ import numpy as np
 from ..core import Frontier, Functor, ProblemBase, EnactorBase
 from ..core import atomics
 from ..core.loadbalance import LoadBalancer
-from ..graph.csr import Csr
+from ..graph.csr import Csr, false_mask
 from ..simt.machine import Machine
 from .result import PrimitiveResult, finish
 
@@ -66,7 +66,7 @@ class _DistributeFunctor(Functor):
         np.multiply(vals, P.damping, out=vals)
         np.divide(vals, P.degrees[src], out=vals)
         atomics.atomic_add(P.residual_next, dst, vals, P.machine)
-        return P.workspace.false_mask(len(src))
+        return false_mask(len(src))
 
     def scatter_source(self, P, f):
         # the scattered value is a function of the source vertex alone:
@@ -147,7 +147,6 @@ class GatherPagerankEnactor(EnactorBase):
         class _View:
             graph = rev
             machine = P.machine
-            workspace = P.workspace
 
         all_v = Frontier(rev.artifacts.iota_n)
         gathered = neighbor_reduce(

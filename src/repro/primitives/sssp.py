@@ -76,12 +76,6 @@ class _RelaxFunctor(Functor):
         return won
 
 
-class _RemoveRedundantFunctor(Functor):
-    """Algorithm 1's RemoveRedundant — validity is re-checked in the next
-    advance, so the filter body itself is a pass-through; the exact dedup
-    happens in the enactor (queue-id emulation)."""
-
-
 class SsspEnactor(EnactorBase):
     """advance -> filter -> priority queue, per Algorithm 1's loop."""
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -208,10 +208,6 @@ class FaultEvent:
     site: str
     device: Optional[int]
 
-    def describe(self) -> str:
-        dev = "" if self.device is None else f" device {self.device}"
-        return f"{self.kind.value} at {self.site}@step {self.step}{dev}"
-
 
 #: sentinel garbage XOR mask for the corruption fault: bit 40 of the
 #: 64-bit cell, high enough to wreck both int64 labels and float64 ranks
@@ -337,8 +333,3 @@ def as_injector(faults) -> Optional[FaultInjector]:
     if isinstance(faults, (list, tuple)):
         return FaultInjector(FaultPlan(specs=list(faults)))
     raise TypeError(f"cannot build a fault injector from {type(faults).__name__}")
-
-
-def fault_points(events: Sequence[FaultEvent]) -> List[Tuple[str, int]]:
-    """(kind, step) pairs — a compact view for reports and tests."""
-    return [(e.kind.value, e.step) for e in events]

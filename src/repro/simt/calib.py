@@ -170,11 +170,6 @@ GPU_CLOCK_GHZ = 0.745
 CPU_CLOCK_GHZ = 3.5
 
 
-def gpu_cycles_to_ms(cycles: float) -> float:
-    """Convert simulated GPU SM-cycles to milliseconds."""
-    return cycles / (GPU_CLOCK_GHZ * 1e9) * 1e3
-
-
 def cpu_cycles_to_ms(cycles: float) -> float:
     """Convert simulated CPU core-cycles to milliseconds."""
     return cycles / (CPU_CLOCK_GHZ * 1e9) * 1e3

@@ -56,14 +56,6 @@ def inclusive_scan(values: np.ndarray, machine: Optional[Machine] = None) -> np.
     return out
 
 
-def reduce_sum(values: np.ndarray, machine: Optional[Machine] = None) -> float:
-    """Device reduction (tree depth folded into the per-element constant)."""
-    values = np.asarray(values)
-    total = values.sum()
-    _charge(machine, "reduce", len(values), calib.C_SCAN_PER_ELEM * 0.5)
-    return total
-
-
 def compact(data: np.ndarray, mask: np.ndarray,
             machine: Optional[Machine] = None) -> np.ndarray:
     """Stream compaction: keep ``data[i]`` where ``mask[i]``.

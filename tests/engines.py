@@ -5,10 +5,11 @@ Every engine-identity test drives primitives through
 contract it asserts:
 
 * **pooled** is the reference.
-* **unpooled** and **fused** are *bitwise* engines: every output array
-  (values and dtype), the kernel-counter signature, and total simulated
-  cycles must match pooled exactly; fused additionally matches every
-  aggregate counter (the DESIGN §15 pin).
+* **fused** is a *bitwise* engine: every output array (values and
+  dtype), the kernel-counter signature, total simulated cycles and
+  every aggregate counter must match pooled exactly (the DESIGN §15
+  pin).  A test that names **unpooled**, the retired name that now
+  selects pooled, gets the same comparison minus the aggregates.
 * **la** follows the per-primitive contract of DESIGN §16
   (:data:`LA_CONTRACTS`): label arrays bitwise, rank arrays within
   tolerance, predecessor arrays validated as correct shortest-path
@@ -25,7 +26,7 @@ from repro import primitives
 from repro.core.engine import clear_fallbacks, engine, last_fallback
 from repro.simt import Machine
 
-ALL_ENGINES = ("unpooled", "pooled", "fused", "la")
+ALL_ENGINES = ("pooled", "fused", "la")
 
 #: documented tolerance for the la engine's rank arrays (in practice the
 #: LA loop replays the pooled residual schedule and matches bitwise)
@@ -61,7 +62,7 @@ def counter_signature(machine):
             for k in machine.counters.kernels]
 
 
-def run_engines(run, engines=("unpooled", "pooled", "fused"),
+def run_engines(run, engines=("pooled", "fused"),
                 expect_fallback=()):
     """Run ``run(machine)`` under each engine in ``engines``.
 

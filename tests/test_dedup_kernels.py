@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from dedup_reference import (CullReference, first_occurrence_reference,
                              unique_reference)
 from repro.core import IdempotenceHeuristics
-from repro.core.engine import engine
 from repro.simt import Machine
 from repro.simt.primitives import first_occurrence, unique_by_sort
 
@@ -53,14 +52,12 @@ def key_arrays(draw):
     return np.asarray(xs, dtype=dtype)
 
 
-@given(key_arrays(), st.sampled_from(["pooled", "unpooled"]))
+@given(key_arrays())
 @settings(max_examples=300, deadline=None)
-def test_unique_by_sort_matches_oracle(keys, mode):
-    # pooled arms the bitmap branch for dense id sets; unpooled never does
-    with engine(mode):
-        got_machine, want_machine = Machine(), Machine()
-        got = unique_by_sort(keys, got_machine)
-        want = unique_reference(keys, want_machine)
+def test_unique_by_sort_matches_oracle(keys):
+    got_machine, want_machine = Machine(), Machine()
+    got = unique_by_sort(keys, got_machine)
+    want = unique_reference(keys, want_machine)
     assert _same(got, want)
     assert got_machine.counters.as_dict() == want_machine.counters.as_dict()
     assert _same(unique_by_sort(keys), want)

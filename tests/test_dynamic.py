@@ -10,7 +10,6 @@ random interleaving of inserts, deletes, reweights, and compactions,
   artifacts);
 * incremental PageRank is as converged as a from-scratch run, certified
   by the residual-defect bound ``||p − p*||_∞ ≤ ||defect||₁ / (1 − d)``;
-* everything holds identically with workspace pooling on and off;
 * a repair handed a ``DeltaCsr`` is the same call on its snapshot CSR,
   bitwise in outputs and in charged kernels.
 """
@@ -19,7 +18,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.engine import engine
 from repro.dynamic import (DeltaCsr, MutationBatch, WEIGHT_INSENSITIVE,
                            delta_bfs, delta_sssp, incremental_pagerank,
                            random_mutation_batch, unaffected_primitives)
@@ -217,66 +215,65 @@ def _pred_valid(g, labels, preds, src, unit):
             assert (labels[p] + w == labels[v]).any()
 
 
-def _run_scenario(scenario, weighted, use_pooling):
+def _run_scenario(scenario, weighted):
     n, edges, src, steps, wseed = scenario
     g = _chain(edges, n, weighted, wseed=wseed)
-    with engine("pooled" if use_pooling else "unpooled"):
-        delta = DeltaCsr(g)
+    delta = DeltaCsr(g)
+    if weighted:
+        ref = sssp(g, src, use_priority_queue=False)
+    else:
+        ref = bfs(g, src, idempotent=False, direction="push")
+    labels = ref.arrays["labels"]
+    preds = ref.arrays["preds"]
+    pr_ref = pagerank(delta.snapshot())
+    rank = pr_ref.arrays["rank"]
+    for seed, rw, do_compact in steps:
+        before = delta.snapshot()
+        batch = _step_batch(before, seed, rw and weighted)
+        delta.apply(batch)
+        snap = delta.snapshot()
+        # shortest-path repair vs from-scratch on the compacted graph
         if weighted:
-            ref = sssp(g, src, use_priority_queue=False)
+            out = delta_sssp(delta, src, labels, preds, batch)
+            scratch = sssp(snap, src, use_priority_queue=False)
         else:
-            ref = bfs(g, src, idempotent=False, direction="push")
-        labels = ref.arrays["labels"]
-        preds = ref.arrays["preds"]
-        pr_ref = pagerank(delta.snapshot())
-        rank = pr_ref.arrays["rank"]
-        for seed, rw, do_compact in steps:
-            before = delta.snapshot()
-            batch = _step_batch(before, seed, rw and weighted)
-            delta.apply(batch)
-            snap = delta.snapshot()
-            # shortest-path repair vs from-scratch on the compacted graph
-            if weighted:
-                out = delta_sssp(delta, src, labels, preds, batch)
-                scratch = sssp(snap, src, use_priority_queue=False)
-            else:
-                out = delta_bfs(delta, src, labels, preds, batch)
-                scratch = bfs(snap, src, idempotent=False,
-                              direction="push")
-            if out is not None:
-                r_labels, r_preds = out
-                assert np.array_equal(r_labels, scratch.arrays["labels"])
-                assert r_labels.dtype == scratch.arrays["labels"].dtype
-                _pred_valid(snap, r_labels, r_preds, src,
-                            unit=not weighted)
-            # PageRank repair: as converged as from-scratch, certified
-            new_rank = incremental_pagerank(before, delta, rank, batch)
-            tol = 0.01 / max(1, n)
-            d_inc = float(np.abs(pagerank_defect(snap, new_rank)).sum())
-            assert d_inc <= 3.0 * n * tol
-            pr_scratch = pagerank(snap)
-            d_scr = float(np.abs(
-                pagerank_defect(snap, pr_scratch.arrays["rank"])).sum())
-            diff = float(np.abs(
-                new_rank - pr_scratch.arrays["rank"]).max())
-            assert diff <= (d_inc + d_scr) / (1.0 - 0.85) + 1e-12
-            labels, preds = (scratch.arrays["labels"],
-                             scratch.arrays["preds"])
-            rank = new_rank
-            if do_compact:
-                assert delta.compact() is snap
+            out = delta_bfs(delta, src, labels, preds, batch)
+            scratch = bfs(snap, src, idempotent=False,
+                          direction="push")
+        if out is not None:
+            r_labels, r_preds = out
+            assert np.array_equal(r_labels, scratch.arrays["labels"])
+            assert r_labels.dtype == scratch.arrays["labels"].dtype
+            _pred_valid(snap, r_labels, r_preds, src,
+                        unit=not weighted)
+        # PageRank repair: as converged as from-scratch, certified
+        new_rank = incremental_pagerank(before, delta, rank, batch)
+        tol = 0.01 / max(1, n)
+        d_inc = float(np.abs(pagerank_defect(snap, new_rank)).sum())
+        assert d_inc <= 3.0 * n * tol
+        pr_scratch = pagerank(snap)
+        d_scr = float(np.abs(
+            pagerank_defect(snap, pr_scratch.arrays["rank"])).sum())
+        diff = float(np.abs(
+            new_rank - pr_scratch.arrays["rank"]).max())
+        assert diff <= (d_inc + d_scr) / (1.0 - 0.85) + 1e-12
+        labels, preds = (scratch.arrays["labels"],
+                         scratch.arrays["preds"])
+        rank = new_rank
+        if do_compact:
+            assert delta.compact() is snap
 
 
-@given(mutation_scenarios(weighted=False), st.booleans())
+@given(mutation_scenarios(weighted=False))
 @settings(max_examples=25, deadline=None)
-def test_delta_bfs_equivalence(scenario, use_pooling):
-    _run_scenario(scenario, weighted=False, use_pooling=use_pooling)
+def test_delta_bfs_equivalence(scenario):
+    _run_scenario(scenario, weighted=False)
 
 
-@given(mutation_scenarios(weighted=True), st.booleans())
+@given(mutation_scenarios(weighted=True))
 @settings(max_examples=25, deadline=None)
-def test_delta_sssp_equivalence(scenario, use_pooling):
-    _run_scenario(scenario, weighted=True, use_pooling=use_pooling)
+def test_delta_sssp_equivalence(scenario):
+    _run_scenario(scenario, weighted=True)
 
 
 # -- repair_payload (the serving entry point) ---------------------------------

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import sanitize
-from repro.core.engine import clear_fallbacks, engine, fallback_log
+from repro.core.engine import (clear_fallbacks, engine, engine_mode,
+                               fallback_log, set_engine)
 from repro.core.frontier import Frontier
 from repro.graph import from_edges
 from repro.graph.build import with_random_weights
@@ -76,9 +77,9 @@ def test_dispatch_refusal(mode, refusal):
 
 @pytest.mark.parametrize("mode", ["fused", "la"])
 def test_problem_built_unpooled_runs_under_the_engine(mode):
-    """The provider only decides what the workspace caches: a problem
-    built under ``engine("unpooled")`` is taken by fused and la like any
-    other, with labels bitwise equal to the pooled library loop."""
+    """A problem captures no engine: one built under the retired
+    ``unpooled`` name is taken by fused and la like any other, with
+    labels bitwise equal to the pooled library loop."""
     from repro.graph.generators import kronecker
 
     g = kronecker(8, seed=3)
@@ -88,7 +89,6 @@ def test_problem_built_unpooled_runs_under_the_engine(mode):
     clear_fallbacks()
     with engine("unpooled"):
         problem = BfsProblem(g, Machine())
-    assert not problem.workspace.pooled
     problem.set_source(src)
     with observe() as ob, engine(mode):
         BfsEnactor(problem).enact(Frontier.from_vertex(src))
@@ -130,9 +130,9 @@ def test_invalid_env_engine_is_rejected():
     bad = run("fuzed")
     assert bad.returncode != 0
     assert "ValueError: unknown engine 'fuzed'" in bad.stderr
-    assert "'unpooled', 'pooled', 'fused', 'la'" in bad.stderr
-    for value, mode in ((" Fused ", "fused"), ("", "pooled"),
-                        (None, "pooled")):
+    assert "('pooled', 'fused', 'la')" in bad.stderr
+    for value, mode in ((" Fused ", "fused"), ("unpooled", "pooled"),
+                        ("", "pooled"), (None, "pooled")):
         ok = run(value)
         assert ok.returncode == 0, ok.stderr
         assert ok.stdout.split() == [mode]
@@ -163,3 +163,34 @@ def test_capped_fused_sssp_leaves_the_pile_as_pooled_does():
     assert piles["fused"]["level"] == piles["pooled"]["level"]
     for side in ("near", "far"):
         assert np.array_equal(piles["fused"][side], piles["pooled"][side])
+
+
+# -- the selector ---------------------------------------------------------------
+
+
+def test_engine_context_restores():
+    """A scoped ``engine()`` selects inside and restores the previous
+    mode on exit; the retired name ``unpooled`` selects pooled."""
+    before = engine_mode()
+    with engine("fused"):
+        with engine("unpooled"):
+            assert engine_mode() == "pooled"
+        assert engine_mode() == "fused"
+    assert engine_mode() == before
+
+
+def test_set_engine_returns_previous_and_scopes_nest():
+    """``engine()`` nests inside ``set_engine``: leaving the scope puts
+    back the process-wide choice, not the default."""
+    import repro.core.engine as E
+
+    saved, before = E._ENGINE, engine_mode()
+    try:
+        assert set_engine("la") == before
+        with engine("fused"):
+            assert engine_mode() == "fused"
+        assert engine_mode() == "la"
+        assert set_engine("unpooled") == "la"
+        assert engine_mode() == "pooled"
+    finally:
+        E._ENGINE = saved

@@ -231,77 +231,3 @@ def test_mapgraph_more_expensive_than_fused_equivalent(diamond):
                   lambda s, t, e: np.ones(len(s)), "sum",
                   lambda v, msg: np.zeros(len(v), dtype=bool))
     assert eng.elapsed_ms() > fused_ms
-
-
-# -- Pregel engine -----------------------------------------------------------------------
-
-
-def test_pregel_bfs_matches_gunrock():
-    from repro.frameworks import PregelFramework
-    from repro.primitives import bfs
-
-    g = generators.kronecker(9, seed=4)
-    src = int(g.out_degrees.argmax())
-    r = PregelFramework().bfs(g, src)
-    assert np.array_equal(r["labels"], bfs(g, src).labels)
-    assert r.detail["messages"] > 0
-
-
-def test_pregel_sssp_matches_gunrock():
-    from repro.frameworks import PregelFramework
-    from repro.graph.build import with_random_weights
-    from repro.primitives import sssp
-
-    g = with_random_weights(generators.kronecker(9, seed=4), seed=1)
-    r = PregelFramework().sssp(g, 0)
-    ours = np.where(np.isfinite(r["labels"]), r["labels"], np.inf)
-    assert np.allclose(ours, sssp(g, 0).labels, equal_nan=True)
-
-
-def test_pregel_cc_partition():
-    from repro.frameworks import PregelFramework
-    from repro.primitives import cc
-
-    g = generators.kronecker(9, seed=4)
-    r = PregelFramework().cc(g)
-    ref = cc(g)
-    assert len(np.unique(r["component_ids"])) == ref.num_components
-
-
-def test_pregel_barrier_cost_dominates_deep_graphs():
-    """The paper's Pregel critique: synchronization per super-step makes
-    deep traversals slow regardless of work volume."""
-    from repro.frameworks import PregelFramework
-
-    path = generators.path(300)
-    star = generators.star(300)
-    deep = PregelFramework().bfs(path, 0)
-    shallow = PregelFramework().bfs(star, 0)
-    assert deep.iterations > 50 * shallow.iterations
-    assert deep.runtime_ms > 10 * shallow.runtime_ms
-
-
-def test_pregel_vertex_centric_imbalance():
-    """A hub's whole neighborhood lands on one worker — the worker
-    makespan reflects it."""
-    from repro.frameworks.pregel import PregelEngine
-
-    hub = generators.star(5000)
-    eng = PregelEngine(hub, workers=8)
-    verts = np.arange(hub.n, dtype=np.int64)
-    eng._charge_vertices(verts, hub.out_degrees.astype(np.float64))
-    assert eng.worker_cycles.max() > 3 * eng.worker_cycles.mean()
-
-
-def test_pregel_rejects_unknown_combiner():
-    from repro.frameworks.pregel import PregelEngine, VertexProgram
-
-    g = generators.star(10)
-
-    def compute(active, msgs, state):
-        return np.ones(len(active), dtype=bool), np.zeros(len(active))
-
-    eng = PregelEngine(g)
-    with pytest.raises(ValueError):
-        eng.run(VertexProgram(compute, combiner="mul"), {},
-                np.array([0], dtype=np.int64), max_supersteps=2)

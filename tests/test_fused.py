@@ -188,8 +188,8 @@ def test_engine_context_restores_mode():
     before = engine_mode()
     with engine("fused"):
         assert engine_mode() == "fused"
-        with engine("unpooled"):
-            assert engine_mode() == "unpooled"
+        with engine("la"):
+            assert engine_mode() == "la"
         assert engine_mode() == "fused"
     assert engine_mode() == before
 
@@ -199,15 +199,6 @@ def test_engine_rejects_unknown_mode():
 
     with pytest.raises(ValueError):
         set_engine("warp-speed")
-
-
-def test_fused_engine_implies_pooling():
-    from repro.core.workspace import Workspace
-
-    with engine("fused"):
-        assert Workspace().pooled
-    with engine("unpooled"):
-        assert not Workspace().pooled
 
 
 # -- plans and the per-graph cache --------------------------------------------

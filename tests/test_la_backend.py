@@ -504,13 +504,6 @@ def test_resilience_hooks_disable_la():
     assert int(r.labels[16]) == 16
 
 
-def test_la_engine_implies_pooling():
-    from repro.core.workspace import Workspace
-
-    with engine("la"):
-        assert Workspace().pooled
-
-
 # -- SpGEMM triangle counting -------------------------------------------------
 
 

@@ -2,8 +2,8 @@
 
 Direction-optimized BFS (Beamer's push/pull switch, Section 5.1) must be
 an *optimization*, never a semantic change: for any graph and source,
-``push``, ``pull``, and ``auto`` produce identical depth arrays — with
-workspace pooling on or off, idempotent or not.
+``push``, ``pull``, and ``auto`` produce identical depth arrays,
+idempotent or not.
 """
 
 import numpy as np
@@ -33,14 +33,13 @@ def _build(n, edges):
         else from_edges([], n=n)
 
 
-@given(graphs_and_src(), st.booleans(), st.booleans())
+@given(graphs_and_src(), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_push_pull_auto_identical_depths(data, idempotent, pooled):
+def test_push_pull_auto_identical_depths(data, idempotent):
     n, edges, src = data
     g = _build(n, edges)
-    with engine("pooled" if pooled else "unpooled"):
-        depths = {d: bfs(g, src, direction=d, idempotent=idempotent).labels
-                  for d in DIRECTIONS}
+    depths = {d: bfs(g, src, direction=d, idempotent=idempotent).labels
+              for d in DIRECTIONS}
     assert np.array_equal(depths["push"], depths["pull"])
     assert np.array_equal(depths["push"], depths["auto"])
     # and all three match the serial oracle
@@ -68,8 +67,8 @@ def test_direction_identical_predecessors_are_valid(data):
 @given(graphs_and_src(max_n=20, max_m=70))
 @settings(max_examples=30, deadline=None)
 def test_pooled_unpooled_identical_per_direction(data):
-    """Pooling is invisible per direction: same labels AND same simulated
-    cycle totals."""
+    """The retired ``unpooled`` engine name selects pooled: same labels
+    AND same simulated cycle totals, per direction."""
     from repro.simt import Machine
 
     n, edges, src = data

@@ -4,14 +4,13 @@ Each hypothesis-generated random graph is pushed through the library
 primitive AND the plain-Python oracle in :mod:`repro.reference`; the
 structural invariant (proper coloring, maximal independence, exact core
 numbers, exact triangle count, label-propagation consistency) must hold
-on every example — pooled and unpooled.
+on every example.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro import reference
-from repro.core.engine import engine
 from repro.graph import from_edges
 from repro.primitives import (color, kcore, label_propagation, mis,
                               triangle_count)
@@ -30,49 +29,44 @@ def undirected_graphs(draw, max_n=24, max_m=90):
         else from_edges([], n=n)
 
 
-@given(undirected_graphs(), st.integers(0, 2**16), st.booleans())
+@given(undirected_graphs(), st.integers(0, 2**16))
 @settings(max_examples=50, deadline=None)
-def test_coloring_is_proper(g, seed, pooled):
-    with engine("pooled" if pooled else "unpooled"):
-        r = color(g, seed=seed)
+def test_coloring_is_proper(g, seed):
+    r = color(g, seed=seed)
     assert reference.is_proper_coloring(g, r.colors)
     assert r.num_colors >= (1 if g.n else 0)
 
 
-@given(undirected_graphs(), st.integers(0, 2**16), st.booleans())
+@given(undirected_graphs(), st.integers(0, 2**16))
 @settings(max_examples=50, deadline=None)
-def test_mis_is_maximal_independent(g, seed, pooled):
-    with engine("pooled" if pooled else "unpooled"):
-        r = mis(g, seed=seed)
+def test_mis_is_maximal_independent(g, seed):
+    r = mis(g, seed=seed)
     members = np.flatnonzero(r.in_set)
     assert reference.is_maximal_independent_set(g, members)
     assert r.set_size == len(members)
 
 
-@given(undirected_graphs(), st.booleans())
+@given(undirected_graphs())
 @settings(max_examples=50, deadline=None)
-def test_kcore_matches_reference_exactly(g, pooled):
-    with engine("pooled" if pooled else "unpooled"):
-        r = kcore(g)
+def test_kcore_matches_reference_exactly(g):
+    r = kcore(g)
     assert r.core_numbers.tolist() == reference.core_numbers(g)
 
 
-@given(undirected_graphs(), st.booleans())
+@given(undirected_graphs())
 @settings(max_examples=50, deadline=None)
-def test_triangles_match_reference_exactly(g, pooled):
-    with engine("pooled" if pooled else "unpooled"):
-        r = triangle_count(g)
+def test_triangles_match_reference_exactly(g):
+    r = triangle_count(g)
     assert r.total == reference.triangle_count(g)
     # each triangle credits all three corners
     assert int(r.per_vertex.sum()) == 3 * r.total
 
 
-@given(undirected_graphs(), st.integers(0, 2**16), st.booleans())
+@given(undirected_graphs(), st.integers(0, 2**16))
 @settings(max_examples=50, deadline=None)
-def test_label_prop_labels_consistent_and_stable(g, seed, pooled):
+def test_label_prop_labels_consistent_and_stable(g, seed):
     max_iterations = 60
-    with engine("pooled" if pooled else "unpooled"):
-        r = label_propagation(g, seed=seed, max_iterations=max_iterations)
+    r = label_propagation(g, seed=seed, max_iterations=max_iterations)
     # labels always name a vertex of the same connected component
     assert reference.label_prop_consistent(g, r.labels)
     if r.iterations < max_iterations:

@@ -302,9 +302,9 @@ def _spy_expansions(monkeypatch):
         calls.append(("expand", int(out[3].sum())))
         return out
 
-    def lanes(indptr, rows, degs, total, ws=None):
+    def lanes(indptr, rows, degs, total):
         calls.append(("lanes", total))
-        return kernel(indptr, rows, degs, total, ws)
+        return kernel(indptr, rows, degs, total)
 
     monkeypatch.setattr(advance_mod, "expand_push", expanding)
     monkeypatch.setattr(advance_mod, "row_lanes", lanes)

@@ -89,8 +89,8 @@ def test_ranking_primitive_matches_golden(golden, graph_name, primitive):
 
 @pytest.mark.parametrize("graph_name,primitive", CELLS)
 def test_ranking_pooled_equals_unpooled(graph_name, primitive):
-    """The two scratch providers run the same walk bodies: arrays bitwise
-    (values and dtype), kernel streams and total cycles equal."""
+    """The retired ``unpooled`` engine name selects pooled: arrays
+    bitwise (values and dtype), kernel streams and total cycles equal."""
     g = GRAPHS[graph_name]()
     out = run_engines(lambda m: PRIMITIVES[primitive](g, m),
                       engines=("unpooled", "pooled"))

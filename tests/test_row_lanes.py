@@ -1,13 +1,12 @@
 """``repro.graph.csr.row_lanes`` against the textbook expansion
 (``tests/expand_reference.py``): values and dtype on every kind of
-``indptr`` the library hands it, with and without a workspace, plus the
-ownership contract of its two results."""
+``indptr`` the library hands it, plus the ownership contract of its two
+results."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from expand_reference import row_lanes_reference
-from repro.core.workspace import Workspace
 from repro.dynamic import DeltaCsr
 from repro.graph.build import from_edges
 from repro.graph.csr import row_lanes
@@ -36,10 +35,10 @@ def row_sets(draw, n_rows):
     return np.asarray(rows, dtype=np.int64)
 
 
-def _check(indptr, rows, ws=None):
+def _check(indptr, rows):
     degs = indptr[rows + 1] - indptr[rows]
     total = int(degs.sum())
-    excl, eids = row_lanes(indptr, rows, degs, total, ws)
+    excl, eids = row_lanes(indptr, rows, degs, total)
     assert excl.dtype == np.int64 and eids.dtype == np.int64
     want_excl, want_eids = row_lanes_reference(indptr, rows, degs, total)
     assert np.array_equal(eids, want_eids)
@@ -47,7 +46,6 @@ def _check(indptr, rows, ws=None):
         assert len(excl) == 0
     else:
         assert np.array_equal(excl, want_excl)
-    return eids
 
 
 @given(st.data())
@@ -69,23 +67,12 @@ def test_all_zero_degree_rows_expand_to_nothing(data):
     assert excl.dtype == np.int64 and eids.dtype == np.int64
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_workspace_is_a_scratch_provider_not_a_mode(data):
-    g = data.draw(graphs())
-    rows = data.draw(row_sets(g.n))
-    plain = _check(g.indptr, rows)
-    for ws in (Workspace(pooled=True), Workspace(pooled=False)):
-        assert np.array_equal(_check(g.indptr, rows, ws), plain)
-
-
 def test_eids_are_owned():
     g = from_edges(np.array([[0, 1], [0, 2], [1, 2], [2, 0], [2, 1]]), n=4)
-    ws = Workspace(pooled=True)
     rows = np.array([2, 0], dtype=np.int64)
     degs = g.degrees_of(rows)
-    _, first = row_lanes(g.indptr, rows, degs, 4, ws)
-    _, second = row_lanes(g.indptr, rows, degs, 4, ws)
+    _, first = row_lanes(g.indptr, rows, degs, 4)
+    _, second = row_lanes(g.indptr, rows, degs, 4)
     assert not np.shares_memory(first, second)
     first[:] = -1
     assert second.tolist() == [3, 4, 0, 1]

@@ -1,7 +1,5 @@
 """The one operator body against the textbook bodies it replaced
-(``tests/unpooled_reference.py``): values, dtypes and charged counters,
-under the pooled provider, the unpooled provider and (where an operator
-accepts it) no workspace at all.
+(``tests/unpooled_reference.py``): values, dtypes and charged counters.
 
 Frontiers cover the shapes whose fast paths differ: empty, one lane, all
 vertices by identity (the graph's cached ``iota_n``) and by value (a
@@ -13,12 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Frontier, Functor, ProblemBase, advance, filter_frontier
-from repro.core.engine import engine
 from repro.core.functor import resolve_masks
 from repro.core.loadbalance import default_load_balancer
 from repro.core.operators.advance import expand_push
 from repro.core.operators.neighbor_reduce import neighbor_reduce
-from repro.core.workspace import Workspace
 from repro.graph.build import from_edges
 from repro.primitives.bfs import BfsProblem, _AtomicBfsFunctor
 from repro.primitives.pagerank import (PagerankProblem, _CommitFunctor,
@@ -34,7 +30,6 @@ from unpooled_reference import (CommitReference, DistributeReference,
                                 resolve_masks_reference,
                                 to_bitmap_reference)
 
-PROVIDERS = [True, False]
 FRONTIER_KINDS = ["empty", "one", "iota_identity", "iota_value", "hub",
                   "multiset"]
 
@@ -78,10 +73,8 @@ def frontiers(draw, g, kind=None, unique=False):
     return np.unique(ids) if unique else ids
 
 
-def _problem(cls, g, pooled, **kw):
-    problem = cls(g, Machine(), **kw)
-    problem.workspace = Workspace(pooled=pooled)
-    return problem
+def _problem(cls, g, **kw):
+    return cls(g, Machine(), **kw)
 
 
 def _charges(machine):
@@ -97,17 +90,16 @@ def _same(got, want):
 
 # -- masks and bitmaps ---------------------------------------------------------
 
-@given(st.data(), st.sampled_from([True, False, None]))
+@given(st.data())
 @settings(max_examples=100, deadline=None)
-def test_resolve_masks_matches_reference(data, pooled):
+def test_resolve_masks_matches_reference(data):
     n = data.draw(st.integers(0, 40))
     masks = data.draw(st.lists(st.one_of(
         st.none(), st.lists(st.booleans(), min_size=n, max_size=n).map(
             lambda xs: np.asarray(xs, dtype=bool))), max_size=3))
-    ws = None if pooled is None else Workspace(pooled=pooled)
     want = resolve_masks_reference(n, *[None if m is None else m.copy()
                                         for m in masks])
-    _same(np.asarray(resolve_masks(n, *masks, workspace=ws)), want)
+    _same(np.asarray(resolve_masks(n, *masks)), want)
 
 
 @given(st.data())
@@ -130,34 +122,34 @@ def test_to_bitmap_matches_reference(data):
 
 # -- expansion and operators ---------------------------------------------------
 
-@given(st.data(), st.sampled_from(PROVIDERS))
+@given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_expand_push_matches_reference(data, pooled):
+def test_expand_push_matches_reference(data):
     g = data.draw(graphs())
-    problem = _problem(ProblemBase, g, pooled)
+    problem = _problem(ProblemBase, g)
     f = data.draw(frontiers(g))
     want = expand_push_reference(g, f)
-    # twice: the second call is served from the pooled expansion memo
+    # twice: the second call finds the shared constants grown
     for _ in range(2):
         got = expand_push(problem, f)
         for a, b in zip(got, want):
             _same(np.asarray(a), b)
 
 
-@given(st.data(), st.sampled_from(PROVIDERS))
+@given(st.data())
 @settings(max_examples=120, deadline=None)
-def test_pull_advance_matches_reference(data, pooled):
+def test_pull_advance_matches_reference(data):
     g = data.draw(graphs())
     visited = np.asarray(data.draw(st.lists(st.booleans(), min_size=g.n,
                                             max_size=g.n)), dtype=bool)
-    got_p = _problem(BfsProblem, g, pooled)
-    want_p = _problem(BfsProblem, g, pooled)
+    got_p = _problem(BfsProblem, g)
+    want_p = _problem(BfsProblem, g)
     for p in (got_p, want_p):
         p.labels[visited] = 0
         p.visited[:] = visited
     f = Frontier(data.draw(frontiers(g)))
     lb = default_load_balancer()
-    # two super-steps: the second reuses the pooled bitmap and scratch
+    # two super-steps: the second expands the first one's output
     for depth in (1, 2):
         got = advance(got_p, f, _AtomicBfsFunctor(depth), mode="pull",
                       lb=lb, iteration=depth)
@@ -171,10 +163,9 @@ def test_pull_advance_matches_reference(data, pooled):
         f = got
 
 
-@given(st.data(), st.sampled_from(PROVIDERS),
-       st.sampled_from(["sum", "min", "max"]))
+@given(st.data(), st.sampled_from(["sum", "min", "max"]))
 @settings(max_examples=120, deadline=None)
-def test_neighbor_reduce_matches_reference(data, pooled, op):
+def test_neighbor_reduce_matches_reference(data, op):
     g = data.draw(graphs())
     f = Frontier(data.draw(frontiers(g)))
 
@@ -182,8 +173,8 @@ def test_neighbor_reduce_matches_reference(data, pooled, op):
         return ((7 * s + d + e) % 11) / 3.0
 
     lb = default_load_balancer()
-    got_p = _problem(ProblemBase, g, pooled)
-    want_p = _problem(ProblemBase, g, pooled)
+    got_p = _problem(ProblemBase, g)
+    want_p = _problem(ProblemBase, g)
     got = neighbor_reduce(got_p, f, value_fn, op, lb=lb)
     want = neighbor_reduce_reference(want_p, f, value_fn, op, lb)
     _same(got, want)
@@ -206,11 +197,10 @@ class _RecordingEdgeFunctor(Functor):
         return None if self.apply_keep is None else self.apply_keep[eid]
 
 
-@given(st.data(), st.sampled_from(PROVIDERS),
-       st.sampled_from(["nothing", "some", "all"]),
+@given(st.data(), st.sampled_from(["nothing", "some", "all"]),
        st.sampled_from(["nothing", "some", "all"]))
 @settings(max_examples=150, deadline=None)
-def test_edge_filter_matches_reference(data, pooled, cond_cull, apply_cull):
+def test_edge_filter_matches_reference(data, cond_cull, apply_cull):
     g = data.draw(graphs())
     items = np.asarray(data.draw(st.lists(st.integers(0, max(0, g.m - 1)),
                                           max_size=2 * g.m)), dtype=np.int64)
@@ -226,8 +216,8 @@ def test_edge_filter_matches_reference(data, pooled, cond_cull, apply_cull):
     cond_keep, apply_keep = keep(cond_cull), keep(apply_cull)
     got_f = _RecordingEdgeFunctor(cond_keep, apply_keep)
     want_f = _RecordingEdgeFunctor(cond_keep, apply_keep)
-    got_p = _problem(ProblemBase, g, pooled)
-    want_p = _problem(ProblemBase, g, pooled)
+    got_p = _problem(ProblemBase, g)
+    want_p = _problem(ProblemBase, g)
     got = filter_frontier(got_p, Frontier(items, "edge"), got_f, iteration=1)
     want = filter_edges_reference(want_p, Frontier(items, "edge"), want_f,
                                   iteration=1)
@@ -241,20 +231,20 @@ def test_edge_filter_matches_reference(data, pooled, cond_cull, apply_cull):
 
 # -- primitive functors --------------------------------------------------------
 
-def _ranked(g, pooled, residual):
-    P = _problem(PagerankProblem, g, pooled)
+def _ranked(g, residual):
+    P = _problem(PagerankProblem, g)
     P.residual[:] = residual
     return P
 
 
-@given(st.data(), st.sampled_from(PROVIDERS))
+@given(st.data())
 @settings(max_examples=120, deadline=None)
-def test_pagerank_distribute_matches_reference(data, pooled):
+def test_pagerank_distribute_matches_reference(data):
     g = data.draw(graphs())
     residual = np.asarray(data.draw(st.lists(
         st.floats(0, 1, allow_subnormal=False), min_size=g.n, max_size=g.n)))
     f = Frontier(data.draw(frontiers(g)))
-    got_p, want_p = _ranked(g, pooled, residual), _ranked(g, pooled, residual)
+    got_p, want_p = _ranked(g, residual), _ranked(g, residual)
     got = advance(got_p, f, _DistributeFunctor())
     want = advance(want_p, f, DistributeReference())
     _same(got.items, want.items)
@@ -262,14 +252,14 @@ def test_pagerank_distribute_matches_reference(data, pooled):
     assert _charges(got_p.machine) == _charges(want_p.machine)
 
 
-@given(st.data(), st.sampled_from(PROVIDERS))
+@given(st.data())
 @settings(max_examples=120, deadline=None)
-def test_pagerank_commit_matches_reference(data, pooled):
+def test_pagerank_commit_matches_reference(data):
     g = data.draw(graphs())
     received = np.asarray(data.draw(st.lists(
         st.floats(0, 1, allow_subnormal=False), min_size=g.n, max_size=g.n)))
     f = Frontier(data.draw(frontiers(g, unique=True)))
-    got_p, want_p = _ranked(g, pooled, 0.0), _ranked(g, pooled, 0.0)
+    got_p, want_p = _ranked(g, 0.0), _ranked(g, 0.0)
     for P in (got_p, want_p):
         P.residual_next[:] = received
     got = filter_frontier(got_p, f, _CommitFunctor())
@@ -280,29 +270,28 @@ def test_pagerank_commit_matches_reference(data, pooled):
     assert _charges(got_p.machine) == _charges(want_p.machine)
 
 
-@given(graphs(), st.sampled_from(["pooled", "unpooled"]))
+@given(graphs())
 @settings(max_examples=60, deadline=None)
-def test_pagerank_run_matches_reference(g, mode):
+def test_pagerank_run_matches_reference(g):
     got_m = Machine()
-    with engine(mode):
-        got = pagerank(g, machine=got_m, max_iterations=20).rank
-        want_p = PagerankProblem(g, Machine())
+    got = pagerank(g, machine=got_m, max_iterations=20).rank
+    want_p = PagerankProblem(g, Machine())
     ReferencePagerankEnactor(want_p, max_iterations=20).enact(
         Frontier.all_vertices(g.n))
     _same(got, want_p.rank)
     assert _charges(got_m) == _charges(want_p.machine)
 
 
-@given(st.data(), st.sampled_from(PROVIDERS))
+@given(st.data())
 @settings(max_examples=120, deadline=None)
-def test_sssp_relax_matches_reference(data, pooled):
+def test_sssp_relax_matches_reference(data):
     g = data.draw(graphs(weighted=True))
     seeds = np.asarray(data.draw(st.lists(st.integers(0, g.n - 1),
                                           min_size=1, max_size=g.n)))
     dist = np.asarray(data.draw(st.lists(st.integers(0, 6), min_size=len(seeds),
                                          max_size=len(seeds))), dtype=np.float64)
-    got_p = _problem(SsspProblem, g, pooled)
-    want_p = _problem(SsspProblem, g, pooled)
+    got_p = _problem(SsspProblem, g)
+    want_p = _problem(SsspProblem, g)
     _same(got_p.weights, g.weight_or_ones())
     for P in (got_p, want_p):
         P.labels[seeds] = dist

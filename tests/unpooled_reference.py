@@ -1,12 +1,11 @@
 """Textbook operator bodies: the oracle for the one operator body.
 
-Before pooling became a scratch provider (``Workspace(pooled=False)``
-lends nothing but answers the same calls), every super-step kernel had a
+Before the operators had one body, every super-step kernel had a
 second, "unpooled" body next to its pooled one.  These are those bodies:
-they allocate every intermediate, take no artifact or memo shortcut and
-compact by fancy indexing, so they are slow and obviously right.
+they allocate every intermediate, take no artifact or constant shortcut
+and compact by fancy indexing, so they are slow and obviously right.
 ``tests/test_unpooled_reference.py`` holds the library body to them —
-values, dtypes and charged counters — under both providers.
+values, dtypes and charged counters.
 
 The CSR row → lane expansion is ``expand_reference.row_lanes_reference``,
 not a copy of it.
