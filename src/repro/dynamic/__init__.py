@@ -4,9 +4,10 @@ The journal Gunrock paper frames every primitive as frontier
 reactivation from changed state — the exact mechanism an incremental
 engine needs.  This package supplies:
 
-* :mod:`repro.dynamic.delta` — :class:`DeltaCsr` (frozen base CSR +
-  a write-only mutation overlay that materializes each version as an
-  immutable snapshot CSR, deterministic compaction), the
+* :mod:`repro.dynamic.delta` — :func:`~repro.dynamic.delta.apply`
+  (one immutable CSR per version, built from the last one and a batch
+  in one vectorised pass), :class:`DeltaCsr` (the version chain around
+  it: charged snapshot reads, deterministic compaction count), the
   :class:`MutationBatch` API, and the cache-retention rule;
 * :mod:`repro.dynamic.incremental` — delta-BFS/SSSP (seed the frontier
   from damaged endpoints, re-relax only the affected region) and

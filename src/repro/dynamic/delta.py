@@ -1,20 +1,21 @@
-"""Delta-CSR: a frozen base graph plus an ordered mutation overlay.
+"""Graph versions: one immutable CSR per mutation batch, built in one pass.
 
 The CSR object in :mod:`repro.graph.csr` is immutable by design — every
 operator, cache, and artifact assumes topology never moves under it.  A
-streaming workload mutates the graph anyway, so this module supplies the
-middle ground Gunrock-style engines use: keep the base CSR frozen, log
-edge inserts / deletes / reweights into small per-vertex overlay rows,
-and periodically *compact* the overlay back into a fresh immutable CSR.
+streaming workload mutates the graph anyway, so :func:`apply` builds the
+next version from the current one and a batch of edge inserts / deletes
+/ reweights in one vectorised pass: the touched rows' lanes find the
+deletes and reweights, and the inserts go in with one ``np.insert``.
+The whole batch is checked first, so a rejected batch changes nothing.
 
-The overlay is write-only: nothing reads the graph through it.  Every
-graph version is read as :meth:`DeltaCsr.snapshot`, the immutable CSR
-the overlay materializes (memoized until the next ``apply``), so queries
-and incremental repairs run on one representation.  Snapshot and
-compaction cost is charged to the simulated clock byte-for-byte like
-checkpointing is, and every cache that is provably still valid
-(topology artifacts on a weight-only rebase) is carried over instead of
-recomputed.
+:class:`DeltaCsr` is the version chain the serving tier keeps around
+it.  Queries and incremental repairs read a version as
+:meth:`DeltaCsr.snapshot`; its first read is charged to the simulated
+clock byte-for-byte like checkpointing is, and a weight-only version
+shares its predecessor's topology arrays and every cache derived from
+them instead of recomputing them.  Compaction is the chain's
+deterministic bookkeeping (the mutation log and the ``compactions``
+count); no graph is rebuilt for it.
 
 Mutation semantics, fixed for determinism:
 
@@ -23,19 +24,20 @@ Mutation semantics, fixed for determinism:
   it is an error if none exists;
 * a reweight sets the weight of all surviving copies of ``(u, v)`` and
   it is an error if none exists;
-* inserts append to the end of ``u``'s row in batch order, so the
-  compacted CSR is a pure function of (base, batch sequence).
+* inserts append to the end of ``u``'s row in batch order, so every
+  version is a pure function of (first graph, batch sequence).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
 
-from ..graph.csr import Csr, EDGE_DT, VERTEX_DT
+from ..graph.csr import Csr, EDGE_DT, VERTEX_DT, row_lanes
 from ..simt import calib
+from ..simt.primitives import first_occurrence, unique_by_sort
 
 #: Primitives with an incremental repair path in :mod:`.incremental`.
 REPAIRABLE_PRIMITIVES: Tuple[str, ...] = ("bfs", "sssp", "pagerank")
@@ -81,30 +83,22 @@ class MutationBatch:
     all_weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "inserts", _pairs(self.inserts, "inserts"))
-        object.__setattr__(self, "deletes", _pairs(self.deletes, "deletes"))
-        object.__setattr__(self, "reweights",
-                           _pairs(self.reweights, "reweights"))
-        if self.insert_weights is not None:
-            object.__setattr__(
-                self, "insert_weights",
-                np.asarray(self.insert_weights, dtype=np.float64))
-            if len(self.insert_weights) != len(self.inserts):
-                raise ValueError("insert_weights length mismatch")
-        if self.reweight_values is not None:
-            object.__setattr__(
-                self, "reweight_values",
-                np.asarray(self.reweight_values, dtype=np.float64))
+        for name in ("inserts", "deletes", "reweights"):
+            object.__setattr__(self, name, _pairs(getattr(self, name), name))
+        for name in ("insert_weights", "reweight_values", "all_weights"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(
+                    getattr(self, name), dtype=np.float64))
+        if self.insert_weights is not None \
+                and len(self.insert_weights) != len(self.inserts):
+            raise ValueError("insert_weights length mismatch")
         if len(self.reweights) and (
                 self.reweight_values is None
                 or len(self.reweight_values) != len(self.reweights)):
             raise ValueError("reweights require matching reweight_values")
-        if self.all_weights is not None:
-            object.__setattr__(self, "all_weights",
-                               np.asarray(self.all_weights, dtype=np.float64))
-            if self.size:
-                raise ValueError(
-                    "all_weights is exclusive with per-edge mutations")
+        if self.all_weights is not None and self.size:
+            raise ValueError(
+                "all_weights is exclusive with per-edge mutations")
 
     # -- classification -------------------------------------------------------
 
@@ -173,266 +167,175 @@ class GraphUpdate:
     batch: Optional[MutationBatch] = None
 
 
-class DeltaCsr:
-    """A frozen base :class:`Csr` plus materialized overlay rows.
+def _last_match(sorted_keys: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Index of the last ``sorted_keys`` entry equal to each needle, else
+    -1: ``np.isin`` without its hash pass, plus a last-write-wins slot."""
+    at = np.searchsorted(sorted_keys, needles, side="right") - 1
+    hit = at >= 0
+    hit[hit] = sorted_keys[at[hit]] == needles[hit]
+    return np.where(hit, at, -1)
 
-    Overlay state per touched vertex is the fully merged out-row
-    (surviving base edges in base order, then inserts in arrival order),
-    so a later batch edits it without re-running the merge.  The graph
-    itself is read as ``snapshot()``, a fresh immutable CSR memoized
-    until the next ``apply``.
+
+def apply(csr: Csr, batch: MutationBatch) -> Csr:
+    """The graph ``batch`` makes of ``csr``, built in one pass.
+
+    The whole batch is checked before anything is built, so a rejected
+    batch raises and changes nothing.  An empty batch returns ``csr``; a
+    weight-only one shares ``csr``'s topology arrays and caches.
+    """
+    if batch.all_weights is not None:
+        if len(batch.all_weights) != csr.m:
+            raise ValueError("all_weights length mismatch")
+        fresh = csr.with_edge_values(batch.all_weights)
+        fresh.share_topology_caches(csr)
+        return fresh
+    n = csr.n
+    batch.validate_for(n)
+    if not batch.size:
+        return csr
+    weighted = csr.edge_values is not None
+    if len(batch.inserts) and batch.insert_weights is None and weighted:
+        raise ValueError("inserting into a weighted graph requires "
+                         "insert_weights")
+    if batch.insert_weights is not None and not weighted:
+        raise ValueError("insert_weights on an unweighted graph")
+    if len(batch.reweights) and not weighted:
+        raise ValueError("reweight on an unweighted graph")
+
+    # the touched rows' lanes, keyed u*n+v like the edits
+    dels, rws = batch.deletes, batch.reweights
+    rows = unique_by_sort(np.concatenate([dels[:, 0], rws[:, 0]]))
+    degs = csr.degrees_of(rows)
+    _, eids = row_lanes(csr.indptr, rows, degs, int(degs.sum()))
+    lane_rows = np.repeat(rows, degs)
+    keys = lane_rows * n + csr.indices[eids]
+    del_keys = dels[:, 0] * n + dels[:, 1]
+    rw_keys = rws[:, 0] * n + rws[:, 1]
+    # a delete takes every parallel copy, so a repeated one finds nothing
+    bad_del = np.ones(len(dels), dtype=bool)
+    bad_del[first_occurrence(del_keys)] = False
+    bad_del |= _last_match(np.sort(keys), del_keys) < 0
+    gone = _last_match(np.sort(del_keys), keys) >= 0
+    bad_rw = _last_match(np.sort(keys[~gone]), rw_keys) < 0
+    if bad_del.any() or bad_rw.any():
+        # name the edit a row-by-row pass meets first: lowest row, a row's
+        # deletes before its reweights, then batch order
+        if dels[bad_del, 0].min(initial=n) <= rws[bad_rw, 0].min(initial=n):
+            kind, pairs, bad = "delete", dels, bad_del
+        else:
+            kind, pairs, bad = "reweight", rws, bad_rw
+        u, v = pairs[np.flatnonzero(bad)[np.argmin(pairs[bad, 0])]]
+        raise ValueError(f"{kind} of absent edge ({u}, {v})")
+
+    values = None
+    if weighted:
+        values = np.array(csr.edge_values, dtype=np.float64)
+        if len(rws):
+            # last write wins: the stable order's rightmost copy of a key
+            order = np.argsort(rw_keys, kind="stable")
+            slot = _last_match(rw_keys[order], keys)
+            hit = ~gone & (slot >= 0)
+            values[eids[hit]] = batch.reweight_values[order[slot[hit]]]
+    if not batch.structural:
+        fresh = csr.with_edge_values(values)
+        fresh.share_topology_caches(csr)
+        return fresh
+
+    keep = np.ones(csr.m, dtype=bool)
+    keep[eids[gone]] = False
+    indices = csr.indices[keep]
+    counts = np.diff(csr.indptr)
+    counts -= np.bincount(lane_rows[gone], minlength=n)
+    if values is not None:
+        values = values[keep]
+    ins = batch.inserts
+    if len(ins):
+        # each row's inserts at its end in arrival order; positions tie
+        # across empty rows, so the stable sort by row keeps rows apart
+        order = np.argsort(ins[:, 0], kind="stable")
+        at = np.cumsum(counts)[ins[order, 0]]
+        indices = np.insert(indices, at, ins[order, 1])
+        if values is not None:
+            values = np.insert(values, at, batch.insert_weights[order])
+        counts += np.bincount(ins[:, 0], minlength=n)
+    indptr = np.zeros(n + 1, dtype=EDGE_DT)
+    np.cumsum(counts, out=indptr[1:])
+    return Csr(indptr, indices, values, n=n, validate=False)
+
+
+#: compact once the log since the last compaction reaches this share of
+#: the edge count at that compaction (never below 64 mutations)
+COMPACT_SHARE = 0.05
+
+
+class DeltaCsr:
+    """One graph's version chain: the current CSR built by :func:`apply`,
+    plus the mutation log since the last compaction.
+
+    A version is charged ``dynamic.compact`` at its bytes on its first
+    ``snapshot``, to whatever machine that read passes; compaction only
+    resets the log and counts itself.
     """
 
-    __slots__ = ("base", "compact_threshold", "weighted", "log_edges",
-                 "batches_applied", "compactions",
-                 "_m", "_out", "_degrees", "_structural", "_snapshot")
+    __slots__ = ("compactions", "_csr", "_log", "_compacted_m", "_unread")
 
-    def __init__(self, base: Csr, *, compact_threshold: float = 0.05):
-        self.base = base
-        self.compact_threshold = float(compact_threshold)
-        self.weighted = base.edge_values is not None
-        #: per-edge mutations logged since the last compaction
-        self.log_edges = 0
-        self.batches_applied = 0
+    def __init__(self, csr: Csr):
         self.compactions = 0
-        self._m = base.m
-        # touched vertex -> (neighbor ids, float64 weights or None)
-        self._out: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
-        self._degrees: Optional[np.ndarray] = None
-        self._structural = False
-        self._snapshot: Optional[Csr] = base
-
-    # -- shape and merged rows ------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def m(self) -> int:
-        return self._m
-
-    @property
-    def out_degrees(self) -> np.ndarray:
-        """Current out-degrees (base array until a structural apply)."""
-        if self._degrees is not None:
-            return self._degrees
-        return self.base.out_degrees
-
-    def out_row(self, v: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Merged out-row of ``v``: ``(neighbors, weights-or-None)``."""
-        row = self._out.get(int(v))
-        if row is not None:
-            return row
-        lo, hi = int(self.base.indptr[v]), int(self.base.indptr[v + 1])
-        w = None if self.base.edge_values is None \
-            else self.base.artifacts.weights64[lo:hi]
-        return self.base.indices[lo:hi], w
-
-    @property
-    def pending(self) -> bool:
-        """True when overlay rows exist (snapshot != base)."""
-        return bool(self._out)
-
-    # -- mutation side --------------------------------------------------------
+        self._csr = csr
+        #: per-edge mutations since the last compaction
+        self._log = 0
+        self._compacted_m = csr.m
+        #: the current version is built but nobody has read (paid for) it
+        self._unread = False
 
     def apply(self, batch: MutationBatch, machine=None) -> None:
-        """Apply one mutation batch to the overlay (deterministic)."""
+        """Build the next version (an ``all_weights`` batch compacts)."""
+        fresh = apply(self._csr, batch)
         if batch.all_weights is not None:
-            self._apply_all_weights(batch.all_weights, machine)
-            self.batches_applied += 1
-            return
-        batch.validate_for(self.n)
-        if not batch.size:
-            self.batches_applied += 1
-            return
-        if len(batch.inserts) and batch.insert_weights is None \
-                and self.weighted:
-            raise ValueError("inserting into a weighted graph requires "
-                             "insert_weights")
-        if batch.insert_weights is not None and not self.weighted:
-            raise ValueError("insert_weights on an unweighted graph")
-        if len(batch.reweights) and not self.weighted:
-            raise ValueError("reweight on an unweighted graph")
-        if batch.structural and self._degrees is None:
-            self._degrees = self.base.out_degrees.copy()
-
-        by_src: Dict[int, List] = {}
-        for u, v in batch.deletes:
-            by_src.setdefault(int(u), []).append(("del", int(v), None))
-        if len(batch.reweights):
-            for (u, v), w in zip(batch.reweights, batch.reweight_values):
-                by_src.setdefault(int(u), []).append(("rw", int(v), float(w)))
-        if len(batch.inserts):
-            ws = batch.insert_weights
-            for i, (u, v) in enumerate(batch.inserts):
-                w = None if ws is None else float(ws[i])
-                by_src.setdefault(int(u), []).append(("ins", int(v), w))
-
-        for u in sorted(by_src):
-            self._edit_row(u, by_src[u])
-
-        self.log_edges += batch.size
-        self.batches_applied += 1
-        self._snapshot = None
-
-    def _edit_row(self, v: int, ops: List) -> None:
-        """Apply (op, destination, weight) edits to ``v``'s overlay row."""
-        nbr, w = self.out_row(v)
-        nbr = np.array(nbr, dtype=VERTEX_DT)
-        if self.weighted:
-            w = np.ones(len(nbr), dtype=np.float64) if w is None \
-                else np.array(w, dtype=np.float64)
-        else:
-            w = None
-        appended: List[int] = []
-        appended_w: List[float] = []
-        for op, other, val in ops:
-            if op == "del":
-                keep = nbr != other
-                if keep.all():
-                    raise ValueError(
-                        f"delete of absent edge ({v}, {other})")
-                nbr = nbr[keep]
-                if w is not None:
-                    w = w[keep]
-            elif op == "rw":
-                hit = nbr == other
-                if not hit.any():
-                    raise ValueError(
-                        f"reweight of absent edge ({v}, {other})")
-                w[hit] = val
-            else:  # ins
-                appended.append(other)
-                appended_w.append(1.0 if val is None else val)
-        if appended:
-            nbr = np.concatenate(
-                [nbr, np.asarray(appended, dtype=VERTEX_DT)])
-            if w is not None:
-                w = np.concatenate(
-                    [w, np.asarray(appended_w, dtype=np.float64)])
-        self._out[v] = (nbr, w)
-        if self._degrees is not None:
-            old = int(self._degrees[v])
-            self._degrees[v] = len(nbr)
-            self._m += len(nbr) - old
-        self._structural = self._structural or bool(
-            any(op in ("del", "ins") for op, _, _ in ops))
-
-    def _apply_all_weights(self, values: np.ndarray, machine) -> None:
-        """Full edge-value replacement: rebase onto the current topology
-        with the new weight column, carrying topology caches over."""
-        base = self.snapshot(machine)
-        if len(values) != base.m:
-            raise ValueError("all_weights length mismatch")
-        fresh = base.with_edge_values(values)
-        fresh.share_topology_caches(base)
-        # topology is shared; the only bytes moved are the new weights
-        self._charge(machine, "dynamic.compact", values.nbytes)
-        self._rebase(fresh)
-        self.weighted = True
-
-    # -- compaction -----------------------------------------------------------
-
-    def should_compact(self) -> bool:
-        """Deterministic policy: compact once the mutation log exceeds
-        ``compact_threshold`` of the base edge count (floor 64)."""
-        return self.log_edges >= max(
-            64, int(self.compact_threshold * max(1, self.base.m)))
+            self.snapshot(machine)
+            # topology is shared; the only bytes moved are the new weights
+            _charge(machine, batch.all_weights.nbytes)
+            self._csr = fresh
+            self._reset()
+        elif fresh is not self._csr:
+            self._csr = fresh
+            self._log += batch.size
+            self._unread = True
 
     def snapshot(self, machine=None) -> Csr:
-        """The current graph as a fresh immutable CSR (memoized).
-
-        Building it is priced like a checkpoint: one simulated kernel
-        moving the output bytes at ``C_MEM_PER_BYTE`` cycles each.
-        """
-        if self._snapshot is not None:
-            return self._snapshot
-        if not self._structural:
-            snap = self._snapshot_reweight_only()
-        else:
-            snap = self._snapshot_structural()
-        self._charge(machine, "dynamic.compact", snap.nbytes())
-        self._snapshot = snap
-        return snap
-
-    def _snapshot_reweight_only(self) -> Csr:
-        """Topology unchanged: patch the weight column in place and
-        share every topology-derived cache with the base."""
-        values = np.array(self.base.weight_or_ones(), dtype=np.float64)
-        indptr = self.base.indptr
-        for u, (_, w) in self._out.items():
-            values[indptr[u]:indptr[u + 1]] = w
-        snap = self.base.with_edge_values(values)
-        snap.share_topology_caches(self.base)
-        return snap
-
-    def _snapshot_structural(self) -> Csr:
-        degrees = self.out_degrees
-        indptr = np.zeros(self.n + 1, dtype=EDGE_DT)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.empty(self._m, dtype=VERTEX_DT)
-        values = np.empty(self._m, dtype=np.float64) if self.weighted \
-            else None
-        touched = sorted(self._out)
-        base_ip = self.base.indptr
-        base_ix = self.base.indices
-        base_w = None if not self.weighted \
-            else self.base.artifacts.weights64
-        prev = 0
-        for u in touched + [self.n]:
-            # bulk-copy the untouched run [prev, u): degrees unchanged
-            # there, so base and new spans have equal length
-            if prev < u:
-                dst_lo, dst_hi = int(indptr[prev]), int(indptr[u])
-                src_lo, src_hi = int(base_ip[prev]), int(base_ip[u])
-                indices[dst_lo:dst_hi] = base_ix[src_lo:src_hi]
-                if values is not None:
-                    values[dst_lo:dst_hi] = base_w[src_lo:src_hi]
-            if u == self.n:
-                break
-            nbr, w = self._out[u]
-            lo, hi = int(indptr[u]), int(indptr[u + 1])
-            indices[lo:hi] = nbr
-            if values is not None:
-                values[lo:hi] = w
-            prev = u + 1
-        return Csr(indptr, indices, values, n=self.n, validate=False)
+        """The current version; its first read after an ``apply`` is
+        priced like a checkpoint, one simulated kernel moving its bytes."""
+        if self._unread:
+            _charge(machine, self._csr.nbytes())
+            self._unread = False
+        return self._csr
 
     def compact(self, machine=None) -> Csr:
-        """Compact the overlay into a fresh base CSR and reset the log."""
+        """Read the current version and start a new mutation log."""
         snap = self.snapshot(machine)
-        self._rebase(snap)
+        if self._log:
+            self._reset()
         return snap
 
     def maybe_compact(self, machine=None) -> Optional[Csr]:
-        """Run :meth:`compact` if the deterministic policy says so."""
-        if self.pending and self.should_compact():
+        """Run :meth:`compact` once the log reaches the threshold."""
+        if self._log and self._log >= max(
+                64, int(COMPACT_SHARE * max(1, self._compacted_m))):
             return self.compact(machine)
         return None
 
-    def _rebase(self, csr: Csr) -> None:
-        if self.pending or csr is not self.base:
-            self.compactions += 1
-        self.base = csr
-        self._m = csr.m
-        self._out.clear()
-        self._degrees = None
-        self._structural = False
-        self.log_edges = 0
-        self._snapshot = csr
+    def _reset(self) -> None:
+        self.compactions += 1
+        self._log = 0
+        self._compacted_m = self._csr.m
 
-    @staticmethod
-    def _charge(machine, name: str, nbytes: int) -> None:
-        if machine is None or nbytes <= 0:
-            return
-        machine.launch(name, body_cycles=nbytes * calib.C_MEM_PER_BYTE,
-                       items=nbytes)
+
+def _charge(machine, nbytes: int) -> None:
+    """Price moving ``nbytes`` of a version as one ``dynamic.compact``."""
+    if machine is not None and nbytes > 0:
+        machine.launch("dynamic.compact", items=nbytes,
+                       body_cycles=nbytes * calib.C_MEM_PER_BYTE)
         machine.counters.record_bytes(float(nbytes))
-
-    def __repr__(self) -> str:
-        return (f"DeltaCsr(n={self.n}, m={self._m}, "
-                f"log={self.log_edges}, touched={len(self._out)})")
 
 
 def random_mutation_batch(csr: Csr, seed: int, *, frac: float = 0.005,

@@ -60,8 +60,8 @@ _MAX_WAVES = 1_000_000
 
 def _csr(g, machine) -> Csr:
     """The CSR a public entry reads: ``g`` itself, or a
-    :class:`DeltaCsr`'s ``snapshot(machine)`` — free once memoized, else
-    built here and charged to ``machine`` before any repair work."""
+    :class:`DeltaCsr`'s ``snapshot(machine)`` — free once the version
+    has been read, else charged to ``machine`` before any repair work."""
     return g.snapshot(machine) if isinstance(g, DeltaCsr) else g
 
 
@@ -352,22 +352,16 @@ def repair_payload(primitive: str, params: Dict, old_arrays: Dict,
     if batch.weight_only and primitive in WEIGHT_INSENSITIVE:
         return dict(old_arrays), True
 
-    if primitive == "bfs":
-        out = delta_bfs(new_g, params["src"], old_arrays["labels"],
-                        old_arrays["preds"], batch, machine)
+    if primitive in ("bfs", "sssp"):
+        repair = delta_bfs if primitive == "bfs" else delta_sssp
+        out = repair(new_g, params["src"], old_arrays["labels"],
+                     old_arrays["preds"], batch, machine)
         if out is not None:
             return {"labels": out[0], "preds": out[1]}, True
-        res = bfs(new_g, params["src"], machine=machine,
-                  idempotent=False, direction="push")
-        return {"labels": res.arrays["labels"],
-                "preds": res.arrays["preds"]}, False
-    if primitive == "sssp":
-        out = delta_sssp(new_g, params["src"], old_arrays["labels"],
-                         old_arrays["preds"], batch, machine)
-        if out is not None:
-            return {"labels": out[0], "preds": out[1]}, True
-        res = sssp(new_g, params["src"], machine=machine,
-                   use_priority_queue=False)
+        res = bfs(new_g, params["src"], machine=machine, idempotent=False,
+                  direction="push") if primitive == "bfs" else \
+            sssp(new_g, params["src"], machine=machine,
+                 use_priority_queue=False)
         return {"labels": res.arrays["labels"],
                 "preds": res.arrays["preds"]}, False
     if primitive == "pagerank":

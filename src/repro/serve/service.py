@@ -92,10 +92,10 @@ class Completion:
 class VersionedGraph:
     """A loaded graph plus its monotonically increasing version.
 
-    Under incremental updates the service additionally keeps a
-    :class:`~repro.dynamic.delta.DeltaCsr` chained off the last
-    compacted base, which mutation batches are written to; ``csr`` is
-    its snapshot, and both queries and cache repairs read ``csr``.
+    Under incremental updates the service additionally keeps the
+    :class:`~repro.dynamic.delta.DeltaCsr` version chain mutation
+    batches are applied to; ``csr`` is its snapshot, and both queries
+    and cache repairs read ``csr``.
     """
 
     name: str
@@ -163,10 +163,10 @@ class GraphService:
         The classic path takes a full replacement ``csr``.  With
         ``incremental=True`` and a :class:`MutationBatch`, the update is
         instead applied through the graph's :class:`DeltaCsr` chain: the
-        new snapshot is materialised from the delta (cost charged to
-        ``machine``), compaction runs on the delta's own policy, and
-        cache entries whose results provably cannot change (the
-        cache-retention rule of :func:`unaffected_primitives`) are
+        chain builds the next version in one pass and its snapshot read
+        is charged to ``machine``, compaction runs on the chain's own
+        policy, and cache entries whose results provably cannot change
+        (the cache-retention rule of :func:`unaffected_primitives`) are
         carried across the version bump instead of swept.
         """
         vg = self.graphs[name]

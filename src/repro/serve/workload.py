@@ -21,8 +21,8 @@ with.  ``update_kind`` picks the mutation: ``"weights"`` re-randomizes
 every edge weight (the legacy PR 5 semantics), ``"edges"`` applies a
 seed-deterministic structural delta (``delta_frac`` of the edges deleted
 and as many inserted) built through the same
-:class:`~repro.dynamic.delta.DeltaCsr` machinery the serving tier uses,
-so each update carries both the post-mutation snapshot *and* the
+:class:`~repro.dynamic.delta.DeltaCsr` version chain the serving tier
+keeps, so each update carries both the post-mutation CSR *and* the
 :class:`~repro.dynamic.delta.MutationBatch` that produced it.
 
 Everything derives from ``seed``; two generations with the same spec are
@@ -239,9 +239,9 @@ def build_workload(graph: Csr, spec: WorkloadSpec,
                 fresh.edge_values, dtype=np.float64))
             updates.append((at_ms, graph_name, GraphUpdate(fresh, batch)))
     elif spec.updates:
-        # structural deltas, built through the same delta-CSR machinery
-        # the service uses, so each update ships the post-mutation
-        # snapshot and the batch that produced it
+        # structural deltas, built through the same version chain the
+        # service keeps, so each update ships the post-mutation CSR and
+        # the batch that produced it
         chain = DeltaCsr(graph)
         for i in range(spec.updates):
             at_ms = (i + 1) * spec.update_interval_ms

@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from delta_reference import DeltaCsrReference
 from repro.dynamic import (DeltaCsr, MutationBatch, WEIGHT_INSENSITIVE,
                            delta_bfs, delta_sssp, incremental_pagerank,
                            random_mutation_batch, unaffected_primitives)
+from repro.dynamic.delta import apply
 from repro.dynamic.incremental import pagerank_defect, repair_payload
 from repro.graph import from_edges, with_random_weights
 from repro.primitives import bfs, pagerank, sssp
@@ -61,15 +63,22 @@ def test_batch_validation():
 # -- DeltaCsr mechanics -------------------------------------------------------
 
 
+def _rows(g):
+    """Every row of ``g`` as ``(neighbors, float64 weights or None)``."""
+    w = None if g.edge_values is None else g.artifacts.weights64
+    return [(g.indices[lo:hi].tolist(),
+             None if w is None else w[lo:hi].tolist())
+            for lo, hi in zip(g.indptr[:-1], g.indptr[1:])]
+
+
 def test_delta_insert_delete_rows():
     g = _chain([(0, 1), (0, 2), (1, 2)], 4, False)
     d = DeltaCsr(g)
     d.apply(MutationBatch(deletes=[(0, 1)], inserts=[(2, 3), (0, 3)]))
-    assert d.m == g.m + 1
-    nbr, w = d.out_row(0)
-    assert list(nbr) == [2, 3] and w is None
-    assert list(d.out_row(2)[0]) == [3]
-    assert d.out_degrees[0] == 2 and d.out_degrees[2] == 1
+    snap = d.snapshot()
+    assert snap.m == g.m + 1 and snap.edge_values is None
+    assert [nbr for nbr, _ in _rows(snap)] == [[2, 3], [2], [3], []]
+    assert snap.out_degrees.tolist() == [2, 1, 1, 0]
 
 
 def test_delta_errors_on_absent_edges():
@@ -85,24 +94,18 @@ def test_delta_errors_on_absent_edges():
 
 def test_delta_snapshot_matches_rows_and_compacts():
     g = _chain([(0, 1), (1, 2), (2, 0), (2, 3)], 5, True)
+    w = g.artifacts.weights64.tolist()
     d = DeltaCsr(g)
     d.apply(MutationBatch(deletes=[(2, 0)], inserts=[(3, 4), (0, 4)],
                           insert_weights=[5.0, 7.0],
                           reweights=[(0, 1)], reweight_values=[9.0]))
     snap = d.snapshot()
-    assert snap.m == d.m
-    for v in range(d.n):
-        nbr, w = d.out_row(v)
-        lo, hi = snap.indptr[v], snap.indptr[v + 1]
-        assert np.array_equal(snap.indices[lo:hi], nbr)
-        if w is not None:
-            assert np.array_equal(snap.artifacts.weights64[lo:hi], w)
+    assert _rows(snap) == [([1, 4], [9.0, 7.0]), ([2], [w[1]]),
+                           ([3], [w[3]]), ([4], [5.0]), ([], [])]
     compacted = d.compact()
-    assert compacted is snap
-    assert d.base is snap and not d.pending and d.log_edges == 0
+    assert compacted is snap and d.snapshot() is snap
     assert d.compactions == 1
-    # post-compaction reads come straight from the new base
-    assert np.array_equal(d.out_row(0)[0], snap.indices[:snap.indptr[1]])
+    assert d.compact() is snap and d.compactions == 1  # empty log
 
 
 def test_weight_only_snapshot_shares_topology():
@@ -118,20 +121,28 @@ def test_all_weights_rebases():
     g = _chain([(0, 1), (1, 2)], 3, True)
     d = DeltaCsr(g)
     vals = np.array([2.0, 4.0])
-    d.apply(MutationBatch(all_weights=vals))
+    machine = Machine()
+    d.apply(MutationBatch(all_weights=vals), machine=machine)
     snap = d.snapshot()
     assert np.array_equal(snap.artifacts.weights64, vals)
-    assert snap.indices is g.indices
-    assert d.base is snap and d.compactions == 1
+    assert snap.indices is g.indices and d.compactions == 1
+    # the replaced version was already read, so only the weights are paid
+    assert _charged(machine) == [("dynamic.compact", vals.nbytes)]
+    assert d.compact() is snap and d.compactions == 1
 
 
 def test_compaction_policy_is_log_threshold():
     g = _chain([(i, i + 1) for i in range(50)], 51, False)
-    d = DeltaCsr(g, compact_threshold=0.05)
+    d = DeltaCsr(g)
     d.apply(MutationBatch(deletes=[(0, 1)]))
-    assert not d.should_compact()        # floor is 64 mutations
-    d.log_edges = 64
-    assert d.should_compact()
+    assert d.maybe_compact() is None     # floor is 64 mutations
+    d.apply(MutationBatch(inserts=[(0, 2)] * 62))
+    assert d.maybe_compact() is None     # 63 logged
+    d.apply(MutationBatch(inserts=[(50, 0)]))
+    snap = d.snapshot()
+    assert d.maybe_compact() is snap and d.compactions == 1
+    d.apply(MutationBatch(deletes=[(50, 0)]))
+    assert d.maybe_compact() is None     # the log restarted at zero
 
 
 def test_snapshot_charges_simulated_clock():
@@ -150,6 +161,169 @@ def test_random_mutation_batch_deterministic(kron_graph):
     assert np.array_equal(a.inserts, b.inserts)
     assert np.array_equal(a.deletes, b.deletes)
     assert a.structural and a.size > 0
+
+
+# -- the one-pass apply against the overlay reference ------------------------
+
+
+def _assert_same_graph(a, b):
+    assert a.n == b.n
+    assert _same_bits(a.indptr, b.indptr)
+    assert _same_bits(a.indices, b.indices)
+    assert (a.edge_values is None) == (b.edge_values is None)
+    if a.edge_values is not None:
+        assert _same_bits(a.edge_values, b.edge_values)
+
+
+def _charged(machine):
+    return [(k.name, k.items) for k in machine.counters.kernels]
+
+
+@pytest.mark.parametrize("rejected", [
+    MutationBatch(deletes=[(0, 1), (5, 7)]),
+    MutationBatch(deletes=[(0, 1)], reweights=[(5, 7)],
+                  reweight_values=[2.0]),
+    MutationBatch(deletes=[(0, 1), (0, 1)]),
+    MutationBatch(all_weights=np.ones(2)),
+], ids=["absent-delete", "absent-reweight", "repeated-delete",
+        "all-weights-length"])
+def test_rejected_batch_changes_nothing(rejected):
+    g = from_edges([(0, 1), (0, 2), (5, 6)], n=8,
+                   weights=[1.0, 2.0, 3.0])
+    first = MutationBatch(inserts=[(1, 2)], insert_weights=[4.0])
+    after = MutationBatch(inserts=[(3, 4)], insert_weights=[5.0])
+    seen, seen_m = DeltaCsr(g), Machine()
+    clean, clean_m = DeltaCsr(g), Machine()
+    for d in (seen, clean):
+        d.apply(first)       # leave an unread version for the charge rule
+    with pytest.raises(ValueError):
+        seen.apply(rejected, machine=seen_m)
+    assert not seen_m.counters.kernels
+    for d, m in ((seen, seen_m), (clean, clean_m)):
+        d.snapshot(m)
+    _assert_same_graph(seen.snapshot(), clean.snapshot())
+    for d, m in ((seen, seen_m), (clean, clean_m)):
+        d.apply(after, machine=m)
+        d.snapshot(m)
+        d.compact(m)
+    _assert_same_graph(seen.snapshot(), clean.snapshot())
+    assert _rows(seen.snapshot())[0] == ([1, 2], [1.0, 2.0])
+    assert seen.compactions == clean.compactions == 1
+    assert _charged(seen_m) == _charged(clean_m)
+
+
+@pytest.mark.parametrize("batch, message", [
+    (MutationBatch(deletes=[(0, 1), (0, 1)]), "delete of absent edge (0, 1)"),
+    (MutationBatch(deletes=[(0, 1)], reweights=[(0, 1)],
+                   reweight_values=[2.0]), "reweight of absent edge (0, 1)"),
+    (MutationBatch(deletes=[(0, 3)], inserts=[(0, 3)],
+                   insert_weights=[1.0]), "delete of absent edge (0, 3)"),
+    (MutationBatch(deletes=[(2, 0), (0, 3), (0, 0)]),
+     "delete of absent edge (0, 3)"),
+    (MutationBatch(deletes=[(2, 0)], reweights=[(0, 3)],
+                   reweight_values=[2.0]), "reweight of absent edge (0, 3)"),
+    (MutationBatch(deletes=[(2, 3), (0, 0)], reweights=[(0, 3), (2, 3)],
+                   reweight_values=[2.0, 3.0]),
+     "delete of absent edge (0, 0)"),
+], ids=["repeated-delete", "reweight-deleted", "delete-inserted",
+        "lowest-row-first", "reweight-in-a-lower-row",
+        "a-rows-deletes-before-its-reweights"])
+def test_same_batch_conflicts_raise_like_the_reference(batch, message):
+    """Deletes run before reweights and inserts, so a batch cannot
+    delete twice, reweight what it deletes or delete what it inserts;
+    with several bad edits the one named is the one a row-by-row pass
+    meets first, as in the reference."""
+    g = from_edges([(0, 1), (0, 1), (0, 2), (2, 3)], n=4,
+                   weights=[1.0, 2.0, 3.0, 4.0])
+    for d in (DeltaCsr(g), DeltaCsrReference(g)):
+        with pytest.raises(ValueError) as err:
+            d.apply(batch)
+        assert str(err.value) == message
+
+
+def test_inserts_keep_their_rows_across_an_empty_row():
+    """Row 2 is empty, so it ends where row 1 ends and the two rows'
+    inserts target the same position; arriving in reverse row order they
+    still land in their own rows."""
+    g = from_edges([(1, 0), (3, 0)], n=5)
+    batch = MutationBatch(inserts=[(3, 4), (2, 4), (1, 4), (2, 1)])
+    new, ref = DeltaCsr(g), DeltaCsrReference(g)
+    for d in (new, ref):
+        d.apply(batch)
+    snap = new.snapshot()
+    _assert_same_graph(snap, ref.snapshot())
+    assert [nbr for nbr, _ in _rows(snap)] == [[], [0, 4], [4, 1],
+                                               [0, 4], []]
+    assert np.array_equal(apply(g, batch).indices, snap.indices)
+
+
+@st.composite
+def version_chains(draw):
+    """``(n, edges, weights-or-None, steps)``: edges may repeat; a step is
+    ``(kind, seed, frac, compact, read)`` with ``kind`` one of ``"edges"``
+    (deletes + inserts), ``"mixed"`` (plus reweights), ``"reweights"``
+    or ``"all_weights"``."""
+    n = draw(st.integers(min_value=2, max_value=24))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, min_size=1, max_size=80))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=10))
+    weights = None
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 64).map(float),
+                                min_size=len(edges), max_size=len(edges)))
+    kinds = ["edges", "mixed", "reweights", "all_weights"] \
+        if weights is not None else ["edges"]
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from(kinds), st.integers(0, 2 ** 16),
+        st.sampled_from([0.05, 0.3, 1.0]), st.booleans(), st.booleans()),
+        min_size=1, max_size=10))
+    return n, edges, weights, steps
+
+
+def _chain_batch(csr, kind, seed, frac):
+    if kind == "all_weights":
+        rng = np.random.default_rng(seed)
+        return MutationBatch(all_weights=rng.integers(
+            1, 64, size=csr.m).astype(np.float64))
+    if kind == "reweights":
+        b = _step_batch(csr, seed, True)
+        return MutationBatch(reweights=b.reweights,
+                             reweight_values=b.reweight_values)
+    b = random_mutation_batch(csr, seed, frac=frac)
+    if kind == "edges":
+        return b
+    extra = _step_batch(csr, seed, True)
+    return MutationBatch(inserts=b.inserts, insert_weights=b.insert_weights,
+                         deletes=extra.deletes, reweights=extra.reweights,
+                         reweight_values=extra.reweight_values)
+
+
+@given(version_chains())
+@settings(max_examples=60, deadline=None)
+def test_chain_matches_the_overlay_reference(chain):
+    """Every version equals the per-vertex overlay's bitwise (arrays and
+    dtypes), with the same compaction count and charged kernel list,
+    also when several batches land before a version is read."""
+    n, edges, weights, steps = chain
+    g = from_edges(edges, n=n, weights=weights)
+    new, new_m = DeltaCsr(g), Machine()
+    ref, ref_m = DeltaCsrReference(g), Machine()
+    current = g  # the newest version, built without reading either chain
+    for kind, seed, frac, compact, read in steps:
+        batch = _chain_batch(current, kind, seed, frac)
+        current = apply(current, batch)
+        new.apply(batch, machine=new_m)
+        ref.apply(batch, machine=ref_m)
+        if read:
+            _assert_same_graph(new.snapshot(new_m), ref.snapshot(ref_m))
+            _assert_same_graph(new.snapshot(), current)
+        if compact:
+            assert (new.maybe_compact(new_m) is None) \
+                == (ref.maybe_compact(ref_m) is None)
+        assert new.compactions == ref.compactions
+        assert _charged(new_m) == _charged(ref_m)
+    _assert_same_graph(new.snapshot(new_m), ref.snapshot(ref_m))
+    assert _charged(new_m) == _charged(ref_m)
 
 
 # -- incremental-repair equivalence (hypothesis) ------------------------------
@@ -436,9 +610,9 @@ def test_named_repair_cases_take_the_incremental_path():
 
 
 def test_unbuilt_snapshot_is_charged_to_the_repair_machine(kron_graph):
-    """The one charging rule for a ``DeltaCsr`` whose snapshot nobody has
-    built yet: the repair builds it first, on the repair's machine, priced
-    as ``DeltaCsr.snapshot`` prices it; a built snapshot is free."""
+    """The one charging rule for a ``DeltaCsr`` version nobody has read
+    yet: the repair reads it first, on the repair's machine, priced as
+    ``DeltaCsr.snapshot`` prices it; a version already read is free."""
     batch = random_mutation_batch(kron_graph, 3, frac=0.002)
     old = bfs(kron_graph, 0, idempotent=False, direction="push").arrays
     args = (0, old["labels"], old["preds"], batch)

@@ -7,7 +7,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from expand_reference import row_lanes_reference
-from repro.dynamic import DeltaCsr
+from repro.dynamic import MutationBatch
+from repro.dynamic.delta import apply
 from repro.graph.build import from_edges
 from repro.graph.csr import row_lanes
 
@@ -52,7 +53,8 @@ def _check(indptr, rows):
 @settings(max_examples=150, deadline=None)
 def test_matches_reference_on_csr_csc_and_delta_base(data):
     g = data.draw(graphs())
-    for indptr in (g.indptr, g.csc.indptr, DeltaCsr(g).base.indptr):
+    version = apply(g, MutationBatch(inserts=[(0, g.n - 1)]))
+    for indptr in (g.indptr, g.csc.indptr, version.indptr):
         _check(indptr, data.draw(row_sets(g.n)))
 
 
