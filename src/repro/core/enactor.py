@@ -20,11 +20,9 @@ configured :class:`~repro.resilience.recovery.RetryPolicy`.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..analysis.sanitizer import Sanitizer, current_sanitizer, sanitize
 from ..obs.spans import (CAT_PRIMITIVE, CAT_RECOVERY, CAT_SUPERSTEP,
                          instant as obs_instant, span as obs_span)
 from ..resilience.checkpoint import CheckpointStore
@@ -71,7 +69,6 @@ class EnactorBase:
     def __init__(self, problem: ProblemBase, *,
                  lb: Optional[LoadBalancer] = None,
                  max_iterations: Optional[int] = None,
-                 sanitize: bool = False,
                  checkpoint_every: Optional[int] = None,
                  faults=None,
                  retry: Optional[RetryPolicy] = None):
@@ -80,11 +77,6 @@ class EnactorBase:
         self.max_iterations = max_iterations
         self.stats = EnactorStats()
         self.iteration = 0
-        #: run every kernel under the dynamic race detector
-        #: (:mod:`repro.analysis.sanitizer`); also honored implicitly when
-        #: the caller wraps the run in an outer ``sanitize()`` block
-        self.sanitize = sanitize
-        self.sanitizer: Optional[Sanitizer] = None
         # -- resilience configuration -------------------------------------
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
@@ -164,11 +156,8 @@ class EnactorBase:
     def enact(self, frontier: Frontier) -> Frontier:
         """Run to convergence; returns the final frontier.
 
-        With ``sanitize=True`` (and no sanitizer already active) the whole
-        run executes under a strict :func:`repro.analysis.sanitize` block,
-        so a BSP-contract violation in any functor raises
-        :class:`~repro.analysis.sanitizer.RaceError` at the offending
-        kernel.
+        Inside a :func:`repro.analysis.sanitize` block every kernel runs
+        under the dynamic race detector.
 
         With resilience configured, injected transient-kernel and
         corruption faults are recovered at the super-step barrier:
@@ -178,21 +167,17 @@ class EnactorBase:
         exhausts ``retry.max_retries`` consecutive attempts — or needs a
         checkpoint that was never taken — re-raises the injected fault.
         """
-        ctx = sanitize(strict=True) \
-            if self.sanitize and current_sanitizer() is None else nullcontext()
-        with ctx:
-            self.sanitizer = current_sanitizer()
-            self.iteration = 0
-            g = self.problem.graph
-            sp = obs_span(self.primitive_name, CAT_PRIMITIVE,
-                          self.problem.machine,
-                          primitive=self.primitive_name, n=g.n, m=g.m)
-            with sp:
-                specialized = self._try_backend(frontier)
-                frontier = specialized if specialized is not None \
-                    else self._enact_loop(frontier)
-                sp.set(iterations=self.iteration)
-            self.stats.iterations = self.iteration
+        self.iteration = 0
+        g = self.problem.graph
+        sp = obs_span(self.primitive_name, CAT_PRIMITIVE,
+                      self.problem.machine,
+                      primitive=self.primitive_name, n=g.n, m=g.m)
+        with sp:
+            specialized = self._try_backend(frontier)
+            frontier = specialized if specialized is not None \
+                else self._enact_loop(frontier)
+            sp.set(iterations=self.iteration)
+        self.stats.iterations = self.iteration
         return frontier
 
     def _try_backend(self, frontier: Frontier) -> Optional[Frontier]:

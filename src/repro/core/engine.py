@@ -183,7 +183,7 @@ def dispatch(backend: Backend, enactor, frontier):
     attrs: dict = {}
     if run is None:
         reason = backend.no_runner.format(name=name)
-    elif enactor.sanitize or current_sanitizer() is not None:
+    elif current_sanitizer() is not None:
         reason = "sanitizer active: library operators carry the kernel scopes"
     elif enactor.injector is not None or enactor.checkpoints is not None:
         reason = ("resilience hooks active: fault windows exist only in "

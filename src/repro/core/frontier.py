@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..graph.csr import iota
 from ..simt import calib
 from ..simt.machine import Machine
 from ..simt.primitives import unique_by_sort
@@ -64,13 +65,15 @@ class Frontier:
 
     @classmethod
     def all_vertices(cls, n: int) -> "Frontier":
-        """Every vertex (PageRank's initial frontier)."""
-        return cls(np.arange(n, dtype=np.int64), FrontierKind.VERTEX)
+        """Every vertex (PageRank's initial frontier): a read-only view
+        of the process-wide :func:`~repro.graph.csr.iota` ramp."""
+        return cls(iota(n), FrontierKind.VERTEX)
 
     @classmethod
     def all_edges(cls, m: int) -> "Frontier":
-        """Every edge (connected components' initial frontier)."""
-        return cls(np.arange(m, dtype=np.int64), FrontierKind.EDGE)
+        """Every edge (connected components' initial frontier), also
+        an :func:`~repro.graph.csr.iota` view."""
+        return cls(iota(m), FrontierKind.EDGE)
 
     @classmethod
     def empty(cls, kind: FrontierKind | str = FrontierKind.VERTEX) -> "Frontier":

@@ -43,10 +43,11 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..graph.csr import row_lanes, transpose_cell_stats, transpose_product
+from ..graph.csr import (iota, row_lanes, transpose_cell_stats,
+                         transpose_product)
 from ..obs.spans import CAT_FUSED
-from ..simt import calib
-from ..simt.primitives import first_occurrence, unique_by_sort
+from ..simt.primitives import (charge_compact, first_occurrence,
+                               unique_by_sort)
 from . import atomics
 from .engine import Backend, dispatch
 from .frontier import Frontier, FrontierKind
@@ -68,8 +69,7 @@ def _charge_filter(machine, iteration, n_in, n_out, *, heuristics=False,
                 machine.map_kernel("filter_heuristics", n_in, 3.0)
             if atomic is not None:
                 atomics._charge(machine, atomic[0], atomic[1])
-            machine.counters.compact_elements += n_in
-            machine.map_kernel("compact", n_in, calib.C_COMPACT_PER_ELEM)
+            charge_compact(machine, n_in)
     machine.counters.record_frontier(n_out)
     machine.counters.record_vertices(n_in)
 
@@ -271,7 +271,7 @@ def _run_cc(en, frontier: Frontier) -> Frontier:
         _charge_filter(machine, it, len(f), len(surv),
                        atomic=None if hi is None else ("atomic_min", hi))
         # pointer jumping to a fixpoint (integer ops: trivially exact)
-        vf = np.arange(n, dtype=np.int64)
+        vf = iota(n)
         while len(vf):
             parent = cid[vf]
             grand = cid[parent]

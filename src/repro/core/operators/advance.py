@@ -37,9 +37,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ...analysis.sanitizer import current_sanitizer, kernel_scope
-from ...graph.csr import (iota, is_false_mask, is_true_mask, row_lanes,
-                          transpose_cell_stats, transpose_min_edges,
-                          transpose_product)
+from ...graph.csr import (iota, is_false_mask, is_iota, is_true_mask,
+                          row_lanes, transpose_cell_stats,
+                          transpose_min_edges, transpose_product)
 from ...obs.spans import CAT_OPERATOR, span as obs_span
 from ...simt import calib
 from .. import atomics
@@ -68,19 +68,19 @@ def expand_push(problem: ProblemBase, source_vertices: np.ndarray,
     One output lane per traversed edge, in frontier order — the dense,
     uniform workload the scan-based reorganization of Section 3 produces.
 
-    An all-vertices frontier (PageRank every iteration) short-circuits
-    to the graph's cached artifacts: the expansion of ``arange(n)`` *is*
-    ``(edge_sources, indices, arange(m), out_degrees)``, so no per-lane
+    An all-vertices frontier (PageRank every iteration, recognised by
+    :func:`~repro.graph.csr.is_iota`) short-circuits to the graph's
+    cached artifacts: the expansion of ``iota(n)`` *is*
+    ``(edge_sources, indices, iota(m), out_degrees)``, so no per-lane
     arrays are built at all.  ``need_srcs=False`` skips materializing the
     per-lane source array for callers that consume the segment structure
     directly — ``srcs`` comes back None.
     """
     g = problem.graph
     f = np.asarray(source_vertices, dtype=np.int64)
-    if len(f) == g.n:
+    if is_iota(f, g.n):
         art = g.artifacts
-        if f is art.iota_n or np.array_equal(f, art.iota_n):
-            return art.edge_sources, g.indices, art.iota_m, art.out_degrees
+        return art.edge_sources, g.indices, iota(g.m), art.out_degrees
     # no per-lane segment-id array is ever built: srcs (when wanted)
     # is repeat(f, degs), identical to the oracle's gather through
     # the segment ids
@@ -217,7 +217,7 @@ def _push_scatter(problem, f_vertices, functor, lb, iteration) -> None:
     acc = values = None
     if current_sanitizer() is None:
         art = g.artifacts
-        full = f is art.iota_n
+        full = is_iota(f, g.n)
         degs = art.out_degrees if full else art.out_degrees[f]
         ne = g.m if full else int(degs.sum())
         if ne >= transpose_min_edges(g.m):

@@ -27,9 +27,8 @@ import numpy as np
 from ...analysis.sanitizer import kernel_scope
 from ...graph.csr import is_true_mask
 from ...obs.spans import CAT_OPERATOR, span as obs_span
-from ...simt import calib
 from ...simt.machine import Machine
-from ...simt.primitives import first_occurrence
+from ...simt.primitives import charge_compact, first_occurrence
 from ..frontier import Frontier, FrontierKind
 from ..functor import Functor, resolve_masks
 from ..problem import ProblemBase
@@ -228,7 +227,5 @@ def _filter_body(problem, frontier, functor, heuristics, machine: Optional[Machi
             if not is_true_mask(mask2):
                 survivors = survivors[mask2]
     if machine is not None:
-        # the scan+scatter compaction pass over the input frontier
-        machine.counters.compact_elements += n
-        machine.map_kernel("compact", n, calib.C_COMPACT_PER_ELEM)
+        charge_compact(machine, n)
     return Frontier(survivors, frontier.kind)

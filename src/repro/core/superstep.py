@@ -16,6 +16,7 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
+from ..graph.csr import iota, is_iota
 from . import atomics
 from .atomics import CellStats
 from .operators.advance import _charge_advance
@@ -99,8 +100,7 @@ def rank_contribution(P, f: np.ndarray) -> Tuple[np.ndarray, bool]:
     folding in place on the owned gather result matches
     ``damping * residual[f] / degrees[f]``.
     """
-    iota_n = P.graph.artifacts.iota_n
-    full = f is iota_n or (len(f) == len(iota_n) and np.array_equal(f, iota_n))
+    full = is_iota(f, P.graph.n)
     if full:
         contrib, degrees = P.residual * P.damping, P.degrees
     else:
@@ -113,13 +113,13 @@ def rank_contribution(P, f: np.ndarray) -> Tuple[np.ndarray, bool]:
 def rank_commit(P, res: np.ndarray) -> Tuple[np.ndarray, int]:
     """Fold the received residual ``res`` (one cell per vertex) into the
     ranks and keep the vertices still above tolerance.  Returns the next
-    frontier and its size; the all-kept frontier is the graph's cached
-    iota ramp itself, which the next step recognizes by identity."""
+    frontier and its size; the all-kept frontier is an :func:`iota`
+    view, which the next step recognizes (:func:`is_iota`)."""
     np.add(P.rank, res, out=P.rank)
     np.copyto(P.residual, res)
     keep = res > P.tolerance
     nk = int(np.count_nonzero(keep))
-    iota_n = P.graph.artifacts.iota_n
-    if nk == len(iota_n):
-        return iota_n, nk
-    return (iota_n[keep] if nk else EMPTY), nk
+    n = P.graph.n
+    if nk == n:
+        return iota(n), nk
+    return (np.flatnonzero(keep) if nk else EMPTY), nk

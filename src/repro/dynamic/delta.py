@@ -121,19 +121,7 @@ class MutationBatch:
     def touched_sources(self) -> np.ndarray:
         """Sorted unique source vertices whose out-rows the batch edits."""
         srcs = [self.inserts[:, 0], self.deletes[:, 0], self.reweights[:, 0]]
-        return np.unique(np.concatenate(srcs))
-
-    @property
-    def touched_targets(self) -> np.ndarray:
-        """Sorted unique destination vertices the batch edits."""
-        dsts = [self.inserts[:, 1], self.deletes[:, 1], self.reweights[:, 1]]
-        return np.unique(np.concatenate(dsts))
-
-    @property
-    def touched_vertices(self) -> np.ndarray:
-        """Sorted unique endpoints of every mutated edge."""
-        return np.unique(np.concatenate(
-            [self.touched_sources, self.touched_targets]))
+        return unique_by_sort(np.concatenate(srcs))
 
     def validate_for(self, n: int) -> None:
         for name, arr in (("inserts", self.inserts),
@@ -357,7 +345,7 @@ def random_mutation_batch(csr: Csr, seed: int, *, frac: float = 0.005,
         eids = rng.choice(csr.m, size=min(k, csr.m), replace=False)
         pairs = np.stack([csr.edge_sources[eids], csr.indices[eids]],
                          axis=1)
-        deletes = np.unique(pairs, axis=0)
+        deletes = np.unique(pairs, axis=0)  # np.unique ok: workload generation
     if kind in ("mixed", "insert"):
         u = rng.integers(0, csr.n, size=k, dtype=VERTEX_DT)
         v = rng.integers(0, csr.n, size=k, dtype=VERTEX_DT)

@@ -42,7 +42,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..graph.csr import Csr, row_lanes, transpose_product
+from ..graph.csr import Csr, iota, row_lanes, transpose_product
 from ..simt import calib
 from ..simt.primitives import first_of_run, unique_by_sort
 from .delta import DeltaCsr, MutationBatch, WEIGHT_INSENSITIVE
@@ -78,9 +78,7 @@ def _lanes(g: Csr, vs: np.ndarray):
     counts = g.degrees_of(vs)
     _, eids = row_lanes(g.indptr, vs, counts, int(counts.sum()))
     seg = np.repeat(np.arange(len(vs)), counts)
-    # ones for an unweighted graph: its m-sized weights64 is never built
-    w = g.artifacts.weights64[eids] if g.edge_values is not None \
-        else np.ones(len(eids))
+    w = g.artifacts.weights64[eids]
     return seg, g.indices[eids], w, counts
 
 
@@ -326,7 +324,7 @@ def pagerank_defect(g: Csr, rank: np.ndarray, *,
     push = np.zeros(g.n, dtype=np.float64)
     deg = np.maximum(g.out_degrees, 1).astype(np.float64)
     contrib = damping * rank / deg
-    if not transpose_product(g, push, g.artifacts.iota_n, contrib):
+    if not transpose_product(g, push, iota(g.n), contrib):
         np.add.at(push, g.indices, np.repeat(contrib, g.out_degrees))
     return b + push - rank
 

@@ -80,10 +80,10 @@ def transpose_product(graph: "Csr", acc: np.ndarray, rows: np.ndarray,
 
     * ``acc`` is float64 with one cell per vertex, every cell +0.0
       bitwise, so each cell's sum starts from +0.0 in both forms;
-    * ``rows`` is the cached ``iota_n`` or strictly increasing, so each
-      cell receives its lanes in ascending source order.  A source
-      outside ``rows`` adds ``1.0 * +0.0``, which leaves a sum begun at
-      +0.0 unchanged;
+    * ``rows`` is an :func:`iota` view (:func:`is_iota`) or strictly
+      increasing, so each cell receives its lanes in ascending source
+      order.  A source outside ``rows`` adds ``1.0 * +0.0``, which
+      leaves a sum begun at +0.0 unchanged;
     * ``T`` exists: scipy is present, ``m > 0``, and every row of ``T``
       stores its sources in ascending order, the order the lanes add
       them in.
@@ -96,7 +96,7 @@ def transpose_product(graph: "Csr", acc: np.ndarray, rows: np.ndarray,
     if acc.dtype != np.float64 or acc.shape != (n,) \
             or acc.view(np.uint64).any():
         return False
-    full = rows is graph.artifacts.iota_n
+    full = is_iota(rows, n)
     if not full and len(rows) > 1 and not (rows[1:] > rows[:-1]).all():
         return False
     T = graph.artifacts.transpose_ones
@@ -133,28 +133,13 @@ def transpose_cell_stats(graph: "Csr", rows: np.ndarray,
     return lanes, int(np.count_nonzero(counts)), int(counts.max())
 
 
-#: read-only unit weights; every transpose's ``data`` is a prefix view
-_UNITS = np.ones(0)
-
-
-def _unit_weights(m: int) -> np.ndarray:
-    # frozen before it is published, and sliced from the local, so a
-    # thread that loses a race to grow the run still gets m read-only ones
-    global _UNITS
-    u = _UNITS
-    if len(u) < m:
-        u = np.ones(m)
-        u.setflags(write=False)
-        if len(u) > len(_UNITS):
-            _UNITS = u
-    return u[:m]
-
-
-#: process-wide read-only runs behind :func:`iota`, :func:`true_mask` and
-#: :func:`false_mask`, handed out as prefix views.  A mask is known
-#: all-True (all-False) when its ``.base`` is the current run, so a view
-#: taken before its run was outgrown is still correct, just not recognised
+#: process-wide read-only runs behind :func:`iota`, :func:`unit_weights`,
+#: :func:`true_mask` and :func:`false_mask`, handed out as prefix views.
+#: A ramp (mask) is known full (all-True, all-False) when its ``.base``
+#: is the current run, so a view taken before its run was outgrown is
+#: still correct, just not recognised
 _IOTA = np.zeros(0, dtype=np.int64)
+_ONES = np.zeros(0)
 _TRUE = np.zeros(0, dtype=bool)
 _FALSE = np.zeros(0, dtype=bool)
 
@@ -170,14 +155,34 @@ def _frozen_run(make, size: int) -> np.ndarray:
 
 def iota(size: int) -> np.ndarray:
     """Read-only ``arange(size)`` (int64): the lane ramp of the expansion
-    hot path, used as an operand (``np.add(x, iota(k), out=x)``)."""
-    # sliced from the local, like _unit_weights: a thread that loses a
-    # race to grow the run still gets a ramp of the right length
+    hot path (``np.add(x, iota(k), out=x)``) and the all-vertices and
+    all-edges frontier, which :func:`is_iota` recognises."""
+    # sliced from the local: a thread that loses a race to grow the run
+    # still gets a ramp of the right length
     global _IOTA
     run = _IOTA
     if len(run) < size:
         run = _IOTA = _frozen_run(
             lambda c: np.arange(c, dtype=np.int64), size)
+    return run[:size]
+
+
+def is_iota(a: np.ndarray, n: int) -> bool:
+    """Whether ``a`` is a 1-D view of the current :func:`iota` run
+    holding ``0..n-1``: the O(1) all-vertices (all-edges) test of the
+    operators' full-frontier paths.  A ramp built elsewhere, or taken
+    before the run regrew, is a plain frontier to them."""
+    return (a.base is _IOTA and len(a) == n and a.strides == (8,)
+            and a.dtype == np.int64 and (n == 0 or int(a[0]) == 0))
+
+
+def unit_weights(size: int) -> np.ndarray:
+    """Read-only float64 ones: an unweighted graph's
+    :attr:`ArtifactCache.weights64` and every transpose's ``data``."""
+    global _ONES
+    run = _ONES
+    if len(run) < size:
+        run = _ONES = _frozen_run(np.ones, size)
     return run[:size]
 
 
@@ -231,7 +236,7 @@ def _transpose_ones(g: "Csr"):
             csc.indptr[np.searchsorted(csc.indptr, drops)], drops):
         return None
     T = _sp.csr_matrix((g.n, g.n))
-    T.data = _unit_weights(g.m)
+    T.data = unit_weights(g.m)
     T.indices = csc.indices
     T.indptr = csc.indptr
     return T
@@ -240,11 +245,12 @@ def _transpose_ones(g: "Csr"):
 class ArtifactCache:
     """Memoized derived structures of one :class:`Csr`.
 
-    Degree arrays, iota ramps, and float64 weights that the operators
-    and load balancers would otherwise recompute every call.  All cached
-    arrays are marked read-only — they are shared across every problem
-    on the graph.  Constants that depend on a length only (:func:`iota`,
-    :func:`true_mask`, :func:`false_mask`) are process-wide instead.
+    Degree arrays and float64 weights that the operators and load
+    balancers would otherwise recompute every call.  All cached arrays
+    are marked read-only — they are shared across every problem on the
+    graph.  Constants that depend on a length only (:func:`iota`,
+    :func:`unit_weights`, :func:`true_mask`, :func:`false_mask`) are
+    process-wide instead.
 
     The cache holds the graph's arrays and only a weak reference to the
     graph itself, so a dropped graph is freed at once rather than left
@@ -254,7 +260,7 @@ class ArtifactCache:
     """
 
     __slots__ = ("_owner", "_indptr", "_indices", "_values", "_n",
-                 "_out_degrees", "_iota_n", "_iota_m", "_weights64",
+                 "_out_degrees", "_weights64",
                  "_segments", "_transpose", "_in_degree_stats")
 
     def __init__(self, g: "Csr"):
@@ -262,8 +268,6 @@ class ArtifactCache:
         self._indptr, self._indices = g.indptr, g.indices
         self._values, self._n = g.edge_values, g.n
         self._out_degrees: Optional[np.ndarray] = None
-        self._iota_n: Optional[np.ndarray] = None
-        self._iota_m: Optional[np.ndarray] = None
         self._weights64: Optional[np.ndarray] = None
         self._segments: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: the transpose, or False once known to be unavailable
@@ -290,26 +294,14 @@ class ArtifactCache:
         return self._out_degrees
 
     @property
-    def iota_n(self) -> np.ndarray:
-        """Read-only ``arange(n)`` — the all-vertices frontier ramp."""
-        if self._iota_n is None:
-            self._iota_n = self._frozen(np.arange(self._n, dtype=np.int64))
-        return self._iota_n
-
-    @property
-    def iota_m(self) -> np.ndarray:
-        """Read-only ``arange(m)`` — the all-edges lane ramp."""
-        if self._iota_m is None:
-            self._iota_m = self._frozen(
-                np.arange(len(self._indices), dtype=np.int64))
-        return self._iota_m
-
-    @property
     def weights64(self) -> np.ndarray:
-        """Read-only float64 edge weights (ones when unweighted) —
-        the cached counterpart of :meth:`Csr.weight_or_ones`."""
+        """Read-only float64 edge weights — the cached counterpart of
+        :meth:`Csr.weight_or_ones`; a view of :func:`unit_weights` when
+        unweighted."""
         if self._weights64 is None:
-            self._weights64 = self._frozen(self._graph().weight_or_ones())
+            self._weights64 = unit_weights(len(self._indices)) \
+                if self._values is None \
+                else self._frozen(self._graph().weight_or_ones())
         return self._weights64
 
     @property
@@ -368,7 +360,7 @@ class Csr:
 
     __slots__ = ("indptr", "indices", "edge_values", "n", "m",
                  "_csc", "_edge_sources", "_artifacts", "_fused_plans",
-                 "vertex_props", "edge_props", "__weakref__")
+                 "edge_props", "__weakref__")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  edge_values: Optional[np.ndarray] = None,
@@ -379,8 +371,6 @@ class Csr:
         self.m = int(len(self.indices))
         self.edge_values = None if edge_values is None else \
             np.ascontiguousarray(edge_values)
-        #: named per-vertex SoA property columns
-        self.vertex_props: Dict[str, np.ndarray] = {}
         #: named per-edge SoA property columns
         self.edge_props: Dict[str, np.ndarray] = {}
         #: the CSC, or a weak reference to the graph this one is the CSC of
@@ -440,7 +430,7 @@ class Csr:
 
     @property
     def artifacts(self) -> "ArtifactCache":
-        """Memoized derived arrays (degrees, iota ramps, weights)."""
+        """Memoized derived arrays (degrees, weights, segments)."""
         if self._artifacts is None:
             self._artifacts = ArtifactCache(self)
         return self._artifacts
@@ -504,8 +494,8 @@ class Csr:
                    validate=False)
 
     def share_topology_caches(self, src: "Csr") -> None:
-        """Adopt ``src``'s topology-derived caches (degrees, iota ramps,
-        edge sources, the CSC *structure*) into this graph.
+        """Adopt ``src``'s topology-derived caches (degrees, edge
+        sources, the CSC *structure*) into this graph.
 
         Used by the delta-CSR compaction path when a mutation batch was
         weight-only: the new snapshot shares ``indptr``/``indices`` with
@@ -522,8 +512,6 @@ class Csr:
         if src._artifacts is not None:
             mine = self.artifacts
             mine._out_degrees = src._artifacts._out_degrees
-            mine._iota_n = src._artifacts._iota_n
-            mine._iota_m = src._artifacts._iota_m
         old = src._built_csc()
         if old is not None and self._csc is None:
             order = old.edge_props["orig_edge"]
@@ -542,8 +530,6 @@ class Csr:
         total = self.indptr.nbytes + self.indices.nbytes
         if self.edge_values is not None:
             total += self.edge_values.nbytes
-        for arr in self.vertex_props.values():
-            total += arr.nbytes
         for arr in self.edge_props.values():
             total += arr.nbytes
         return total

@@ -40,7 +40,7 @@ from ..core.engine import Backend, dispatch
 from ..core.frontier import Frontier, FrontierKind
 from ..core.superstep import (EMPTY, bfs_direction, frontier_degrees,
                               rank_commit, rank_contribution, run_supersteps)
-from ..graph.csr import transpose_product
+from ..graph.csr import iota, transpose_product
 from ..obs.spans import CAT_LA
 from ..simt import calib
 from .semiring import (BOOL_OR_AND, MIN_PLUS, MIN_SELECT, PLUS_TIMES,
@@ -171,7 +171,7 @@ def _run_cc(en, frontier: Frontier) -> Frontier:
     g = P.graph
     machine = P.machine
     cid = P.component_ids
-    all_ids = g.artifacts.iota_n
+    all_ids = iota(g.n)
     rev = g.csc
 
     def step(ids, it):
@@ -214,7 +214,7 @@ def _run_pagerank(en, frontier: Frontier) -> Frontier:
             kernel = "la_spmv[plus_times]"
         else:
             if ne:
-                ids, vals = spmspv(g, g.artifacts.iota_n if full else f,
+                ids, vals = spmspv(g, iota(n) if full else f,
                                    contrib, PLUS_TIMES, scratch=scratch)
                 res[ids] = vals
             kernel = "la_spmspv[plus_times]"

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..graph.csr import row_lanes
+from ..graph.csr import iota, is_iota, row_lanes
 from ..obs.spans import CAT_LA, annotate, current_observer
 from ..simt.primitives import first_of_run, unique_by_sort
 
@@ -183,10 +183,9 @@ def spmspv(graph, x_ids, x_vals, semiring: Semiring, *,
     x_vals = np.asarray(x_vals, dtype=semiring.dtype)
     if scratch is None:
         scratch = Scratch()
-    iota = graph.artifacts.iota_n
     if (mask is None and not witness and edge_values is None and not plus
-            and (x_ids is iota or (len(x_ids) == n
-                                   and np.array_equal(x_ids, iota)))):
+            and len(x_ids) == n
+            and (is_iota(x_ids, n) or np.array_equal(x_ids, iota(n)))):
         # y = xᵀA over every row: the CSC *is* the lanes grouped by
         # destination, and its segment starts are cached per graph
         csc = graph.csc

@@ -27,7 +27,7 @@ import numpy as np
 from ..core import Frontier, Functor, ProblemBase, EnactorBase
 from ..core import atomics
 from ..core.loadbalance import LoadBalancer
-from ..graph.csr import Csr, false_mask
+from ..graph.csr import Csr, false_mask, is_iota
 from ..simt.machine import Machine
 from .result import PrimitiveResult, finish
 
@@ -84,13 +84,11 @@ class _CommitFunctor(Functor):
     def apply_vertex(self, P, v):
         from ..analysis.sanitizer import current_sanitizer
 
-        if current_sanitizer() is None and v is P.graph.artifacts.iota_n:
+        if current_sanitizer() is None and is_iota(v, P.graph.n):
             # the all-vertices commit is a straight elementwise pass —
             # identical values to the fancy-indexed path below, minus
             # the gather/scatter copies.  (Disabled under the sanitizer,
             # which must observe routed per-cell writes.)
-            # elementwise all-vertices pass: one lane per cell, bitwise
-            # equal to the routed path below
             res = P.residual_next.copy()
             np.add(P.rank, res, out=P.rank)  # lint: allow(GR009): 1 lane/cell
             np.copyto(P.residual, res)  # lint: allow(GR009): one lane/cell
@@ -115,15 +113,8 @@ class PagerankEnactor(EnactorBase):
 
     def _iterate(self, frontier: Frontier) -> Frontier:
         self.advance(frontier, _DistributeFunctor())
-        return self.filter(_all_vertices(self.problem), _CommitFunctor())
-
-
-def _all_vertices(P: PagerankProblem) -> Frontier:
-    """The per-iteration full-range filter frontier: the graph's cached
-    read-only iota ramp, so no ``arange(n)`` is built per super-step and
-    the identity lets the operators take their all-vertices fast paths.
-    """
-    return Frontier(P.graph.artifacts.iota_n)
+        return self.filter(Frontier.all_vertices(self.problem.graph.n),
+                           _CommitFunctor())
 
 
 class GatherPagerankEnactor(EnactorBase):
@@ -148,7 +139,7 @@ class GatherPagerankEnactor(EnactorBase):
             graph = rev
             machine = P.machine
 
-        all_v = Frontier(rev.artifacts.iota_n)
+        all_v = Frontier.all_vertices(rev.n)
         gathered = neighbor_reduce(
             _View(), all_v,
             lambda _, s, d, e: P.damping * P.residual[d] / P.degrees[d],
@@ -241,7 +232,8 @@ class PprProblem(PagerankProblem):
 class PprEnactor(EnactorBase):
     def _iterate(self, frontier: Frontier) -> Frontier:
         self.advance(frontier, _DistributeFunctor())
-        return self.filter(_all_vertices(self.problem), _CommitFunctor())
+        return self.filter(Frontier.all_vertices(self.problem.graph.n),
+                           _CommitFunctor())
 
 
 @dataclass

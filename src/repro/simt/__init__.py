@@ -5,7 +5,9 @@ Public surface:
 * :class:`~repro.simt.machine.GPUSpec` — static machine description.
 * :class:`~repro.simt.machine.Machine` — cost accounting + fusion scopes.
 * :class:`~repro.simt.counters.Counters` — hardware-style counters.
-* :mod:`repro.simt.primitives` — scan / compact / sorted search / etc.
+* :mod:`repro.simt.primitives` — the device kernels operators launch:
+  the compaction record, segmented reduce, dedup and relabel (the
+  paper's scan is the prefix sum inside ``graph.csr.row_lanes``).
 * :mod:`repro.simt.calib` — frozen cost-model constants.
 """
 

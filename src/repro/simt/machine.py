@@ -157,25 +157,6 @@ class Machine:
                 self.counters.record_kernel(name, cycles, scope.items, iteration)
                 notify_kernel(self, name, cycles, scope.items, iteration)
 
-    # -- uniform-work helpers ----------------------------------------------
-
-    def uniform_cta_costs(self, n_items: int, per_item_cycles: float) -> np.ndarray:
-        """CTA cost vector for ``n_items`` of embarrassingly regular work.
-
-        Items are tiled into CTAs of ``cta_size`` threads.  A CTA's cost is
-        the number of execution rounds its items need on an SMX with
-        ``cores_per_sm`` lanes, times the per-item cycle cost.
-        """
-        if n_items <= 0:
-            return np.zeros(0, dtype=np.float64)
-        cta = self.spec.cta_size
-        n_ctas = -(-n_items // cta)
-        per_cta = np.full(n_ctas, cta, dtype=np.int64)
-        rem = n_items - (n_ctas - 1) * cta
-        per_cta[-1] = rem
-        rounds = -(-per_cta // self.spec.cores_per_sm)
-        return rounds.astype(np.float64) * per_item_cycles
-
     def map_kernel(self, name: str, n_items: int, per_item_cycles: float,
                    *, items: Optional[int] = None, iteration: int = -1) -> float:
         """Launch a regular elementwise ("map") kernel over ``n_items``."""

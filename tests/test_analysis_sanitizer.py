@@ -194,8 +194,8 @@ def test_enactor_sanitize_flag(fan_in_graph):
             return self.advance(frontier, RacyDepthFunctor())
 
     problem = _LabelProblem(fan_in_graph)
-    enactor = RacyEnactor(problem, sanitize=True)
-    with pytest.raises(RaceError):
+    enactor = RacyEnactor(problem)
+    with pytest.raises(RaceError), sanitize():
         enactor.enact(Frontier(np.array([0, 1])))
 
 

@@ -43,7 +43,6 @@ def test_batch_classification():
     b = MutationBatch(deletes=[(0, 1)], inserts=[(2, 3)])
     assert b.structural and not b.weight_only and b.size == 2
     assert list(b.touched_sources) == [0, 2]
-    assert list(b.touched_vertices) == [0, 1, 2, 3]
     w = MutationBatch(reweights=[(0, 1)], reweight_values=[2.0])
     assert w.weight_only and not w.structural
     assert unaffected_primitives(w) == WEIGHT_INSENSITIVE

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.graph import Coo, Csr, csr_to_coo, from_edges
+import repro.graph.csr as csr_mod
+from repro.core import Frontier, ProblemBase
+from repro.core.operators.advance import expand_push
+from repro.graph import Coo, Csr, csr_to_coo, from_edges, generators
 from repro.graph.build import with_random_weights
+from repro.graph.csr import is_iota, iota, transpose_product, unit_weights
 
 
 def test_from_edges_basic():
@@ -228,9 +232,6 @@ def test_artifact_cache_memoizes_and_freezes():
     art = g.artifacts
     assert art.out_degrees is g.artifacts.out_degrees  # memoized
     assert not art.out_degrees.flags.writeable
-    assert not art.iota_n.flags.writeable
-    assert np.array_equal(art.iota_n, np.arange(3))
-    assert np.array_equal(art.iota_m, np.arange(3))
     assert np.array_equal(art.out_degrees, [2, 1, 0])
 
 
@@ -247,3 +248,62 @@ def test_artifact_weights64_matches_weight_or_ones():
     assert art.weights64.dtype == np.float64
     assert not art.weights64.flags.writeable
     assert np.array_equal(art.weights64, g.weight_or_ones())
+
+
+# -- process-wide runs: the iota ramp and the unit weights ----------------------
+
+
+def test_is_iota_accepts_views_of_the_shared_ramp():
+    n, m = 37, 90
+    assert is_iota(iota(n), n)
+    assert is_iota(Frontier.all_vertices(n).items, n)
+    assert is_iota(Frontier.all_edges(m).items, m)
+    assert is_iota(iota(0), 0)
+
+
+def _not_the_ramp(kind, n):
+    return {
+        "arange": lambda: np.arange(n, dtype=np.int64),
+        "offset": lambda: iota(n + 5)[5:],
+        "strided": lambda: iota(2 * n)[::2][:n],
+        "short": lambda: iota(n)[:n - 1],
+        "2-D": lambda: iota(2 * n).reshape(n, 2),
+        "reinterpreted": lambda: iota(n).view(np.float64),
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", ["arange", "offset", "strided", "short",
+                                  "2-D", "reinterpreted"])
+def test_is_iota_rejects_everything_else(kind):
+    assert not is_iota(_not_the_ramp(kind, 37), 37)
+
+
+def test_a_ramp_taken_before_the_run_regrew_is_a_plain_frontier(monkeypatch):
+    pytest.importorskip("scipy")
+    g = with_random_weights(generators.kronecker(6, seed=3), seed=4)
+    P = ProblemBase(g)
+    monkeypatch.setattr(csr_mod, "_IOTA", np.zeros(0, dtype=np.int64))
+    stale = iota(g.n)
+    assert is_iota(stale, g.n)
+    iota(len(stale.base) + 1)            # outgrow the run
+    fresh = iota(g.n)
+    assert stale.base is not fresh.base
+    assert not is_iota(stale, g.n) and is_iota(fresh, g.n)
+    for a, b in zip(expand_push(P, stale), expand_push(P, fresh)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    values = np.linspace(-1.0, 1.0, g.n)
+    got, want = np.zeros(g.n), np.zeros(g.n)
+    assert transpose_product(g, got, stale, values)
+    assert transpose_product(g, want, fresh, values)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_unweighted_graphs_share_one_run_of_ones():
+    big = generators.kronecker(7, seed=1)
+    small = from_edges([(0, 1), (1, 2), (2, 0)], n=3)
+    w_big = big.artifacts.weights64     # the larger first: no regrowth after
+    w_small = small.artifacts.weights64
+    assert w_big.base is w_small.base is unit_weights(1).base
+    for g, w in ((big, w_big), (small, w_small)):
+        assert not w.flags.writeable and w.dtype == np.float64
+        assert np.array_equal(w, np.ones(g.m))

@@ -33,7 +33,6 @@ def _collector_off():
 
 
 def _build_every_cache(g):
-    g.artifacts.iota_n
     g.artifacts.weights64
     g.artifacts.segments
     assert g.csc.csc is g
@@ -74,7 +73,7 @@ def test_a_temporary_graph_answers_its_artifacts():
     def tmp():
         return Csr(np.array([0, 2, 3, 3]), np.array([1, 2, 0]))
 
-    assert tmp().artifacts.iota_n.tolist() == [0, 1, 2]
+    assert tmp().artifacts.out_degrees.tolist() == [2, 1, 0]
     assert tmp().artifacts.edge_sources.tolist() == [0, 0, 1]
     assert tmp().artifacts.transpose_ones.toarray().tolist() == \
         tmp().csc.artifacts.transpose_ones.toarray().T.tolist()

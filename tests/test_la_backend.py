@@ -13,6 +13,7 @@ from la_reference import spmspv_reference, spmv_reference
 from repro.core.engine import clear_fallbacks, engine, last_fallback
 from repro.graph import from_edges
 from repro.graph.build import with_random_weights
+from repro.graph.csr import iota
 from repro.la import (BOOL_OR_AND, MIN_PLUS, MIN_SELECT, PLUS_TIMES,
                       SEMIRING_OF, SEMIRINGS, spmspv, spmv)
 from repro.la.semiring import _SCATTER_VERTICES_PER_LANE, Scratch
@@ -201,7 +202,7 @@ def product_cases(draw):
     support = draw(st.sampled_from(
         ["iota", "arange", "sparse", "single", "shuffled", "shuffled"]))
     if support == "iota":
-        x_ids = g.artifacts.iota_n
+        x_ids = iota(g.n)
     elif support == "arange":
         x_ids = np.arange(n, dtype=np.int64)
     elif support == "single":
@@ -266,10 +267,10 @@ def test_products_on_degenerate_graphs_keep_dtypes():
         xv = np.ones(5, dtype=semiring.dtype)
         for wit in (False, semiring is not PLUS_TIMES):
             for graph, x_ids, kw in (
-                    (edgeless, edgeless.artifacts.iota_n, {}),
+                    (edgeless, iota(edgeless.n), {}),
                     (edgeless, np.arange(5), {}),
                     (g, np.array([3, 4]), {}),
-                    (g, g.artifacts.iota_n, {"mask": nothing}),
+                    (g, iota(g.n), {"mask": nothing}),
                     (g, np.array([0]), {"mask": ~nothing,
                                         "mask_complement": True})):
                 vals = xv[:len(x_ids)]
@@ -356,7 +357,7 @@ def test_whole_matrix_and_pull_products_are_counted_as_segments():
     g = _line_graph()
     labels = np.arange(g.n, dtype=np.int64)
     with observe() as ob:
-        spmspv(g, g.artifacts.iota_n, labels, MIN_SELECT)
+        spmspv(g, iota(g.n), labels, MIN_SELECT)
         # the support decides, not the object: equal by value is whole too
         spmspv(g, np.arange(g.n, dtype=np.int64), labels, MIN_SELECT)
         # ... and a permutation of every vertex is not
@@ -369,7 +370,7 @@ def test_whole_matrix_and_pull_products_are_counted_as_segments():
     assert _products_counted(ob, shape="spmv", reduce="segments") == 1
     assert _products_counted(ob) == 4
     # and with no observer installed nothing is recorded anywhere
-    spmspv(g, g.artifacts.iota_n, labels, MIN_SELECT)
+    spmspv(g, iota(g.n), labels, MIN_SELECT)
     assert _products_counted(ob) == 4
 
 

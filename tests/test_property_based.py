@@ -34,39 +34,6 @@ def int_arrays(draw, max_len=60, lo=0, hi=100):
 # -- device primitives ------------------------------------------------------------------
 
 
-@given(int_arrays())
-def test_exclusive_scan_property(xs):
-    scan, total = primitives.exclusive_scan(xs)
-    assert total == xs.sum()
-    ref = np.concatenate([[0], np.cumsum(xs)[:-1]]) if len(xs) else scan
-    assert np.array_equal(scan, ref)
-
-
-@given(int_arrays())
-def test_scan_monotone(xs):
-    scan, _ = primitives.exclusive_scan(xs)
-    assert np.all(np.diff(scan) >= 0)
-
-
-@given(int_arrays(), st.integers(0, 2**32))
-def test_compact_property(xs, seed):
-    rng = np.random.default_rng(seed)
-    mask = rng.random(len(xs)) < 0.5
-    out = primitives.compact(xs, mask)
-    assert len(out) == mask.sum()
-    assert np.array_equal(out, xs[mask])
-
-
-@given(int_arrays(), int_arrays())
-def test_sorted_search_property(needles, hay):
-    hay = np.sort(hay)
-    out = primitives.sorted_search(needles, hay)
-    for i, x in enumerate(needles):
-        # searchsorted-right invariant
-        assert np.all(hay[:out[i]] <= x)
-        assert np.all(hay[out[i]:] > x)
-
-
 @given(int_arrays(max_len=40, hi=8))
 def test_segmented_reduce_matches_loop(degs):
     offsets = np.concatenate([[0], np.cumsum(degs)])
@@ -74,14 +41,6 @@ def test_segmented_reduce_matches_loop(degs):
     out = primitives.segmented_reduce_sum(vals, offsets)
     ref = [vals[offsets[i]:offsets[i + 1]].sum() for i in range(len(degs))]
     assert np.allclose(out, ref)
-
-
-@given(int_arrays(max_len=40, hi=6))
-def test_segment_ids_property(degs):
-    offsets = np.concatenate([[0], np.cumsum(degs)])
-    ids = primitives.segment_ids_from_offsets(offsets)
-    ref = np.repeat(np.arange(len(degs)), degs)
-    assert np.array_equal(ids, ref)
 
 
 @given(int_arrays())

@@ -30,8 +30,9 @@ from repro.dynamic.incremental import pagerank_defect
 from repro.graph import generators
 from repro.graph.build import from_edges
 from repro.graph.coo import Coo
-from repro.graph.csr import (row_lanes, transpose_cell_stats,
-                             transpose_min_edges, transpose_product)
+from repro.graph.csr import (iota, is_iota, row_lanes,
+                             transpose_cell_stats, transpose_min_edges,
+                             transpose_product)
 from repro.primitives.bipartite import BipartiteGraph, induced_bipartite
 from repro.primitives.hits import _ReverseView
 from repro.primitives.pagerank import (PagerankProblem, _DistributeFunctor,
@@ -88,7 +89,7 @@ def frontiers(draw, g, kind=None):
     if kind == "one":
         return np.array([draw(ids)], dtype=np.int64)
     if kind == "iota_identity":
-        return g.artifacts.iota_n
+        return iota(g.n)
     if kind == "iota_value":
         return np.arange(g.n, dtype=np.int64)
     rows = np.asarray(draw(st.lists(ids, min_size=1, max_size=2 * g.n)),
@@ -142,7 +143,7 @@ def _check_product(g, rows, values, acc):
     _lane_scatter(g, want, rows, values)
     got = acc.copy()
     took = transpose_product(g, got, rows, values)
-    ascending = rows is g.artifacts.iota_n or bool(np.all(np.diff(rows) > 0))
+    ascending = is_iota(rows, g.n) or bool(np.all(np.diff(rows) > 0))
     expect = (not acc.view(np.uint64).any() and ascending and g.m > 0
               and _sources_in_order(g))
     assert took == expect
@@ -184,12 +185,12 @@ def test_product_refuses_the_reverse_of_unsorted_rows():
     rev = BipartiteGraph(fwd, 1, 3).reverse
     values = np.array([0.0, 1e16, -1e16, 1.0])
     acc = np.zeros(4)
-    _lane_scatter(rev, acc, rev.artifacts.iota_n, values)
+    _lane_scatter(rev, acc, iota(rev.n), values)
     assert acc[0] == 1.0
     assert (0.0 + values[3] + values[1]) + values[2] == 0.0
     assert rev.artifacts.transpose_ones is None
     assert fwd.artifacts.transpose_ones is not None
-    assert not transpose_product(rev, np.zeros(4), rev.artifacts.iota_n,
+    assert not transpose_product(rev, np.zeros(4), iota(rev.n),
                                  values)
 
 
@@ -473,7 +474,7 @@ def test_count_derived_stats_cover_both_lane_branches(branch):
     wide one with a sort; the counts agree with both."""
     if branch == "histogram":
         g = generators.star(50)
-        rows = g.artifacts.iota_n
+        rows = iota(g.n)
     else:
         g = from_edges(np.array([[0, 1], [0, 999], [5, 999], [7, 3]]), n=1000)
         rows = np.array([0, 5], dtype=np.int64)

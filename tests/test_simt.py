@@ -107,15 +107,6 @@ def test_map_kernel_empty():
     assert m.counters.kernel_launches == 1  # launch still happens
 
 
-def test_uniform_cta_costs():
-    m = Machine()
-    costs = m.uniform_cta_costs(600, 3.0)
-    # 600 items, CTA=256 -> 3 CTAs (256, 256, 88)
-    assert len(costs) == 3
-    assert costs[0] == pytest.approx(2 * 3.0)   # ceil(256/192) = 2 rounds
-    assert costs[-1] == pytest.approx(1 * 3.0)  # 88 items: 1 round
-
-
 def test_machine_reset():
     m = Machine()
     m.launch("k", body_cycles=1.0)
@@ -166,54 +157,6 @@ def test_counters_as_dict():
 # -- device primitives ---------------------------------------------------------------
 
 
-def test_exclusive_scan():
-    scan, total = primitives.exclusive_scan(np.array([3, 1, 4, 1, 5]))
-    assert scan.tolist() == [0, 3, 4, 8, 9]
-    assert total == 14
-
-
-def test_exclusive_scan_empty():
-    scan, total = primitives.exclusive_scan(np.zeros(0, dtype=np.int64))
-    assert len(scan) == 0
-    assert total == 0
-
-
-def test_inclusive_scan():
-    out = primitives.inclusive_scan(np.array([1, 2, 3]))
-    assert out.tolist() == [1, 3, 6]
-
-
-def test_scan_records_cost():
-    m = Machine()
-    primitives.exclusive_scan(np.arange(100), m)
-    assert m.counters.scan_elements == 100
-    assert m.counters.kernel_launches == 1
-
-
-def test_compact():
-    data = np.arange(10)
-    mask = data % 2 == 0
-    out = primitives.compact(data, mask)
-    assert out.tolist() == [0, 2, 4, 6, 8]
-
-
-def test_compact_rejects_mismatch():
-    with pytest.raises(ValueError):
-        primitives.compact(np.arange(3), np.array([True]))
-
-
-def test_sorted_search_matches_numpy():
-    hay = np.array([0, 5, 10, 15])
-    needles = np.array([3, 5, 20])
-    out = primitives.sorted_search(needles, hay)
-    assert np.array_equal(out, np.searchsorted(hay, needles, side="right"))
-
-
-def test_histogram():
-    out = primitives.histogram(np.array([0, 1, 1, 3]), 5)
-    assert out.tolist() == [1, 2, 0, 1, 0]
-
-
 def test_segmented_reduce_sum():
     vals = np.array([1.0, 2.0, 3.0, 4.0])
     offsets = np.array([0, 2, 2, 4])  # segments: [1,2], [], [3,4]
@@ -226,18 +169,11 @@ def test_segmented_reduce_rejects_empty_offsets():
         primitives.segmented_reduce_sum(np.zeros(3), np.zeros(0))
 
 
-def test_segment_ids_from_offsets():
-    offsets = np.array([0, 2, 2, 5])
-    ids = primitives.segment_ids_from_offsets(offsets)
-    assert ids.tolist() == [0, 0, 2, 2, 2]
-
-
-def test_sort_pairs_stable():
-    keys = np.array([2, 1, 2, 0])
-    vals = np.array([10, 11, 12, 13])
-    k, v = primitives.sort_pairs(keys, vals)
-    assert k.tolist() == [0, 1, 2, 2]
-    assert v.tolist() == [13, 11, 10, 12]
+def test_charge_compact():
+    m = Machine()
+    primitives.charge_compact(m, 100)
+    assert m.counters.compact_elements == 100
+    assert [k.name for k in m.counters.kernels] == ["compact"]
 
 
 def test_unique_by_sort():

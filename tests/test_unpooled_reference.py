@@ -2,7 +2,7 @@
 (``tests/unpooled_reference.py``): values, dtypes and charged counters.
 
 Frontiers cover the shapes whose fast paths differ: empty, one lane, all
-vertices by identity (the graph's cached ``iota_n``) and by value (a
+vertices by identity (the shared ``iota(n)`` ramp) and by value (a
 fresh ``arange``), a hub, and an arbitrary multiset of vertices.
 """
 
@@ -16,6 +16,7 @@ from repro.core.loadbalance import default_load_balancer
 from repro.core.operators.advance import expand_push
 from repro.core.operators.neighbor_reduce import neighbor_reduce
 from repro.graph.build import from_edges
+from repro.graph.csr import iota
 from repro.primitives.bfs import BfsProblem, _AtomicBfsFunctor
 from repro.primitives.pagerank import (PagerankProblem, _CommitFunctor,
                                        _DistributeFunctor, pagerank)
@@ -63,7 +64,7 @@ def frontiers(draw, g, kind=None, unique=False):
     if kind == "one":
         return np.array([draw(st.integers(0, g.n - 1))], dtype=np.int64)
     if kind == "iota_identity":
-        return g.artifacts.iota_n
+        return iota(g.n)
     if kind == "iota_value":
         return np.arange(g.n, dtype=np.int64)
     if kind == "hub":
