@@ -320,14 +320,6 @@ class MethodSummary:
     loops: List[Tuple[str, int]] = field(default_factory=list)
     #: lines that store to an attribute of ``self``
     self_stores: List[int] = field(default_factory=list)
-    #: constant-mask classification of the method's return value —
-    #: ``known_true`` (returns None / all-true: every lane survives),
-    #: ``known_false`` (constant false mask: output frontier provably
-    #: empty), or ``dynamic``.  The fused-plan compiler
-    #: (:mod:`repro.analysis.plan`) folds these into compaction
-    #: shortcuts: a known-true mask skips the compaction scan entirely
-    #: and a known-false mask skips frontier materialization.
-    mask_return: str = "dynamic"
 
     @property
     def deterministic(self) -> bool:
@@ -363,7 +355,6 @@ class MethodSummary:
             "writes": writes,
             "pure": self.pure,
             "deterministic": self.deterministic,
-            "mask_return": self.mask_return,
         }
 
 
@@ -405,58 +396,6 @@ class FunctorSummary:
             "methods": {name: m.as_dict()
                         for name, m in sorted(self.methods.items())},
         }
-
-
-# ----------------------------------------------------- mask-return folding
-
-def _classify_return_expr(node: Optional[ast.AST]) -> str:
-    """Constant-fold one ``return`` expression into a mask verdict."""
-    if node is None or (isinstance(node, ast.Constant)
-                        and node.value is None):
-        # operators treat a None mask as all-pass
-        return "known_true"
-    if isinstance(node, ast.Call):
-        dotted = _dotted(node.func) or ""
-        tail = dotted.rsplit(".", 1)[-1]
-        if tail == "false_mask":
-            return "known_false"
-        if tail == "true_mask":
-            return "known_true"
-        if tail in ("zeros", "ones") and dotted.startswith(("np.", "numpy.")):
-            dt = _dtype_name(node.args[1]) if len(node.args) >= 2 else None
-            for kw in node.keywords:
-                if kw.arg == "dtype":
-                    dt = _dtype_name(kw.value)
-            if dt in ("bool", "bool_"):
-                return "known_false" if tail == "zeros" else "known_true"
-    return "dynamic"
-
-
-def classify_mask_return(method: ast.FunctionDef) -> str:
-    """Classify a kernel method's survivor mask as a compile-time constant.
-
-    ``known_true`` means every lane survives (the method returns None or
-    an all-true mask) — the fused specializer can skip the compaction
-    scan.  ``known_false`` means the output frontier is provably empty
-    (constant false mask — pagerank's distribute, bc's backward sweep) —
-    the specializer skips frontier materialization outright.  Anything
-    data-dependent is ``dynamic``.  Mixed constant verdicts across
-    multiple returns degrade to ``dynamic``: soundness over precision.
-    """
-    verdicts = set()
-    has_value_return = False
-    for node in ast.walk(method):
-        if isinstance(node, ast.Return):
-            if node.value is not None and not (
-                    isinstance(node.value, ast.Constant)
-                    and node.value.value is None):
-                has_value_return = True
-            verdicts.add(_classify_return_expr(node.value))
-    if not has_value_return:
-        return "known_true"      # falls off the end -> None -> all-pass
-    if len(verdicts) == 1:
-        return verdicts.pop()
-    return "dynamic"
 
 
 # ---------------------------------------------------------- method analyzer
@@ -610,7 +549,6 @@ class _MethodAnalyzer:
                     self.summary.unknown_effects.append(
                         ("problem object splatted into a call",
                          node.lineno))
-        self.summary.mask_return = classify_mask_return(self.method)
         return self.summary
 
     def _write(self, arrays: FrozenSet[str], kind: str, line: int,

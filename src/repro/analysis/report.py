@@ -1,9 +1,8 @@
 """Rendering and schema validation for ``repro analyze`` reports.
 
-The JSON form is the artifact the future fusion specializer consumes
-(ROADMAP item 3), so it is deterministic by construction: sorted keys,
-sorted lists, no timestamps, no absolute-path leakage beyond what the
-caller passed in.  ``analyze-smoke`` CI pins byte-identity across runs.
+The JSON form is deterministic by construction: sorted keys, sorted
+lists, no timestamps, no absolute-path leakage beyond what the caller
+passed in.  ``analyze-smoke`` CI pins byte-identity across runs.
 """
 
 from __future__ import annotations
@@ -14,22 +13,18 @@ from .fusion import AnalysisReport
 from .rules import RULES
 
 #: bump when the report shape changes incompatibly
-#: (v2: added fused_plans — the specializer's static compilation output)
-REPORT_SCHEMA_VERSION = 2
+#: (v3: the v2 ``fused_plans`` section went — each verdict is stated
+#: once, under ``primitives``)
+REPORT_SCHEMA_VERSION = 3
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
     """Deterministic JSON-ready form of an analysis report."""
-    from .plan import compile_plan
-
-    plans = {p.name: compile_plan(p, p.name).static_dict()
-             for p in report.primitives}
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "rules": {rule.id: {"name": rule.name, "summary": rule.summary}
                   for rule in sorted(RULES.values(), key=lambda r: r.id)},
         "primitives": [p.as_dict() for p in report.primitives],
-        "fused_plans": plans,
         "violations": sorted(v.format() for v in report.violations),
         "stale_suppressions": [
             {"file": f, "line": line, "token": token}
@@ -104,37 +99,6 @@ def validate_report_dict(data: dict) -> List[str]:
                      f"{p.get('name')}.{fname}.{mname}: malformed "
                      "method summary")
     need(names == sorted(names), "primitives must be sorted by name")
-    plans = data.get("fused_plans")
-    need(isinstance(plans, dict), "fused_plans must be an object")
-    for pname, plan in (plans if isinstance(plans, dict) else {}).items():
-        if not isinstance(plan, dict):
-            errors.append(f"fused_plans[{pname}] must be an object")
-            continue
-        for key in ("primitive", "fusable", "blocked", "stages",
-                    "atomic_lowerings"):
-            need(key in plan, f"fused_plans[{pname}] missing key {key!r}")
-        need(plan.get("primitive") == pname,
-             f"fused_plans[{pname}]: primitive field mismatch")
-        need(isinstance(plan.get("fusable"), bool),
-             f"fused_plans[{pname}]: fusable must be a bool")
-        if isinstance(plan.get("fusable"), bool) \
-                and isinstance(plan.get("blocked"), list):
-            need(plan["fusable"] == (not plan["blocked"]),
-                 f"fused_plans[{pname}]: fusable verdict inconsistent "
-                 "with blocked reasons")
-        for stage in plan.get("stages") or []:
-            need(isinstance(stage, dict)
-                 and {"name", "op", "functors", "cond_mask", "apply_mask",
-                      "atomics"} <= set(stage),
-                 f"fused_plans[{pname}]: malformed stage")
-            for mask in ("cond_mask", "apply_mask"):
-                need(stage.get(mask) in ("known_true", "known_false",
-                                         "dynamic"),
-                     f"fused_plans[{pname}]: {mask} must be "
-                     "known_true/known_false/dynamic")
-    if isinstance(plans, dict) and isinstance(prims, list):
-        need(sorted(plans) == sorted(names),
-             "fused_plans must cover exactly the analyzed primitives")
     return errors
 
 

@@ -195,7 +195,8 @@ def cmd_analyze(args) -> int:
 
 
 def _print_plan(report, primitive: str, *, as_json: bool) -> int:
-    """Render the fused execution plan of one analyzed primitive."""
+    """Print one analyzed primitive's fused plan: the verdict, the
+    blocking reasons and the stage names."""
     import json
 
     from .analysis.plan import compile_plan
@@ -203,22 +204,17 @@ def _print_plan(report, primitive: str, *, as_json: bool) -> int:
     prim = next((p for p in report.primitives if p.name == primitive), None)
     plan = compile_plan(prim, primitive)
     if as_json:
-        print(json.dumps(plan.static_dict(), indent=2, sort_keys=True))
+        print(json.dumps({"primitive": primitive,
+                          "fusable": plan.fusable,
+                          "blocked": plan.blocked,
+                          "stages": plan.stages}, indent=2, sort_keys=True))
         return 0 if plan.fusable else 1
     verdict = "fusable" if plan.fusable else "blocked"
     print(f"fused plan: {primitive} [{verdict}]")
     for reason in plan.blocked:
         print(f"  blocked: {reason}")
     for stage in plan.stages:
-        ats = f" atomics={','.join(stage.atomics)}" if stage.atomics else ""
-        print(f"  stage {stage.name:<28} cond={stage.cond_mask:<11} "
-              f"apply={stage.apply_mask:<11}{ats}")
-        for fn in stage.functors:
-            print(f"    functor {fn}")
-    if plan.atomic_lowerings:
-        print("  lowerings:")
-        for op, how in sorted(plan.atomic_lowerings.items()):
-            print(f"    atomic_{op} -> {how}")
+        print(f"  stage {stage}")
     return 0 if plan.fusable else 1
 
 
@@ -650,16 +646,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="files or directories "
                         "(default: the repro.primitives package)")
     p.add_argument("--json", action="store_true",
-                   help="machine-readable effect report (deterministic; "
-                        "the fusion specializer's input artifact)")
+                   help="machine-readable effect report (deterministic)")
     p.add_argument("--dot", action="store_true",
                    help="emit the recovered operator DAGs as Graphviz")
     p.add_argument("--strict", action="store_true",
                    help="also fail on stale lint: allow(...) suppressions")
     p.add_argument("--plan", metavar="PRIMITIVE",
-                   help="print one primitive's fused execution plan "
-                        "(stages, mask shortcuts, atomic lowerings); "
-                        "exits 1 when the plan is blocked")
+                   help="print one primitive's fused plan (verdict, "
+                        "blocking reasons, stage names); exits 1 when "
+                        "the plan is blocked")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser(

@@ -4,9 +4,11 @@ The fused engine (DESIGN §15) executes a primitive's *entire* verified
 operator DAG as one specialized loop per super-step: advance's expansion,
 the functor's cond+apply, and filter's culls/compaction run as a single
 vectorized pass with no intermediate :class:`Frontier` materialization
-between operators.  The specialization is compiled per ``(primitive,
-graph)`` by :mod:`repro.analysis.plan`; this module holds the runner the
-plan's stages are interpreted by.
+between operators.  Each runner is lowered by hand; the plan
+:mod:`repro.analysis.plan` compiles per ``(primitive, graph)`` only says
+whether the primitive may run here (``fusable`` / ``blocked``), names its
+stages for the engine span, and carries the two per-graph thresholds the
+runners branch on (``RegimeTable``).
 
 The contract, pinned by ``tests/test_fused.py`` and the three-path
 oracle: for every fusable primitive the fused runner is **bitwise
@@ -359,12 +361,12 @@ def _prepare(enactor, name: str):
     from ..analysis.plan import plan_for
     plan = plan_for(name, enactor.problem.graph)
     if not plan.fusable:
-        return "; ".join(plan.blocked) or "analysis verdict: not fusable", {}
+        return "; ".join(plan.blocked), {}
     precheck = PRECHECKS.get(name)
     reason = precheck(enactor) if precheck is not None else None
     if reason is None:
         enactor._fused_plan = plan
-    return reason, dict(fused_ops=",".join(s.name for s in plan.stages),
+    return reason, dict(fused_ops=",".join(plan.stages),
                         stage_count=len(plan.stages))
 
 

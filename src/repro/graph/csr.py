@@ -301,7 +301,7 @@ class ArtifactCache:
         if self._weights64 is None:
             self._weights64 = unit_weights(len(self._indices)) \
                 if self._values is None \
-                else self._frozen(self._graph().weight_or_ones())
+                else self._frozen(self._graph().weight_or_ones().view())
         return self._weights64
 
     @property

@@ -36,9 +36,7 @@ class Counters:
     vertices_processed: int = 0
     atomics_issued: int = 0
     atomic_conflicts: int = 0
-    scan_elements: int = 0
     compact_elements: int = 0
-    sorted_search_needles: int = 0
     frontier_peak: int = 0
     iterations: int = 0
     bytes_moved: float = 0.0
@@ -78,9 +76,7 @@ class Counters:
         self.vertices_processed += other.vertices_processed
         self.atomics_issued += other.atomics_issued
         self.atomic_conflicts += other.atomic_conflicts
-        self.scan_elements += other.scan_elements
         self.compact_elements += other.compact_elements
-        self.sorted_search_needles += other.sorted_search_needles
         self.frontier_peak = max(self.frontier_peak, other.frontier_peak)
         self.iterations += other.iterations
         self.bytes_moved += other.bytes_moved
@@ -108,9 +104,7 @@ class Counters:
             "vertices_processed": self.vertices_processed,
             "atomics_issued": self.atomics_issued,
             "atomic_conflicts": self.atomic_conflicts,
-            "scan_elements": self.scan_elements,
             "compact_elements": self.compact_elements,
-            "sorted_search_needles": self.sorted_search_needles,
             "frontier_peak": self.frontier_peak,
             "iterations": self.iterations,
             "bytes_moved": self.bytes_moved,

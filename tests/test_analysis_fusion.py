@@ -73,12 +73,10 @@ def test_every_fusable_verdict_has_a_compiled_plan(tree_report):
     and every blocked primitive must surface a non-empty reason string
     through its plan — a verdict without a plan (or a blocked plan
     without a reason) means the specializer and the analyzer drifted."""
-    from repro.analysis.plan import static_plans
+    from repro.analysis.plan import compile_plan
 
-    plans = static_plans()
     for rep in tree_report.primitives:
-        assert rep.name in plans, rep.name
-        plan = plans[rep.name]
+        plan = compile_plan(rep, rep.name)
         if rep.fusable:
             assert plan.fusable, (rep.name, plan.blocked)
             assert plan.stages, f"{rep.name}: fusable plan has no stages"
@@ -373,3 +371,19 @@ def test_render_dot_emits_clustered_digraph(tree_report):
 def test_cli_analyze_dot(capsys):
     assert main(["analyze", "--dot"]) == 0
     assert capsys.readouterr().out.startswith("digraph")
+
+
+def test_cli_analyze_plan(capsys):
+    assert main(["analyze", "--plan", "bfs"]) == 0
+    out = capsys.readouterr().out
+    assert "[fusable]" in out
+    assert "stage advance:advance|advance_pull" in out
+    assert main(["analyze", "--plan", "triangles"]) == 1
+    out = capsys.readouterr().out
+    assert "[blocked]" in out
+    assert sum(line.strip().startswith("blocked:")
+               for line in out.splitlines()) == 1
+    assert main(["analyze", "--plan", "bfs", "--json"]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    assert plan["fusable"] and plan["blocked"] == []
+    assert plan["stages"] and all(isinstance(s, str) for s in plan["stages"])

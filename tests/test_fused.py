@@ -213,10 +213,12 @@ def test_plan_cache_reuses_compiled_plan():
     # a different graph compiles its own regime table
     other = plan_for("bfs", _line_graph())
     assert other is not first
-    assert other.static_dict() == first.static_dict()
+    assert (other.fusable, other.blocked, other.stages) == \
+        (first.fusable, first.blocked, first.stages)
 
 
 def test_fused_run_attaches_plan_and_caches_it():
+    from repro.analysis.plan import RegimeTable
     from repro.primitives import bfs
 
     g = _line_graph()
@@ -226,7 +228,7 @@ def test_fused_run_attaches_plan_and_caches_it():
     assert "bfs" in g._fused_plans
     plan = g._fused_plans["bfs"]
     assert plan.fusable
-    assert plan.regimes is not None and plan.regimes.n == g.n
+    assert plan.regimes == RegimeTable.learn(g)
 
 
 def test_blocked_plan_carries_reasons():
@@ -238,34 +240,21 @@ def test_blocked_plan_carries_reasons():
 
 
 def test_static_plans_cover_fusable_primitives():
-    from repro.analysis.plan import static_plans
+    from repro.analysis.plan import _report_index, compile_plan
 
-    plans = static_plans()
+    plans = {name: compile_plan(rep, name)
+             for name, rep in _report_index().items()}
     for name in ("bfs", "sssp", "pagerank", "ppr", "cc", "bc"):
         assert name in plans, name
         assert plans[name].fusable, (name, plans[name].blocked)
     # hardwired primitives must be blocked, never silently planned
     assert not plans["triangles"].fusable
-
-
-def test_plan_masks_and_lowerings_are_classified():
-    from repro.analysis.plan import static_plans
-
-    plans = static_plans()
-    valid = {"known_true", "known_false", "dynamic"}
-    for plan in plans.values():
-        for stage in plan.stages:
-            assert stage.cond_mask in valid
-            assert stage.apply_mask in valid
-    # sssp's relax has no cond_edge: every lane enters apply
-    relax = next(s for s in plans["sssp"].stages if s.op == "advance")
-    assert relax.cond_mask == "known_true"
-    assert relax.apply_mask == "dynamic"
-    assert plans["sssp"].atomic_lowerings["min"] == "winner_lane_fold"
-    assert plans["pagerank"].atomic_lowerings["add"] == "segmented_sum"
+    assert len(plans["triangles"].blocked) == 1
 
 
 def test_report_schema_v2_serializes_plans():
+    """Schema v3 dropped v2's ``fused_plans``: each verdict is stated
+    once, under ``primitives``."""
     from repro.analysis.fusion import analyze_paths
     from repro.analysis.report import (REPORT_SCHEMA_VERSION,
                                        report_to_dict, validate_report_dict)
@@ -273,20 +262,21 @@ def test_report_schema_v2_serializes_plans():
 
     import repro
 
-    assert REPORT_SCHEMA_VERSION == 2
+    assert REPORT_SCHEMA_VERSION == 3
     pkg = os.path.dirname(os.path.abspath(repro.__file__))
     report = analyze_paths([os.path.join(pkg, "primitives")])
     data = report_to_dict(report)
     assert validate_report_dict(data) == []
-    assert data["fused_plans"]["bfs"]["fusable"]
-    # ppr runs pagerank's two functors: same plan, stage for stage
-    ppr, pr = data["fused_plans"]["ppr"], data["fused_plans"]["pagerank"]
-    assert ppr["fusable"] and not ppr["blocked"]
-    assert ppr["atomic_lowerings"] == {"add": "segmented_sum"}
-    assert [s["name"] for s in ppr["stages"]] == ["advance:advance",
-                                                  "filter:filter"]
-    unlined = [[{k: v for k, v in s.items() if k != "line"}
-                for s in plan["stages"]] for plan in (ppr, pr)]
+    assert "fused_plans" not in data
+    prims = {p["name"]: p for p in data["primitives"]}
+    assert prims["bfs"]["fusable"]
+    # ppr runs pagerank's two functors: the same DAG, node for node
+    ppr, pr = prims["ppr"], prims["pagerank"]
+    assert ppr["fusable"] and not ppr["blocking"]
+    assert [f"{n['op']}:{n['label']}" for n in ppr["dag"]] == \
+        ["advance:advance", "filter:filter"]
+    unlined = [[{k: v for k, v in n.items() if k != "line"}
+                for n in p["dag"]] for p in (ppr, pr)]
     assert unlined[0] == unlined[1]
 
 

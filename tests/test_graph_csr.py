@@ -250,6 +250,15 @@ def test_artifact_weights64_matches_weight_or_ones():
     assert np.array_equal(art.weights64, g.weight_or_ones())
 
 
+def test_weights64_freezes_a_view_not_the_callers_array():
+    w = np.array([2.0, 3.0])
+    w64 = from_edges([(0, 1), (1, 2)], n=3).with_edge_values(w) \
+        .artifacts.weights64
+    assert w.flags.writeable
+    assert not w64.flags.writeable
+    assert np.shares_memory(w, w64)
+
+
 # -- process-wide runs: the iota ramp and the unit weights ----------------------
 
 
