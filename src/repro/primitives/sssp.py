@@ -134,7 +134,7 @@ class SsspResult(PrimitiveResult):
 def default_delta(graph: Csr) -> float:
     """Davidson-style delta heuristic: average weight scaled by the
     warp-width-to-degree ratio, clamped to at least one weight unit."""
-    w = graph.weight_or_ones()
+    w = graph.artifacts.weights64
     avg_w = float(w.mean()) if len(w) else 1.0
     avg_d = graph.m / max(1, graph.n)
     return max(avg_w, avg_w * 32.0 / max(1.0, avg_d))

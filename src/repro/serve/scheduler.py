@@ -172,12 +172,14 @@ class SchedulerCore:
         #: apply/compaction on a device, or the broadcast to shard groups
         self.compaction_ms = 0.0
         # per-primitive latency histograms + outcome counters: recorded
-        # into the process-wide observer's registry when one is installed
-        # (so `repro serve --metrics` sees them), else a private one —
-        # ServeReport reads the p50/p95/p99 estimates either way
+        # into this replay's own registry, which ServeReport reads its
+        # p50/p95/p99 estimates from, and into the process-wide observer's
+        # when one is installed (so `repro serve --metrics` sees them) —
+        # a report never reads another replay's samples
+        self.metrics = MetricsRegistry()
         observer = current_observer()
-        self.metrics: MetricsRegistry = observer.metrics \
-            if observer is not None else MetricsRegistry()
+        self._registries: Tuple[MetricsRegistry, ...] = (self.metrics,) \
+            if observer is None else (self.metrics, observer.metrics)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -199,18 +201,18 @@ class SchedulerCore:
             raise ValueError(f"request {done.rid} ended {done.outcome!r} "
                              "without a reason")
         self.completions.append(done)
-        m = self.metrics
-        m.counter("repro_serve_requests_total", outcome=done.outcome,
-                  primitive=done.primitive).inc()
-        if sid is not None:
-            m.counter("repro_shard_requests_total", outcome=done.outcome,
-                      shard=str(sid)).inc()
-        if done.served:
-            m.histogram("repro_serve_latency_ms",
-                        primitive=done.primitive).observe(done.latency_ms)
-            if not done.deadline_met:
-                m.counter("repro_serve_deadline_misses_total",
-                          primitive=done.primitive).inc()
+        for m in self._registries:
+            m.counter("repro_serve_requests_total", outcome=done.outcome,
+                      primitive=done.primitive).inc()
+            if sid is not None:
+                m.counter("repro_shard_requests_total", outcome=done.outcome,
+                          shard=str(sid)).inc()
+            if done.served:
+                m.histogram("repro_serve_latency_ms",
+                            primitive=done.primitive).observe(done.latency_ms)
+                if not done.deadline_met:
+                    m.counter("repro_serve_deadline_misses_total",
+                              primitive=done.primitive).inc()
         return done
 
     def _shed(self, req: Request, now: float, reason: str,
@@ -383,7 +385,8 @@ class SchedulerCore:
         self.graph_updates += 1
         kind = "edges" if batch is not None and batch.structural \
             else "weights"
-        self.metrics.counter("repro_graph_updates_total", kind=kind).inc()
+        for m in self._registries:
+            m.counter("repro_graph_updates_total", kind=kind).inc()
         if not (self.incremental and batch is not None):
             self.service.update_graph(update.csr, name)
             return
@@ -448,9 +451,10 @@ class SchedulerCore:
         else:
             self.repair_fallbacks += 1
         self.repair_ms += ms
-        self.metrics.counter(
-            "repro_repair_cycles_total", primitive=job.primitive).inc(
-            float(machine.counters.cycles - before_cy))
+        for m in self._registries:
+            m.counter("repro_repair_cycles_total",
+                      primitive=job.primitive).inc(
+                float(machine.counters.cycles - before_cy))
         holder.busy_until_ms = max(holder.busy_until_ms, now) + ms
         self._wake(holder.busy_until_ms)
 

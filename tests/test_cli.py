@@ -1,5 +1,10 @@
 """CLI tests (``python -m repro``)."""
 
+import itertools
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -146,3 +151,37 @@ def test_serve_closed_loop_with_faults(capsys):
                    "--seed", "3", "--mode", "closed", "--clients", "4",
                    "--updates", "1", "--fault-rate", "0.2") == 0
     assert "requests" in capsys.readouterr().out
+
+
+CI = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "ci.yml"
+
+
+def _ci_repro_argvs():
+    """Every ``python -m repro ...`` command line in ci.yml, as argv, with
+    ``${{ matrix.key }}`` placeholders expanded over the key's values and
+    the line cut at its first shell operator (redirect, pipe, list)."""
+    text = CI.read_text()
+    values = {}
+    for key, value in re.findall(r"^\s*-?\s*(\w+): (.+)$", text, re.M):
+        values.setdefault(key, []).append(value.strip())
+    for line in re.findall(r"python -m repro (.+)$", text, re.M):
+        keys = re.findall(r"\$\{\{ matrix\.(\w+) \}\}", line)
+        for combo in itertools.product(*(values[k] for k in keys)):
+            expanded = line
+            for key, value in zip(keys, combo):
+                expanded = expanded.replace(f"${{{{ matrix.{key} }}}}", value)
+            argv = []
+            for token in shlex.split(expanded):
+                if re.match(r"^(\d?>|<|\||&&|;)", token):
+                    break
+                argv.append(token)
+            yield argv
+
+
+def test_every_ci_command_line_parses():
+    """A renamed flag fails here rather than only in a CI run."""
+    argvs = list(_ci_repro_argvs())
+    assert len(argvs) >= 8, argvs
+    parser = build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)

@@ -24,7 +24,7 @@ from repro.dynamic import (DeltaCsr, MutationBatch, WEIGHT_INSENSITIVE,
                            random_mutation_batch, unaffected_primitives)
 from repro.dynamic.delta import apply
 from repro.dynamic.incremental import pagerank_defect, repair_payload
-from repro.graph import from_edges, with_random_weights
+from repro.graph import from_edges, generators, with_random_weights
 from repro.primitives import bfs, pagerank, sssp
 from repro.simt import Machine
 
@@ -486,6 +486,29 @@ def test_repair_payload_charges_machine(kron_graph):
     repair_payload("bfs", {"src": 0}, dict(res.arrays), kron_graph, d,
                    batch, machine=machine)
     assert machine.elapsed_ms() > 0
+
+
+def test_repair_payload_along_a_chain_matches_scratch():
+    """Three chained deltas on a weighted kron:10, each repaired from the
+    last repair's output, stay bitwise equal to scratch runs."""
+    g = with_random_weights(generators.kronecker(10, seed=3), seed=5)
+    scratch = {
+        "bfs": lambda h: bfs(h, 17, idempotent=False, direction="push"),
+        "sssp": lambda h: sssp(h, 17, use_priority_queue=False),
+    }
+    warm = {name: dict(run(g).arrays) for name, run in scratch.items()}
+    delta = DeltaCsr(g)
+    for step in range(3):
+        old = delta.snapshot()
+        batch = random_mutation_batch(old, seed=100 + step, frac=0.005)
+        delta.apply(batch)
+        snap = delta.snapshot()
+        for name, run in scratch.items():
+            warm[name], _ = repair_payload(name, {"src": 17}, warm[name],
+                                           old, delta, batch)
+            assert np.array_equal(warm[name]["labels"],
+                                  run(snap).arrays["labels"])
+        delta.maybe_compact()
 
 
 # -- repair reads the snapshot CSR --------------------------------------------

@@ -296,6 +296,23 @@ def test_scheduler_reports_into_installed_observer():
                for s in serve_spans)
 
 
+def test_each_report_reads_only_its_own_replay():
+    """Two replays under one observer: the second report's latency
+    quantiles are its own, while the observer's registry holds both."""
+    from repro.graph import generators
+    from repro.serve import WorkloadSpec, run_serving
+
+    g = generators.kronecker(9, seed=1)
+    second = WorkloadSpec(requests=80, seed=2, arrival_rate_rps=6000.0)
+    alone = run_serving(g, second)
+    with observe() as ob:
+        first = run_serving(g, WorkloadSpec(requests=60, seed=1))
+        shared = run_serving(g, second)
+    assert shared.as_dict() == alone.as_dict()
+    lat = ob.metrics.samples("repro_serve_latency_ms")
+    assert sum(h.count for _, h in lat) == first.served + shared.served
+
+
 def test_serve_reports_byte_identical_across_same_seed_runs():
     a = json.dumps(_serve_report(seed=5).as_dict(), sort_keys=True)
     b = json.dumps(_serve_report(seed=5).as_dict(), sort_keys=True)

@@ -1,10 +1,12 @@
 """SSSP correctness (vs NetworkX Dijkstra) and priority-queue behavior."""
 
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.graph import from_edges
+from repro.graph import from_edges, generators, with_random_weights
 from repro.graph.build import to_networkx
 from repro.primitives import sssp, default_delta
 from repro.simt import Machine
@@ -92,6 +94,39 @@ def test_sssp_priority_queue_reduces_relaxations_on_road(road_weighted):
 def test_sssp_default_delta_positive(kron_weighted, road_weighted):
     assert default_delta(kron_weighted) > 0
     assert default_delta(road_weighted) > 0
+
+
+def _kron12(weights):
+    g = generators.kronecker(12, seed=1)
+    if weights == "integer":
+        return with_random_weights(g, seed=1)
+    if weights == "float32":
+        rng = np.random.default_rng(1)
+        return g.with_edge_values(rng.random(g.m, dtype=np.float32) + 0.5)
+    return g
+
+
+@pytest.mark.parametrize("weights", ["unweighted", "integer", "float32"])
+def test_default_delta_is_the_weight_or_ones_mean(weights):
+    g = _kron12(weights)
+    w = g.weight_or_ones()
+    avg_w = float(w.mean())
+    avg_d = g.m / max(1, g.n)
+    assert default_delta(g) == max(avg_w, avg_w * 32.0 / max(1.0, avg_d))
+
+
+def test_default_delta_allocates_no_unit_weights():
+    """An unweighted graph's weights are the shared unit run, so the delta
+    heuristic allocates nothing edge-sized to average them."""
+    g = _kron12("unweighted")
+    default_delta(g)  # the first call may grow the process-wide unit run
+    tracemalloc.start()
+    try:
+        default_delta(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.m
 
 
 def test_sssp_deterministic(kron_weighted):
