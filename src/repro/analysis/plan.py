@@ -16,16 +16,19 @@ reads before it hands a run to a hand-lowered runner:
 
 Plans are cached per ``(primitive, graph)`` on the graph object itself
 (one slot next to the artifact cache), so repeated runs and the serving
-tier pay compilation once per graph.
+tier pay compilation once per graph; the analysis a plan reads is
+cached per ``primitives/`` file, so a plan pays for its own module only.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..graph.csr import Csr, transpose_min_edges
-from .fusion import PrimitiveReport, analyze_paths
+from .fusion import PrimitiveReport, analyze_paths, primitive_name_of
+from .linter import iter_python_files
 
 
 @dataclass(frozen=True)
@@ -87,30 +90,62 @@ def compile_plan(report: Optional[PrimitiveReport], primitive: str,
 
 # ------------------------------------------------------------ plan cache
 
-_REPORTS: Optional[Dict[str, PrimitiveReport]] = None
+#: ``primitives/`` file -> the analyzer's reports for that file, filled
+#: one file at a time so a plan pays only for its own module's analysis
+_FILE_REPORTS: Dict[str, Dict[str, PrimitiveReport]] = {}
+_PRIMITIVES_PKG = __name__.rsplit(".", 2)[0] + ".primitives"
+_PRIMITIVES_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "primitives")
+
+
+def _file_reports(path: str) -> Dict[str, PrimitiveReport]:
+    reports = _FILE_REPORTS.get(path)
+    if reports is None:
+        found = analyze_paths([path]).primitives if os.path.exists(path) \
+            else []
+        reports = _FILE_REPORTS[path] = {r.name: r for r in found}
+    return reports
 
 
 def _report_index() -> Dict[str, PrimitiveReport]:
-    """The analyzer's primitive reports, computed once per process."""
-    global _REPORTS
-    if _REPORTS is None:
-        import os
-        pkg = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        report = analyze_paths([os.path.join(pkg, "primitives")])
-        _REPORTS = {r.name: r for r in report.primitives}
-    return _REPORTS
+    """The analyzer's primitive reports: the union of the per-file cache
+    over every module of ``primitives/``."""
+    index: Dict[str, PrimitiveReport] = {}
+    for path in iter_python_files([_PRIMITIVES_DIR]):
+        index.update(_file_reports(path))
+    return index
 
 
 def reset_report_cache() -> None:
-    global _REPORTS
-    _REPORTS = None
+    _FILE_REPORTS.clear()
+
+
+def _defining_file(primitive: str) -> str:
+    """The ``primitives/`` file that defines ``primitive``'s enactor class
+    (``ppr`` -> ``pagerank.py``); a primitive without an imported enactor
+    class, such as a hardwired one, is looked up in the module named
+    after it."""
+    from ..core.enactor import EnactorBase
+
+    module = primitive
+    stack = [EnactorBase]
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        pkg, _, name = cls.__module__.rpartition(".")
+        if pkg == _PRIMITIVES_PKG and \
+                primitive_name_of(cls.__name__) == primitive:
+            module = name
+            break
+    return os.path.join(_PRIMITIVES_DIR, module + ".py")
 
 
 def plan_for(primitive: str, graph: Csr) -> FusedPlan:
     """The cached fused plan for ``(primitive, graph)``.
 
     Compilation happens once per pair: the verdict and stage names from
-    the process-wide analysis report, the regime table from this graph's
+    the analysis of the one module that defines the primitive (cached
+    per file for the process), the regime table from this graph's
     degree profile.  The cache lives on the graph object (a slot next to
     ``_artifacts``) so it dies with the graph.
     """
@@ -120,6 +155,7 @@ def plan_for(primitive: str, graph: Csr) -> FusedPlan:
         graph._fused_plans = cache
     plan = cache.get(primitive)
     if plan is None:
-        plan = compile_plan(_report_index().get(primitive), primitive, graph)
+        report = _file_reports(_defining_file(primitive)).get(primitive)
+        plan = compile_plan(report, primitive, graph)
         cache[primitive] = plan
     return plan

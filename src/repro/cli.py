@@ -354,8 +354,8 @@ def cmd_run(args) -> int:
     src = args.src if args.src is not None else int(g.out_degrees.argmax())
     machine = Machine()
     ctx = sanitize(strict=True) if args.sanitize else nullcontext()
-    # --engine overrides REPRO_ENGINE for this run; the
-    # default (None) keeps whatever the environment selected.
+    # --engine overrides REPRO_ENGINE for this run; the default (None)
+    # keeps whatever the environment selected, else fused.
     eng_ctx = engine(args.engine) if getattr(args, "engine", None) \
         else nullcontext()
     clear_fallbacks()
@@ -549,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "the linear-algebra (masked SpMV/SpMSpV) backend "
                         "(both fall back to pooled when a run has no "
                         "specialization); "
-                        "default honors REPRO_ENGINE")
+                        "default: fused where a runner exists, else the "
+                        "library loop (REPRO_ENGINE overrides)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output: counters, timings, and "
                         "crc32 checksums of every result array")
@@ -619,7 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="execution engine for cacheable (coalesced/solo) "
                         "batches; fused dispatches the compiled plan, "
                         "cached per graph version; la dispatches the "
-                        "linear-algebra backend")
+                        "linear-algebra backend; default: fused where a "
+                        "runner exists, else the library loop "
+                        "(REPRO_ENGINE overrides)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report")
     _add_obs_options(p)

@@ -182,9 +182,10 @@ class EnactorBase:
 
     def _try_backend(self, frontier: Frontier) -> Optional[Frontier]:
         """Dispatch through a specialized engine (fused super-steps or
-        the linear-algebra backend) when one is selected and this run is
-        eligible; None means "take the library loop" (the engine module
-        records the fallback reason)."""
+        the linear-algebra backend; fused unless another engine is
+        chosen) when this run is eligible; None means "take the library
+        loop" (the engine module counts the refusal and, for a chosen
+        engine, records its reason)."""
         from .engine import engine_mode
         mode = engine_mode()
         if mode == "fused":

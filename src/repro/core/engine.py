@@ -2,15 +2,15 @@
 
 The repo runs a primitive one of three ways:
 
-* **pooled** — the library operators (the production default).  The
-  textbook bodies they replaced are the oracle in
-  ``tests/unpooled_reference.py``.
+* **pooled** — the library operators.  The textbook bodies they
+  replaced are the oracle in ``tests/unpooled_reference.py``.
 * **fused** — trace-guided specialization (:mod:`repro.core.fused`):
   the verified operator DAG of a primitive is compiled into a single
   super-step loop with no intermediate frontier materialization.  Only
   primitives whose :mod:`repro.analysis.fusion` verdict is *fusable*
-  take this path; everything else silently falls back to pooled with a
-  logged reason.
+  take this path; everything else falls back to pooled.  This is the
+  default: a run that names no engine takes it where a runner exists,
+  else the library loop.
 * **la** — the GraphBLAS-style linear-algebra backend
   (:mod:`repro.la`): frontier operations become masked SpMSpV (push)
   or SpMV (pull) over the frozen CSR/CSC artifacts, with a semiring
@@ -19,9 +19,14 @@ The repo runs a primitive one of three ways:
 
 There is one selector: the ``REPRO_ENGINE`` env var (read when this
 module is imported), overridden process-wide by :func:`set_engine`,
-overridden in a scope by :func:`engine`.  A problem captures none of
-it, so a problem built under one engine runs under any other.  The
-retired name ``unpooled`` is accepted as an alias of ``pooled``.
+overridden in a scope by :func:`engine`; with none of them set the
+engine is ``fused``.  A problem captures none of it, so a problem built
+under one engine runs under any other.  The retired name ``unpooled``
+is accepted as an alias of ``pooled``.
+
+A refusal goes on the fallback log only when an engine was chosen:
+under the default nobody asked for fused, so a refused run is counted
+(``engine="pooled"``) but not logged.
 
 :func:`dispatch` is the one way into a specialized engine: the refusal
 chain, the fallback record, the dispatch counter and the engine span
@@ -44,7 +49,7 @@ ENGINES = ("pooled", "fused", "la")
 #: still asks for ``unpooled``, whose caches were the only difference
 _ALIASES = {"unpooled": "pooled"}
 
-#: process-wide override; None = ``REPRO_ENGINE``, else pooled
+#: process-wide override; None = ``REPRO_ENGINE``, else fused
 _ENGINE: Optional[str] = None
 #: ``REPRO_ENGINE`` as the process started with it.  Read once, here:
 #: the mode is resolved for every enact, and an
@@ -66,11 +71,16 @@ def engine_mode() -> str:
     Resolution order: explicit :func:`set_engine` / :func:`engine`
     override, then the ``REPRO_ENGINE`` env var the process started with
     (a value outside :data:`ENGINES` raises ``ValueError`` here rather
-    than running pooled unannounced), then ``pooled``.
+    than running pooled unannounced), then ``fused``.
     """
     if _ENGINE is not None:
         return _ENGINE
-    return _checked(_ENV_ENGINE) if _ENV_ENGINE else "pooled"
+    return _checked(_ENV_ENGINE) if _ENV_ENGINE else "fused"
+
+
+def _engine_chosen() -> bool:
+    """Whether :func:`engine_mode` is a choice rather than the default."""
+    return _ENGINE is not None or bool(_ENV_ENGINE)
 
 
 def set_engine(mode: str) -> str:
@@ -96,7 +106,7 @@ def engine(mode: str) -> Iterator[None]:
 
 # -- fallback bookkeeping ----------------------------------------------------
 #
-# When the engine is ``fused`` or ``la`` but a run cannot take the
+# When ``fused`` or ``la`` was chosen but a run cannot take the
 # specialized path, the dispatcher records (primitive, reason) here so the
 # CLI / tests / serving tier can surface *why* — the fallback contract in
 # DESIGN §15 requires the reason to be observable, not just logged.
@@ -157,11 +167,12 @@ def count_dispatch(engine_name: str, primitive: str,
                    fallback_reason: Optional[str] = None) -> None:
     """Count one dispatch outcome on ``repro_<engine>_dispatch_total``.
 
-    A run the engine took is labelled ``engine=<engine>``; a refusal goes
-    on the fallback log with its reason and is labelled
-    ``engine="pooled"`` — the path that runs instead.
+    A run the engine took is labelled ``engine=<engine>``; a refusal is
+    labelled ``engine="pooled"`` — the path that runs instead — and, when
+    the engine was chosen rather than defaulted to, goes on the fallback
+    log with its reason.
     """
-    if fallback_reason is not None:
+    if fallback_reason is not None and _engine_chosen():
         record_fallback(primitive, fallback_reason)
     ob = current_observer()
     if ob is not None:
@@ -174,8 +185,9 @@ def dispatch(backend: Backend, enactor, frontier):
     """Run ``enactor``'s loop through ``backend``, or return None.
 
     None means "take the library loop": this run cannot be specialized,
-    the (primitive, reason) pair is on the fallback log and the dispatch
-    counter has an ``engine="pooled"`` sample.  The common refusals are
+    the dispatch counter has an ``engine="pooled"`` sample and, if the
+    engine was chosen, the (primitive, reason) pair is on the fallback
+    log.  The common refusals are
     checked first, in this order; ``backend.prepare`` adds its own.
     """
     name = enactor.primitive_name

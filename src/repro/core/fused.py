@@ -36,7 +36,11 @@ When a :class:`~repro.simt.machine.Machine` is attached, the runners
 invoke the same charge helpers at the same points as the library
 operators, so the simulated kernel stream is identical by construction;
 with ``machine=None`` (wall-clock mode) all charging short-circuits and
-only the lean array code runs.
+only the lean array code runs.  The part of a step that stands for a
+library operator runs inside a :class:`~repro.core.superstep.Stage`, so
+a fused run leaves the library loop's ``enactor_stats.trace`` and its
+operator spans too: fused is the default engine, and a default run
+must stay as observable as the library loop.
 """
 
 from __future__ import annotations
@@ -54,8 +58,9 @@ from . import atomics
 from .engine import Backend, dispatch
 from .frontier import Frontier, FrontierKind
 from .operators.advance import advance as _op_advance
-from .superstep import (EMPTY, bfs_direction, charge_push, frontier_degrees,
-                        rank_commit, rank_contribution, run_supersteps)
+from .superstep import (EMPTY, Stage, bfs_direction, charge_push,
+                        frontier_degrees, rank_commit, rank_contribution,
+                        run_supersteps)
 
 
 # ------------------------------------------------------------ shared kernels
@@ -100,44 +105,51 @@ def _run_bfs(en, frontier: Frontier) -> Frontier:
         depth = it + 1
         mode, degs, ne = bfs_direction(en.direction, P, f)
         if mode == "push":
-            if degs is None:
-                degs, ne = frontier_degrees(g, f)
-            charge_push(P, lb, degs, ne, it)
-            if ne == 0:
-                out_items = EMPTY
-            else:
-                excl, eids = row_lanes(indptr, f, degs, ne)
-                dsts = indices[eids]
-                keep = labels[dsts] < 0
-                if keep.all():
-                    kd = dsts
-                    ks = f.repeat(degs) if preds is not None else None
-                elif ne < coarse:
-                    kd = dsts[keep]
-                    ks = f.repeat(degs)[keep] if preds is not None else None
+            with Stage(en, "advance", it, f) as st:
+                if degs is None:
+                    degs, ne = frontier_degrees(g, f)
+                charge_push(P, lb, degs, ne, it)
+                if ne == 0:
+                    out_items = EMPTY
                 else:
-                    kidx = keep.nonzero()[0]
-                    kd = dsts[kidx]
+                    excl, eids = row_lanes(indptr, f, degs, ne)
+                    dsts = indices[eids]
+                    keep = labels[dsts] < 0
+                    if keep.all():
+                        kd = dsts
+                        ks = f.repeat(degs) if preds is not None else None
+                    elif ne < coarse:
+                        kd = dsts[keep]
+                        ks = f.repeat(degs)[keep] if preds is not None \
+                            else None
+                    else:
+                        kidx = keep.nonzero()[0]
+                        kd = dsts[kidx]
+                        if preds is not None:
+                            # map kept lanes to their frontier segment
+                            # instead of materializing the dense per-lane
+                            # source array
+                            seg = excl.searchsorted(kidx, side="right")
+                            ks = f[seg - 1]
+                    labels[kd] = depth
                     if preds is not None:
-                        # map kept lanes to their frontier segment instead
-                        # of materializing the dense per-lane source array
-                        seg = excl.searchsorted(kidx, side="right")
-                        ks = f[seg - 1]
-                labels[kd] = depth
-                if preds is not None:
-                    preds[kd] = ks
-                out_items = kd
-            if machine is not None:
-                machine.counters.record_frontier(len(out_items))
+                        preds[kd] = ks
+                    out_items = kd
+                if machine is not None:
+                    machine.counters.record_frontier(len(out_items))
+                st.done(out_items)
         else:
             # pull steps run the library operator whole: it already is a
-            # single fused pass and charges its own kernels
+            # single fused pass and charges its own kernels and span
             out_items = _op_advance(P, Frontier(f), _IdempotentBfsFunctor(depth),
                                     mode="pull", lb=lb, iteration=it).items
+            en._trace("advance_pull", f, out_items)
         k = len(out_items)
-        if k:
-            out_items = out_items[heur.cull(out_items, g.n)]
-        _charge_filter(machine, it, k, len(out_items), heuristics=True)
+        with Stage(en, "filter", it, out_items) as st:
+            if k:
+                out_items = out_items[heur.cull(out_items, g.n)]
+            _charge_filter(machine, it, k, len(out_items), heuristics=True)
+            st.done(out_items)
         return out_items
 
     return Frontier(run_supersteps(en, frontier.items, step))
@@ -155,39 +167,44 @@ def _run_sssp(en, frontier: Frontier) -> Frontier:
     pile = en.pile
 
     def step(f, it):
-        degs, ne = frontier_degrees(g, f)
-        wd = EMPTY
-        if ne == 0:
-            charge_push(P, lb, degs, 0, it)
-        else:
-            excl, eids = row_lanes(indptr, f, degs, ne)
-            dsts = indices[eids]
-            new_label = labels[f].repeat(degs)
-            np.add(new_label, weights[eids], out=new_label)
-            charge_push(P, lb, degs, ne, it, ("atomic_min", dsts))
-            won = new_label < labels[dsts]
-            widx = won.nonzero()[0]
-            if len(widx):
-                wd = dsts[widx]
-                nw = new_label[widx]
-                # losing lanes can never be the per-cell minimum: folding
-                # the atomic over winner lanes only is exact
-                np.minimum.at(labels, wd, nw)
-                ach = nw == labels[wd]
-                aidx = widx[ach]
-                if len(aidx):
-                    w = aidx[first_occurrence(dsts[aidx])]
-                    seg = excl.searchsorted(w, side="right")
-                    preds[dsts[w]] = f[seg - 1]
-        if machine is not None:
-            machine.counters.record_frontier(len(wd))
+        with Stage(en, "advance", it, f) as st:
+            degs, ne = frontier_degrees(g, f)
+            wd = EMPTY
+            if ne == 0:
+                charge_push(P, lb, degs, 0, it)
+            else:
+                excl, eids = row_lanes(indptr, f, degs, ne)
+                dsts = indices[eids]
+                new_label = labels[f].repeat(degs)
+                np.add(new_label, weights[eids], out=new_label)
+                charge_push(P, lb, degs, ne, it, ("atomic_min", dsts))
+                won = new_label < labels[dsts]
+                widx = won.nonzero()[0]
+                if len(widx):
+                    wd = dsts[widx]
+                    nw = new_label[widx]
+                    # losing lanes can never be the per-cell minimum:
+                    # folding the atomic over winner lanes only is exact
+                    np.minimum.at(labels, wd, nw)
+                    ach = nw == labels[wd]
+                    aidx = widx[ach]
+                    if len(aidx):
+                        w = aidx[first_occurrence(dsts[aidx])]
+                        seg = excl.searchsorted(w, side="right")
+                        preds[dsts[w]] = f[seg - 1]
+            if machine is not None:
+                machine.counters.record_frontier(len(wd))
+            st.done(wd)
         # the library loop's exact-dedup filter runs every step, empty or
         # not — the "unique" kernel record must exist either way
         out = unique_by_sort(wd, machine)
+        en._trace("filter", wd, out)
         if pile is None:
             return out
         pile.push(Frontier(out), it)
-        return pile.pop_near(it).items
+        near = pile.pop_near(it).items
+        en._trace("priority_queue", out, near)
+        return near
 
     return Frontier(run_supersteps(en, frontier.items, step))
 
@@ -206,30 +223,36 @@ def _run_pagerank(en, frontier: Frontier) -> Frontier:
     indices = g.indices
 
     def step(f, it):
-        contrib, full = rank_contribution(P, f)
-        if full:
-            degs, ne = g.artifacts.out_degrees, g.m
-        else:
-            degs, ne = frontier_degrees(g, f)
-        res = np.zeros(n)
-        summed = ne >= spmv_min_edges and transpose_product(g, res, f, contrib)
-        # the destination lanes feed the bincount, and price the atomic
-        # when there are any; a product step prices it from its per-cell
-        # lane counts instead and never builds them
-        lanes = EMPTY
-        if ne and not summed:
-            lanes = indices if full else \
-                indices[row_lanes(g.indptr, f, degs, ne)[1]]
-        cells = transpose_cell_stats(g, f, ne) \
-            if summed and machine is not None else lanes
-        charge_push(P, lb, degs, ne, it, ("atomic_add", cells))
-        if machine is not None:
-            machine.counters.record_frontier(0)
-        if ne and not summed:
-            vals = contrib[g.edge_sources] if full else contrib.repeat(degs)
-            res = np.bincount(lanes, weights=vals, minlength=n)
-        f, nk = rank_commit(P, res)
-        _charge_filter(machine, it, n, nk)
+        with Stage(en, "advance", it, f) as st:
+            contrib, full = rank_contribution(P, f)
+            if full:
+                degs, ne = g.artifacts.out_degrees, g.m
+            else:
+                degs, ne = frontier_degrees(g, f)
+            res = np.zeros(n)
+            summed = ne >= spmv_min_edges and \
+                transpose_product(g, res, f, contrib)
+            # the destination lanes feed the bincount, and price the
+            # atomic when there are any; a product step prices it from
+            # its per-cell lane counts instead and never builds them
+            lanes = EMPTY
+            if ne and not summed:
+                lanes = indices if full else \
+                    indices[row_lanes(g.indptr, f, degs, ne)[1]]
+            cells = transpose_cell_stats(g, f, ne) \
+                if summed and machine is not None else lanes
+            charge_push(P, lb, degs, ne, it, ("atomic_add", cells))
+            if machine is not None:
+                machine.counters.record_frontier(0)
+            if ne and not summed:
+                vals = contrib[g.edge_sources] if full else \
+                    contrib.repeat(degs)
+                res = np.bincount(lanes, weights=vals, minlength=n)
+            st.done(EMPTY)
+        with Stage(en, "filter", it, iota(n)) as st:
+            f, nk = rank_commit(P, res)
+            _charge_filter(machine, it, n, nk)
+            st.done(f)
         return f
 
     return Frontier(run_supersteps(en, frontier.items, step))
@@ -253,34 +276,38 @@ def _run_cc(en, frontier: Frontier) -> Frontier:
 
     def step(f, it):
         # hook: cond (endpoints in different components) + atomic_min
-        srcs = edge_sources[f]
-        dsts = indices[f]
-        cs = cid[srcs]
-        cd = cid[dsts]
-        mask = cs != cd
-        if mask.all():
-            surv, hs, hd = f, cs, cd
-        else:
-            surv = f[mask]
-            hs = cs[mask]
-            hd = cd[mask]
-        if len(surv):
-            hi = np.maximum(hs, hd)
-            lo = np.minimum(hs, hd)
-            np.minimum.at(cid, hi, lo)
-        else:
-            hi = None
-        _charge_filter(machine, it, len(f), len(surv),
-                       atomic=None if hi is None else ("atomic_min", hi))
+        with Stage(en, "filter(hook)", it, f) as st:
+            srcs = edge_sources[f]
+            dsts = indices[f]
+            cs = cid[srcs]
+            cd = cid[dsts]
+            mask = cs != cd
+            if mask.all():
+                surv, hs, hd = f, cs, cd
+            else:
+                surv = f[mask]
+                hs = cs[mask]
+                hd = cd[mask]
+            if len(surv):
+                hi = np.maximum(hs, hd)
+                lo = np.minimum(hs, hd)
+                np.minimum.at(cid, hi, lo)
+            else:
+                hi = None
+            _charge_filter(machine, it, len(f), len(surv),
+                           atomic=None if hi is None else ("atomic_min", hi))
+            st.done(surv)
         # pointer jumping to a fixpoint (integer ops: trivially exact)
         vf = iota(n)
         while len(vf):
-            parent = cid[vf]
-            grand = cid[parent]
-            cid[vf] = grand
-            keep = grand != parent
-            nvf = vf[keep]
-            _charge_filter(machine, it, len(vf), len(nvf))
+            with Stage(en, "filter(jump)", it, vf) as st:
+                parent = cid[vf]
+                grand = cid[parent]
+                cid[vf] = grand
+                keep = grand != parent
+                nvf = vf[keep]
+                _charge_filter(machine, it, len(vf), len(nvf))
+                st.done(nvf)
             vf = nvf
         return surv
 
@@ -301,37 +328,41 @@ def _run_bc(en, frontier: Frontier) -> Frontier:
 
     def step(f, it):
         depth = it + 1
-        degs, ne = frontier_degrees(g, f)
-        out = EMPTY
-        if ne == 0:
-            charge_push(P, lb, degs, 0, it)
-        else:
-            _, eids = row_lanes(indptr, f, degs, ne)
-            dsts = indices[eids]
-            keep = labels[dsts] < 0
-            if keep.all():
-                kd = dsts
-                kvals = sigma[f].repeat(degs)
+        with Stage(en, "advance", it, f) as st:
+            degs, ne = frontier_degrees(g, f)
+            out = EMPTY
+            if ne == 0:
+                charge_push(P, lb, degs, 0, it)
             else:
-                kd = dsts[keep]
-                kvals = sigma[f].repeat(degs)[keep]
-            charge_push(P, lb, degs, ne, it,
-                        ("atomic_add", kd), ("atomic_max", kd))
-            if len(kd):
-                if len(kd) < n // 8:
-                    np.add.at(sigma, kd, kvals)
+                _, eids = row_lanes(indptr, f, degs, ne)
+                dsts = indices[eids]
+                keep = labels[dsts] < 0
+                if keep.all():
+                    kd = dsts
+                    kvals = sigma[f].repeat(degs)
                 else:
-                    # sigma cells at this depth start at +0.0, so the
-                    # bincount partial sums associate identically
-                    np.add(sigma, np.bincount(kd, weights=kvals,
-                                              minlength=n), out=sigma)
-                # every admitted cell holds -1: the constant-depth
-                # atomic_max is a plain scatter
-                labels[kd] = depth
-            out = kd
-        if machine is not None:
-            machine.counters.record_frontier(len(out))
+                    kd = dsts[keep]
+                    kvals = sigma[f].repeat(degs)[keep]
+                charge_push(P, lb, degs, ne, it,
+                            ("atomic_add", kd), ("atomic_max", kd))
+                if len(kd):
+                    if len(kd) < n // 8:
+                        np.add.at(sigma, kd, kvals)
+                    else:
+                        # sigma cells at this depth start at +0.0, so the
+                        # bincount partial sums associate identically
+                        np.add(sigma, np.bincount(kd, weights=kvals,
+                                                  minlength=n), out=sigma)
+                    # every admitted cell holds -1: the constant-depth
+                    # atomic_max is a plain scatter
+                    labels[kd] = depth
+                out = kd
+            if machine is not None:
+                machine.counters.record_frontier(len(out))
+            st.done(out)
         out = unique_by_sort(out, machine)
+        # the library loop traces its dedup as a filter that keeps all
+        en._trace("filter", out, out)
         if len(out):
             en.level_frontiers.append(Frontier(out))
         return out

@@ -7,7 +7,10 @@ lives here: the loop head and tail, BFS's direction decision, the
 frontier's degree sum, the push-advance charge, and the two halves of a
 residual-push rank step that are the same arithmetic in every engine.
 ``primitives/`` uses the same fragments where the library loop needs
-them, so each exists once.
+them, so each exists once.  A specialized step also leaves what the
+library loop leaves to be observed: the ``superstep`` span of every
+step, and through :class:`Stage` each operator's span and
+``TraceEvent``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from typing import Callable, Tuple, Union
 import numpy as np
 
 from ..graph.csr import iota, is_iota
+from ..obs.spans import (CAT_OPERATOR, CAT_SUPERSTEP, NOOP_SPAN,
+                         current_observer, span as obs_span)
 from . import atomics
 from .atomics import CellStats
 from .operators.advance import _charge_advance
@@ -30,19 +35,73 @@ def run_supersteps(en, items: np.ndarray,
 
     Owns what every specialized runner's loop shares with
     ``EnactorBase._enact_loop``: stop on an empty frontier or at
-    ``en.max_iterations``, and publish the iteration count to the
-    enactor and the machine after every step.
+    ``en.max_iterations``, open each step's ``superstep`` span, and
+    publish the iteration count to the enactor and the machine after
+    every step.
     """
     machine = en.problem.machine
     maxit = en.max_iterations
     it = 0
     while len(items) and (maxit is None or it < maxit):
-        items = step(items, it)
+        sp = obs_span("superstep", CAT_SUPERSTEP, machine,
+                      iteration=it, frontier=len(items))
+        with sp:
+            items = step(items, it)
+            sp.set(frontier_out=len(items))
         it += 1
         en.iteration = it
         if machine is not None:
             machine.counters.iterations = it
     return items
+
+
+class Stage:
+    """One library operator as a specialized step shows it.
+
+    ``with Stage(en, label, it, items) as st: ...; st.done(out)`` opens
+    the operator span ``EnactorBase.advance`` (a push) or ``filter``
+    opens, with the same attributes, and ``done`` adds the same
+    output-side facts and appends the same ``TraceEvent(it, label,
+    len(items), len(out))``.  ``label`` is ``"advance"`` or a filter's
+    trace label (``"filter"``, ``"filter(hook)"``, ...).  With no
+    observer installed only the trace event is recorded.
+    """
+
+    __slots__ = ("en", "label", "items", "sp", "edges0")
+
+    def __init__(self, en, label: str, it: int, items) -> None:
+        self.en, self.label, self.items = en, label, items
+        self.edges0 = 0
+        self.sp = NOOP_SPAN if current_observer() is None \
+            else self._span(it)
+
+    def _span(self, it: int):
+        en, machine = self.en, self.en.problem.machine
+        if self.label == "advance":
+            sp = obs_span("advance", CAT_OPERATOR, machine, mode="push",
+                          lb=en.lb.name, iteration=it,
+                          frontier=len(self.items))
+            if machine is not None:
+                self.edges0 = machine.counters.edges_visited
+            return sp
+        return obs_span("filter", CAT_OPERATOR, machine, iteration=it,
+                        frontier=len(self.items))
+
+    def __enter__(self) -> "Stage":
+        self.sp.__enter__()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.sp.__exit__(*exc)
+
+    def done(self, out) -> None:
+        sp = self.sp
+        if sp.enabled:
+            machine = self.en.problem.machine
+            if machine is not None and self.label == "advance":
+                sp.set(edges=machine.counters.edges_visited - self.edges0)
+            sp.set(frontier_out=len(out))
+        self.en._trace(self.label, self.items, out)
 
 
 def frontier_degrees(g, f: np.ndarray) -> Tuple[np.ndarray, int]:

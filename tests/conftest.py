@@ -58,6 +58,17 @@ def path_graph():
     return generators.path(50)
 
 
+@pytest.fixture
+def no_engine_chosen(monkeypatch):
+    """No ``REPRO_ENGINE``, no ``set_engine``, no ``engine()`` scope: the
+    engine is the default, ``fused``."""
+    import repro.core.engine as E
+
+    monkeypatch.setattr(E, "_ENGINE", None)
+    monkeypatch.setattr(E, "_ENV_ENGINE", "")
+    assert E.engine_mode() == "fused"
+
+
 def nx_of(g, directed=True):
     from repro.graph.build import to_networkx
 

@@ -134,3 +134,17 @@ def test_la_matches_pooled_bitwise(primitive, key, spec, capsys):
             for eng in ("pooled", "la")}
     assert runs["la"]["engine_fallbacks"] == []
     assert runs["la"]["arrays"][key] == runs["pooled"]["arrays"][key]
+
+
+@pytest.mark.parametrize("primitive", ["bfs", "sssp", "pagerank", "cc"])
+def test_default_engine_prints_what_pooled_prints(primitive, capsys,
+                                                  no_engine_chosen):
+    """No ``--engine`` (and no ``REPRO_ENGINE``) runs fused where a runner
+    exists; the JSON — every checksum, counter and simulated value — is
+    what ``--engine pooled`` prints, less the engine's own two keys."""
+    argv = ("run", primitive, "--generate", "kron:9", "--json")
+    default = _json(capsys, *argv)
+    pooled = _json(capsys, *argv, "--engine", "pooled")
+    assert pooled.pop("engine") == "pooled"
+    assert pooled.pop("engine_fallbacks") == []
+    assert default == pooled

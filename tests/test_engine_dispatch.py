@@ -5,7 +5,9 @@ Every specialized engine refuses a run for the same common reasons, in
 the same order, before its own ``prepare`` hook is asked; each refusal
 must leave exactly one fallback record with the exact reason, exactly
 one ``engine="pooled"`` counter sample, no engine span, and a result
-computed by the library loop.
+computed by the library loop.  With no engine chosen the engine is
+fused, and a refusal leaves the same counter sample and result but no
+fallback record: nobody asked for fused.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from repro.graph import from_edges
 from repro.graph.build import with_random_weights
 from repro.obs import observe
 from repro.obs.spans import CAT_FUSED, CAT_LA
-from repro.primitives import bfs, mis
+from repro.primitives import bc, bfs, cc, mis, pagerank, ppr, sssp
 from repro.primitives.bfs import BfsEnactor, BfsProblem
 from repro.resilience.faults import FaultPlan
 from repro.simt import Machine
@@ -132,7 +134,7 @@ def test_invalid_env_engine_is_rejected():
     assert "ValueError: unknown engine 'fuzed'" in bad.stderr
     assert "('pooled', 'fused', 'la')" in bad.stderr
     for value, mode in ((" Fused ", "fused"), ("unpooled", "pooled"),
-                        ("", "pooled"), (None, "pooled")):
+                        ("", "fused"), (None, "fused")):
         ok = run(value)
         assert ok.returncode == 0, ok.stderr
         assert ok.stdout.split() == [mode]
@@ -194,3 +196,111 @@ def test_set_engine_returns_previous_and_scopes_nest():
         assert engine_mode() == "pooled"
     finally:
         E._ENGINE = saved
+
+
+# -- the default: no engine chosen ---------------------------------------------
+
+
+def _dispatch_samples(ob):
+    return {k: v for k, v in ob.metrics.as_dict().items()
+            if "_dispatch_total" in k}
+
+
+def _assert_arrays_equal(got, want):
+    assert set(got) == set(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+
+
+def _kron():
+    from repro.graph.generators import kronecker
+
+    return kronecker(8, seed=3)
+
+
+#: primitive -> run(graph, machine) -> the result's output arrays
+FUSABLE = {
+    "bfs": lambda g, m: bfs(g, 0, machine=m).arrays,
+    "sssp": lambda g, m: sssp(with_random_weights(g, seed=5), 0,
+                              machine=m).arrays,
+    "pagerank": lambda g, m: pagerank(g, machine=m).arrays,
+    "ppr": lambda g, m: ppr(g, [0, 1], machine=m).arrays,
+    "cc": lambda g, m: cc(g, machine=m).arrays,
+    "bc": lambda g, m: bc(g, 0, machine=m).arrays,
+}
+
+
+@pytest.mark.parametrize("primitive", list(FUSABLE))
+def test_default_takes_the_fused_runner(primitive, no_engine_chosen):
+    """A fusable run that names no engine opens the ``fused:<prim>`` span
+    and counts ``engine="fused"``, with outputs bitwise equal to pooled."""
+    g = _kron()
+    clear_fallbacks()
+    with observe() as ob:
+        got = FUSABLE[primitive](g, Machine())
+    assert fallback_log() == []
+    assert _dispatch_samples(ob) == {
+        f'repro_fused_dispatch_total{{engine="fused",'
+        f'primitive="{primitive}"}}': 1.0}
+    assert [s.name for s in ob.tracer.spans if s.cat == CAT_FUSED] == \
+        [f"fused:{primitive}"]
+    with engine("pooled"):
+        want = FUSABLE[primitive](g, Machine())
+    _assert_arrays_equal(got, want)
+
+
+def _refused_by_default(refusal, g):
+    """Drive one run the fused engine refuses; returns (primitive, output
+    arrays) — the primitive counted on the dispatch counter."""
+    m = Machine()
+    if refusal == "unknown_primitive":
+        return "mis", mis(g, machine=m).arrays
+    if refusal == "sanitizer_active":
+        with sanitize(strict=True):
+            return "bfs", bfs(g, 0, machine=m).arrays
+    if refusal == "fault_injector":
+        return "bfs", bfs(g, 0, machine=m, faults=FaultPlan()).arrays
+    if refusal == "checkpointing":
+        return "bfs", bfs(g, 0, machine=m, checkpoint_every=2).arrays
+    if refusal == "non_idempotent_bfs":
+        return "bfs", bfs(g, 0, machine=m, idempotent=False).arrays
+    assert refusal == "alternating_cc"
+    return "cc", cc(g, machine=m, alternate=True).arrays
+
+
+DEFAULT_REFUSALS = ["unknown_primitive", "sanitizer_active", "fault_injector",
+                    "checkpointing", "non_idempotent_bfs", "alternating_cc"]
+
+
+@pytest.mark.parametrize("refusal", DEFAULT_REFUSALS)
+def test_default_refusal_counts_pooled_and_logs_nothing(refusal,
+                                                       no_engine_chosen):
+    """Under the default nobody asked for fused: a refused run takes the
+    library loop, counts ``engine="pooled"`` and leaves no fallback
+    record."""
+    g = _kron()
+    clear_fallbacks()
+    with observe() as ob:
+        primitive, got = _refused_by_default(refusal, g)
+    assert fallback_log() == []
+    assert _dispatch_samples(ob) == {
+        f'repro_fused_dispatch_total{{engine="pooled",'
+        f'primitive="{primitive}"}}': 1.0}
+    assert not [s for s in ob.tracer.spans if s.cat in (CAT_FUSED, CAT_LA)]
+    with engine("pooled"):
+        _, want = _refused_by_default(refusal, g)
+    _assert_arrays_equal(got, want)
+
+
+def test_default_run_of_every_primitive_logs_no_fallback(no_engine_chosen):
+    """Every primitive the CLI runs — dispatched, refused, or hardwired
+    (``kcore``, ``triangles``: no enactor, no dispatch) — leaves the
+    fallback log empty when no engine is chosen."""
+    from repro.cli import PRIMITIVES, _run_primitive
+
+    g = _kron()
+    clear_fallbacks()
+    for primitive in PRIMITIVES:
+        _run_primitive(primitive, g, 0, Machine())
+        assert fallback_log() == [], primitive

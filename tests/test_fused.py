@@ -302,3 +302,61 @@ def test_fused_span_and_dispatch_counter():
         'repro_fused_dispatch_total{engine="fused",primitive="bfs"}'] == 1.0
     assert counts[
         'repro_fused_dispatch_total{engine="pooled",primitive="bfs"}'] == 1.0
+
+
+def _traced_run(primitive, g, mode, machine):
+    """One run under ``mode``: (trace events, spans without the fused
+    span or the attributes kernel spans inherit from it)."""
+    from repro.obs import observe
+    from repro.obs.spans import CAT_FUSED
+    from repro.primitives import bc, bfs, cc, pagerank, ppr, sssp
+
+    src = int(np.flatnonzero(g.out_degrees)[0])
+    runs = {
+        "bfs": lambda m: bfs(g, src, machine=m),
+        "bfs_push": lambda m: bfs(g, src, machine=m, direction="push"),
+        "sssp": lambda m: sssp(with_random_weights(g, seed=1), src,
+                               machine=m),
+        "sssp_no_pile": lambda m: sssp(with_random_weights(g, seed=1), src,
+                                       machine=m, use_priority_queue=False),
+        "pagerank": lambda m: pagerank(g, machine=m),
+        "ppr": lambda m: ppr(g, [src, src + 1], machine=m),
+        "cc": lambda m: cc(g, machine=m),
+        "bc": lambda m: bc(g, src, machine=m),
+    }
+    with observe() as ob, engine(mode):
+        r = runs[primitive](Machine() if machine else None)
+    trace = [(e.iteration, e.op, e.in_size, e.out_size)
+             for e in r.enactor_stats.trace]
+    spans = [(s.name, s.cat, s.device,
+              {k: v for k, v in s.args.items()
+               if k not in ("fused_ops", "stage_count")})
+             + ((s.ts, s.dur) if machine else ())
+             for s in ob.tracer.spans if s.cat != CAT_FUSED]
+    return trace, spans
+
+
+@pytest.mark.parametrize("machine", [True, False],
+                         ids=["machine", "wallclock"])
+@pytest.mark.parametrize("graph", ["kron", "road", "hub"])
+@pytest.mark.parametrize("primitive", [
+    "bfs", "bfs_push", "sssp", "sssp_no_pile", "pagerank", "ppr", "cc",
+    "bc"])
+def test_fused_run_leaves_the_library_trace(primitive, graph, machine):
+    """A fused run is as observable as the library loop: the same
+    ``enactor_stats.trace`` (the Figure 5 operator flow) and the same
+    superstep, operator and kernel spans with the same attributes — and,
+    with a machine attached, the same simulated timestamps — plus only
+    its own ``fused:<primitive>`` span."""
+    from repro.graph.generators import hub_graph, kronecker, road_grid
+
+    g = {"kron": lambda: kronecker(9, seed=3),
+         "road": lambda: road_grid(20, 14, seed=2),
+         "hub": lambda: hub_graph(600, seed=4)}[graph]()
+    clear_fallbacks()
+    fused = _traced_run(primitive, g, "fused", machine)
+    assert fallback_log() == []
+    pooled = _traced_run(primitive, g, "pooled", machine)
+    assert fused[0], "no operator traced"
+    assert fused[0] == pooled[0]
+    assert fused[1] == pooled[1]

@@ -73,6 +73,9 @@ def test_fused_engine_fallbacks_are_recorded_too():
 
 
 def test_laned_batches_stay_pooled_and_record_nothing():
+    """A laned batch ignores the service's engine: it runs under the
+    process default (fused where a runner exists; laned BFS is refused
+    and takes the library loop), so the service records no fallback."""
     svc, replies = _run_service("la", [("bfs", {"src": 0})])
     assert not svc.engine_fallbacks
     assert replies
