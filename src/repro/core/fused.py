@@ -41,6 +41,13 @@ library operator runs inside a :class:`~repro.core.superstep.Stage`, so
 a fused run leaves the library loop's ``enactor_stats.trace`` and its
 operator spans too: fused is the default engine, and a default run
 must stay as observable as the library loop.
+
+BC's dependency pass runs after ``enact`` returns, so no dispatch
+reaches it.  The fused forward instead keeps, for every level it
+expands, the lanes it admitted into the next level — exactly the lanes
+the backward functor admits, in the same order — and
+:func:`run_bc_backward` replays them deepest level first without
+re-expanding a frontier.
 """
 
 from __future__ import annotations
@@ -325,24 +332,26 @@ def _run_bc(en, frontier: Frontier) -> Frontier:
     indptr, indices = g.indptr, g.indices
     labels, sigma = P.labels, P.sigma
     n = g.n
+    lanes = en.level_lanes = []
 
     def step(f, it):
         depth = it + 1
         with Stage(en, "advance", it, f) as st:
             degs, ne = frontier_degrees(g, f)
-            out = EMPTY
+            out = ks = EMPTY
             if ne == 0:
                 charge_push(P, lb, degs, 0, it)
             else:
                 _, eids = row_lanes(indptr, f, degs, ne)
                 dsts = indices[eids]
                 keep = labels[dsts] < 0
+                ks = f.repeat(degs)
                 if keep.all():
                     kd = dsts
-                    kvals = sigma[f].repeat(degs)
                 else:
                     kd = dsts[keep]
-                    kvals = sigma[f].repeat(degs)[keep]
+                    ks = ks[keep]
+                kvals = sigma[ks]
                 charge_push(P, lb, degs, ne, it,
                             ("atomic_add", kd), ("atomic_max", kd))
                 if len(kd):
@@ -360,6 +369,10 @@ def _run_bc(en, frontier: Frontier) -> Frontier:
             if machine is not None:
                 machine.counters.record_frontier(len(out))
             st.done(out)
+        if it:
+            # the edges from this level into the next: exactly the lanes
+            # the backward functor admits, in the same order
+            lanes.append((ks, out, degs, ne))
         out = unique_by_sort(out, machine)
         # the library loop traces its dedup as a filter that keeps all
         en._trace("filter", out, out)
@@ -368,6 +381,51 @@ def _run_bc(en, frontier: Frontier) -> Frontier:
         return out
 
     return Frontier(run_supersteps(en, frontier.items, step))
+
+
+def run_bc_backward(en) -> None:
+    """BC's dependency pass, replaying the lanes :func:`_run_bc` kept.
+
+    The library backward re-expands every level frontier (deepest
+    first) and admits the lanes with ``labels[dst] == labels[src] + 1``:
+    the same lanes, in the same frontier x CSR order, the forward kept
+    when it discovered level d+1 from level d.  So each level is one
+    vectorized step over its recorded lanes, with the library advance's
+    charges and trace.  A level ``max_iterations`` left unexpanded has
+    no record; the library admits no lane there (no vertex is deeper),
+    and its expansion is charged alone.
+    """
+    P = en.problem
+    g = P.graph
+    machine = P.machine
+    lb = en.lb
+    sigma, delta = P.sigma, P.delta
+    n = g.n
+    lanes = en.level_lanes
+    for d in reversed(range(len(en.level_frontiers))):
+        f = en.level_frontiers[d].items
+        it = en.iteration
+        with Stage(en, "advance", it, f) as st:
+            if d < len(lanes):
+                ks, kd, degs, ne = lanes[d]
+            else:
+                degs, ne = frontier_degrees(g, f)
+                ks = EMPTY
+            charge_push(P, lb, degs, ne, it, ("atomic_add", ks))
+            if machine is not None:
+                machine.counters.record_frontier(0)
+            if len(ks):
+                contrib = sigma[ks] / sigma[kd] * (1.0 + delta[kd])
+                if len(ks) < n // 8:
+                    np.add.at(delta, ks, contrib)
+                else:
+                    # delta cells of this level start at +0.0 (the
+                    # forward's argument for sigma)
+                    np.add(delta, np.bincount(ks, weights=contrib,
+                                              minlength=n), out=delta)
+            st.done(EMPTY)
+        en.iteration += 1
+    en.level_lanes = None
 
 
 # ------------------------------------------------------------- dispatcher

@@ -11,6 +11,13 @@ level accumulates path counts (sigma) with ``atomicAdd``.  Backward: the
 per-level frontiers are replayed in reverse; each edge (v at level d,
 w at level d+1) adds ``sigma[v]/sigma[w] * (1 + delta[w])`` into
 ``delta[v]``.
+
+When the forward ran fused (the default engine), the backward replays
+the lanes the fused forward recorded per level
+(:func:`repro.core.fused.run_bc_backward`) instead of re-expanding each
+level through the library ``advance``; the pooled loop, the la
+fallback, a sanitizer or a fault injector keep the library backward,
+which is the oracle the replay is held bitwise equal to.
 """
 
 from __future__ import annotations
@@ -93,6 +100,9 @@ class BcEnactor(EnactorBase):
                  max_iterations: Optional[int] = None):
         super().__init__(problem, lb=lb, max_iterations=max_iterations)
         self.level_frontiers: List[Frontier] = []
+        #: per replayed level, the lanes a fused forward kept (None when
+        #: the forward ran the library loop)
+        self.level_lanes: Optional[list] = None
 
     def _iterate(self, frontier: Frontier) -> Frontier:
         depth = self.iteration + 1
@@ -104,7 +114,13 @@ class BcEnactor(EnactorBase):
         return out
 
     def backward(self) -> None:
-        """Replay levels deepest-first, accumulating dependencies."""
+        """Replay levels deepest-first, accumulating dependencies: the
+        fused forward's recorded lanes when it ran, else one library
+        advance per level."""
+        if self.level_lanes is not None:
+            from ..core.fused import run_bc_backward
+            run_bc_backward(self)
+            return
         for frontier in reversed(self.level_frontiers):
             self.advance(frontier, _BackwardFunctor())
             self.iteration += 1
@@ -157,9 +173,9 @@ def bc(graph: Csr, sources: Union[int, Sequence[int], None] = 0, *,
         enactor.level_frontiers = []
         enactor.enact(Frontier.from_vertex(src))
         enactor.backward()
-        mask = np.ones(graph.n, dtype=bool)
-        mask[src] = False
-        problem.bc_values[mask] += problem.delta[mask]
+        # the source's level is never replayed, so delta[src] is +0.0 and
+        # adding it leaves bc_values[src] bitwise as it was
+        np.add(problem.bc_values, problem.delta, out=problem.bc_values)
 
     if normalize and graph.n > 2:
         problem.bc_values *= 1.0 / ((graph.n - 1) * (graph.n - 2))

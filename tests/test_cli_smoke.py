@@ -136,7 +136,7 @@ def test_la_matches_pooled_bitwise(primitive, key, spec, capsys):
     assert runs["la"]["arrays"][key] == runs["pooled"]["arrays"][key]
 
 
-@pytest.mark.parametrize("primitive", ["bfs", "sssp", "pagerank", "cc"])
+@pytest.mark.parametrize("primitive", ["bfs", "sssp", "pagerank", "cc", "bc"])
 def test_default_engine_prints_what_pooled_prints(primitive, capsys,
                                                   no_engine_chosen):
     """No ``--engine`` (and no ``REPRO_ENGINE``) runs fused where a runner

@@ -360,3 +360,122 @@ def test_fused_run_leaves_the_library_trace(primitive, graph, machine):
     assert fused[0], "no operator traced"
     assert fused[0] == pooled[0]
     assert fused[1] == pooled[1]
+
+
+# -- BC's dependency pass -----------------------------------------------------
+
+
+def _bc_graph(name):
+    from repro.graph.generators import hub_graph, road_grid
+
+    return {"road": lambda: road_grid(20, 14, seed=2),
+            "rmat": lambda: rmat(8, seed=1),
+            "hub": lambda: hub_graph(400, seed=4),
+            # a triangle, a path and two isolated vertices
+            "disconnected": lambda: from_edges(
+                [(0, 1), (1, 2), (2, 0), (5, 6), (6, 7)], n=10,
+                undirected=True),
+            # vertex 0 has no out-edges
+            "sink": lambda: from_edges([(1, 2), (2, 3), (3, 0)], n=4)}[name]()
+
+
+@pytest.fixture
+def library_advances(monkeypatch):
+    """The functor class of every library ``advance`` call, in order."""
+    import repro.core.enactor as enactor_mod
+
+    calls = []
+    library_advance = enactor_mod._advance
+
+    def counting(problem, frontier, functor, **kw):
+        calls.append(type(functor).__name__)
+        return library_advance(problem, frontier, functor, **kw)
+
+    monkeypatch.setattr(enactor_mod, "_advance", counting)
+    return calls
+
+
+@pytest.mark.parametrize("graph,sources,kw", [
+    ("road", 0, {}),
+    ("road", [0, 57, 211], {}),
+    ("rmat", [0, 3, 9], {}),
+    ("hub", [0, 1, 2], {}),
+    ("road", [0, 57], {"max_iterations": 3}),
+    ("hub", 0, {"max_iterations": 1}),
+    ("disconnected", None, {}),
+    ("disconnected", [5, 9], {}),
+    ("sink", None, {}),
+    ("sink", 0, {}),
+], ids=["road", "road-3src", "rmat-3src", "hub-3src", "road-maxit3",
+        "hub-maxit1", "disconnected-all", "disconnected-2src", "sink-all",
+        "sink-src"])
+def test_default_bc_is_pooled_bc_bitwise(graph, sources, kw,
+                                         no_engine_chosen, library_advances):
+    """The default BC (fused forward, replayed dependency pass) leaves
+    what explicit pooled leaves: every array's bits and dtype, the
+    kernel record, the aggregate counters, simulated time, iterations
+    and the operator trace — also when ``max_iterations`` stops the
+    forward before its last level was expanded."""
+    from repro.primitives import bc
+
+    g = _bc_graph(graph)
+    md = Machine()
+    rd = bc(g, sources, machine=md, **kw)
+    assert library_advances == [], "the default BC left the fused path"
+    with engine("pooled"):
+        mp = Machine()
+        rp = bc(g, sources, machine=mp, **kw)
+    for key, a in rp.arrays.items():
+        b = rd.arrays[key]
+        assert a.dtype == b.dtype, key
+        assert a.tobytes() == b.tobytes(), key
+    assert _counter_signature(md) == _counter_signature(mp)
+    assert md.counters.as_dict() == mp.counters.as_dict()
+    assert rd.elapsed_ms == rp.elapsed_ms
+    assert rd.iterations == rp.iterations
+    assert rd.enactor_stats.trace == rp.enactor_stats.trace
+
+
+def test_default_bc_runs_no_library_advance(no_engine_chosen,
+                                           library_advances):
+    """The default BC reaches the library ``advance`` operator zero
+    times; explicit pooled runs it once per forward step and once per
+    replayed level."""
+    from repro.primitives import bc
+
+    calls = library_advances
+    g = _bc_graph("road")
+    r = bc(g, 0, machine=Machine())
+    assert calls == []
+    with engine("pooled"):
+        rp = bc(g, 0, machine=Machine())
+    levels = int(rp.labels.max())
+    assert calls.count("_ForwardFunctor") == rp.iterations == levels + 1
+    assert calls.count("_BackwardFunctor") == levels
+    assert r.bc_values.tobytes() == rp.bc_values.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["fused", "pooled"])
+def test_bc_source_dependency_is_positive_zero(mode):
+    """The dependency pass never replays the source's level, so
+    ``delta[src]`` stays +0.0 and ``bc()``'s unmasked add equals the
+    Brandes sum over every vertex but the source, bitwise."""
+    from repro.primitives import bc
+    from repro.primitives.bc import BcEnactor, BcProblem
+
+    g = _bc_graph("road")
+    sources = (0, 57, 211)
+    P = BcProblem(g)
+    en = BcEnactor(P)
+    expected = np.zeros(g.n)
+    with engine(mode):
+        for src in sources:
+            P.reset_source(src)
+            en.level_frontiers = []
+            en.enact(Frontier.from_vertex(src))
+            en.backward()
+            assert P.delta[src] == 0.0 and not np.signbit(P.delta[src])
+            others = np.arange(g.n) != src
+            expected[others] += P.delta[others]
+        got = bc(g, list(sources)).bc_values
+    assert got.tobytes() == expected.tobytes()
