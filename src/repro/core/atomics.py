@@ -70,9 +70,12 @@ def cell_stats(idx: np.ndarray) -> CellStats:
         return lanes, int(np.count_nonzero(counts)), int(counts.max())
     ordered = np.sort(idx)
     # last lane of every run of equal cells but the final run
+    # (the range outgrew the lanes, so there are at least two runs)
     ends = np.flatnonzero(ordered[1:] != ordered[:-1])
-    return (lanes, len(ends) + 1,
-            int(np.diff(ends, prepend=-1, append=lanes - 1).max()))
+    hottest = max(int(ends[0]) + 1, lanes - 1 - int(ends[-1]))
+    if len(ends) > 1:
+        hottest = max(hottest, int((ends[1:] - ends[:-1]).max()))
+    return lanes, len(ends) + 1, hottest
 
 
 def price(machine: Machine, name: str, stats: CellStats) -> None:

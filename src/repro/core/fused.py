@@ -352,8 +352,11 @@ def _run_bc(en, frontier: Frontier) -> Frontier:
                     kd = dsts[keep]
                     ks = ks[keep]
                 kvals = sigma[ks]
-                charge_push(P, lb, degs, ne, it,
-                            ("atomic_add", kd), ("atomic_max", kd))
+                if machine is not None:
+                    # both atomics land on the same lanes: price them once
+                    cells = atomics.cell_stats(kd)
+                    charge_push(P, lb, degs, ne, it,
+                                ("atomic_add", cells), ("atomic_max", cells))
                 if len(kd):
                     if len(kd) < n // 8:
                         np.add.at(sigma, kd, kvals)

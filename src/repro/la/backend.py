@@ -18,7 +18,10 @@ Equivalence contract (DESIGN §16) against the operator engines:
   weights is schedule-independent; IEEE addition is monotone);
   ``preds`` satisfy ``labels[pred[v]] + w == labels[v]`` exactly.
 * **cc** — ``component_ids`` bitwise (both engines converge to the
-  component-minimum vertex id).
+  component-minimum vertex id).  The runner is hook and shortcut: a
+  min-select product over each edge direction, a hook of every parent
+  to its child's neighbourhood minimum, then pointer jumping to stars,
+  so it takes O(log n) rounds rather than one per hop of diameter.
 * **pagerank / ppr** — ``rank`` within documented tolerance (the LA
   loop replays the pooled residual schedule, so in practice the arrays
   match bitwise; the contract only promises ``allclose``).
@@ -36,6 +39,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from ..core import atomics
 from ..core.engine import Backend, dispatch
 from ..core.frontier import Frontier, FrontierKind
 from ..core.superstep import (EMPTY, bfs_direction, frontier_degrees,
@@ -161,12 +165,17 @@ def _precheck_cc(en) -> Optional[str]:
         return ("alternating hook schedule has no semiring lowering; "
                 "min-propagation commits to one reduction")
     if en.max_iterations is not None:
-        return ("iteration-capped cc is schedule-dependent; Jacobi "
-                "min-propagation only matches at the fixpoint")
+        return ("iteration-capped cc is schedule-dependent; hook and "
+                "shortcut only matches at the fixpoint")
     return None
 
 
 def _run_cc(en, frontier: Frontier) -> Frontier:
+    """Hook and shortcut (GraphBLAST's CC shape): each round takes the
+    neighbourhood minimum over both edge directions, hooks every
+    vertex's parent to it, then pointer-jumps to stars.  ``cid[v] <= v``
+    holds throughout, so the jumping terminates, and at the fixpoint
+    every label is its component's minimum id."""
     P = en.problem
     g = P.graph
     machine = P.machine
@@ -175,19 +184,35 @@ def _run_cc(en, frontier: Frontier) -> Frontier:
     rev = g.csc
 
     def step(ids, it):
-        # symmetric Jacobi sweep: min over out- and in-neighbors
         ids_out, min_out = spmspv(g, ids, cid, MIN_SELECT)
         ids_in, min_in = spmspv(rev, ids, cid, MIN_SELECT)
-        new = cid.copy()
-        new[ids_out] = np.minimum(new[ids_out], min_out)
-        new[ids_in] = np.minimum(new[ids_in], min_in)
-        changed = int(np.count_nonzero(new != cid))
-        np.copyto(cid, new)
+        mn = cid.copy()
+        mn[ids_out] = np.minimum(mn[ids_out], min_out)
+        mn[ids_in] = np.minimum(mn[ids_in], min_in)
+        changed = int(np.count_nonzero(mn != cid))
         _charge_product(machine, "la_spmspv[min_select]", 2 * g.m, it)
+        if not changed:
+            _charge_commit(machine, g.n, 0, it)
+            return EMPTY
+        # hook: each vertex's parent (a root: cid is a star forest) takes
+        # the vertex's neighbourhood minimum
+        parents = cid.copy()
+        np.minimum.at(cid, parents, mn)
+        np.minimum(cid, mn, out=cid)
+        if machine is not None:
+            atomics.price(machine, "atomic_min", atomics.cell_stats(parents))
         _charge_commit(machine, g.n, changed, it)
-        return ids if changed else EMPTY
+        # shortcut: jump to stars, one gather pass per launch
+        while True:
+            if machine is not None:
+                machine.map_kernel("la_shortcut", g.n, calib.C_VERTEX,
+                                   iteration=it)
+            grand = cid[cid]
+            if np.array_equal(grand, cid):
+                return ids
+            cid[:] = grand
 
-    # every round sweeps the whole matrix until one changes nothing
+    # a round that changes nothing ends the run
     run_supersteps(en, all_ids if g.m else EMPTY, step)
     return Frontier(EMPTY, FrontierKind.EDGE)
 

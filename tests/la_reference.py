@@ -5,9 +5,20 @@ before its reductions went sort-free: expand every lane, stable-``argsort``
 by destination, ``np.unique`` for the segment starts, ``ufunc.reduceat``.
 They are slow and obviously right, and ``tests/test_la_backend.py`` holds
 the production kernels to them bitwise — ids, values, witnesses and dtypes.
+
+:func:`jacobi_cc_reference` is the ``cc`` runner ``repro/la/backend.py``
+shipped before hook and shortcut: a symmetric Jacobi min-propagation, one
+round per hop of diameter.  It takes a runner's ``(enactor, frontier)``,
+so a test puts it in ``RUNNERS["cc"]`` and runs ``cc`` under ``la``.
 """
 
 import numpy as np
+
+from repro.core.frontier import Frontier, FrontierKind
+from repro.core.superstep import EMPTY, run_supersteps
+from repro.graph.csr import iota
+from repro.la.backend import _charge_commit, _charge_product
+from repro.la.semiring import MIN_SELECT, spmspv
 
 INT64_MAX = np.iinfo(np.int64).max
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
@@ -94,3 +105,29 @@ def spmv_reference(graph, x, semiring, *, mask=None, mask_complement=False,
     wit[ids] = np.minimum.reduceat(
         np.where(achieved, srcs, INT64_MAX), seg_starts)
     return y, wit
+
+
+def jacobi_cc_reference(en, frontier):
+    P = en.problem
+    g = P.graph
+    machine = P.machine
+    cid = P.component_ids
+    all_ids = iota(g.n)
+    rev = g.csc
+
+    def step(ids, it):
+        # symmetric Jacobi sweep: min over out- and in-neighbors
+        ids_out, min_out = spmspv(g, ids, cid, MIN_SELECT)
+        ids_in, min_in = spmspv(rev, ids, cid, MIN_SELECT)
+        new = cid.copy()
+        new[ids_out] = np.minimum(new[ids_out], min_out)
+        new[ids_in] = np.minimum(new[ids_in], min_in)
+        changed = int(np.count_nonzero(new != cid))
+        np.copyto(cid, new)
+        _charge_product(machine, "la_spmspv[min_select]", 2 * g.m, it)
+        _charge_commit(machine, g.n, changed, it)
+        return ids if changed else EMPTY
+
+    # every round sweeps the whole matrix until one changes nothing
+    run_supersteps(en, all_ids if g.m else EMPTY, step)
+    return Frontier(EMPTY, FrontierKind.EDGE)

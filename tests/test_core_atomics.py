@@ -196,6 +196,24 @@ def test_charge_matches_sort_oracle(idx, name):
 
 
 @given(index_vectors())
+@example(np.array([7]))                           # one lane
+@example(np.full(50, 3))                          # every lane on one cell
+@example(np.array([0, 2**40]))                    # wide range: the sort
+@example(np.array([5, 5, 5, 2**40]))              # hottest run first
+@example(np.array([0, 2**40, 2**40, 2**40]))      # hottest run last
+@example(np.array([0, 9**9, 9**9, 9**9, 2**40]))  # hottest run inside
+@settings(max_examples=300, deadline=None)
+def test_cell_stats_matches_unique_counts(idx):
+    """``(lanes, distinct cells, hottest multiplicity)`` is what
+    ``np.unique(return_counts=True)`` counts, in the histogram regime and
+    in the sort regime alike."""
+    _, counts = np.unique(idx, return_counts=True)
+    want = (len(idx), len(counts), int(counts.max())) if len(idx) \
+        else (0, 0, 0)
+    assert atomics.cell_stats(idx) == want
+
+
+@given(index_vectors())
 @settings(max_examples=100, deadline=None)
 def test_atomic_cas_claim_first_lane_per_cell_wins(idx):
     idx = idx.astype(np.int64) % 5000  # cells of one flag array

@@ -4,12 +4,15 @@ harness (push/pull forcing, edge cases), the fallback contract, the
 SpGEMM triangle workload, and LA observability.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from engines import run_all_engines
-from la_reference import spmspv_reference, spmv_reference
+from la_reference import (jacobi_cc_reference, spmspv_reference,
+                          spmv_reference)
 from repro.core.engine import clear_fallbacks, engine, last_fallback
 from repro.graph import from_edges
 from repro.graph.build import with_random_weights
@@ -441,6 +444,98 @@ def test_ppr_la_identity(data, seeds):
 def test_cc_la_identity(data):
     n, edges = data
     run_all_engines("cc", _graph(n, edges), engines=("pooled", "la"))
+
+
+@st.composite
+def directed_multigraphs(draw):
+    """Directed edge lists with self-loops, parallel edges, a tail of
+    isolated vertices and the ids randomly permuted."""
+    n, edges = draw(edge_lists())
+    if edges and draw(st.booleans()):
+        edges = edges + edges[: draw(st.integers(1, len(edges)))]
+    edges = edges + [(v, v) for v in draw(st.lists(st.integers(0, n - 1),
+                                                   max_size=3))]
+    n += draw(st.integers(0, 4))
+    perm = draw(st.permutations(range(n)))
+    return n, [(perm[u], perm[v]) for u, v in edges]
+
+
+def _la_cc(g, *, reference=False):
+    """``cc`` under ``la``, with the Jacobi runner swapped in on request;
+    returns the result and its machine."""
+    from unittest import mock
+
+    from repro.la.backend import RUNNERS
+    from repro.primitives import cc
+
+    swap = {"cc": jacobi_cc_reference} if reference else {}
+    m = Machine()
+    clear_fallbacks()
+    with mock.patch.dict(RUNNERS, swap), engine("la"):
+        r = cc(g, machine=m)
+    assert last_fallback() is None
+    return r, m
+
+
+@given(directed_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_cc_la_matches_jacobi_reference_and_pooled(data):
+    from repro.primitives import cc
+
+    n, edges = data
+    g = from_edges(edges, n=n)
+    got = _la_cc(g)[0].component_ids
+    for want in (_la_cc(g, reference=True)[0].component_ids,
+                 cc(g, machine=Machine()).component_ids):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def _relabelled_path(n, seed):
+    ids = np.random.default_rng(seed).permutation(n)
+    return from_edges(np.stack([ids[:-1], ids[1:]], axis=1), n=n,
+                      undirected=True)
+
+
+@pytest.mark.parametrize("name", ["path", "relabelled_path", "road_grid",
+                                  "star", "star_centre_last"])
+def test_cc_la_rounds_are_logarithmic(name):
+    """Hook and shortcut needs O(log n) rounds; the Jacobi sweep needed
+    one round per hop of diameter (about n on a path)."""
+    from repro.graph import generators
+
+    g = {"path": lambda: generators.path(3000),
+         "relabelled_path": lambda: _relabelled_path(3000, seed=7),
+         "road_grid": lambda: generators.road_grid(100, 100),
+         "star": lambda: generators.star(2000),
+         "star_centre_last": lambda: from_edges(
+             [(1999, v) for v in range(1999)], n=2000,
+             undirected=True)}[name]()
+    r, _ = _la_cc(g)
+    assert r.num_components == 1
+    assert r.iterations <= math.ceil(math.log2(g.n)) + 2
+
+
+def test_cc_la_charges_hook_and_shortcut_kernels():
+    """A round charges its two products as one ``la_spmspv[min_select]``
+    over 2m lanes, the mask commit, the hook's ``atomic_min`` over every
+    vertex (a hooking round only) and one ``la_shortcut`` gather over n
+    per pointer-jumping pass."""
+    g = _relabelled_path(64, seed=3)
+    r, m = _la_cc(g)
+    by_name = {}
+    for k in m.counters.kernels:
+        by_name.setdefault(k.name, []).append(k)
+    assert set(by_name) == {"la_spmspv[min_select]", "la_mask_commit",
+                            "atomic_min", "la_shortcut"}
+    rounds = r.iterations
+    assert len(by_name["la_spmspv[min_select]"]) == rounds
+    assert len(by_name["la_mask_commit"]) == rounds
+    assert len(by_name["atomic_min"]) == rounds - 1
+    assert len(by_name["la_shortcut"]) >= rounds - 1
+    assert {k.items for k in by_name["la_spmspv[min_select]"]} == {2 * g.m}
+    assert {k.items for k in by_name["atomic_min"]} == {g.n}
+    assert {k.items for k in by_name["la_shortcut"]} == {g.n}
 
 
 def test_single_vertex_and_empty_frontier_edges():
