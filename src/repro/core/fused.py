@@ -27,6 +27,11 @@ algebraic substitution, not an approximation:
   improving subset yields the same cells.
 * a constant value per cell (BFS/BC depth stores) turns the atomic into
   a plain scatter.
+* CC's first hook runs on the identity labelling, so its ``atomic_min``
+  over every edge leaves each vertex at the smallest of itself and its
+  neighbours: a ``minimum.reduceat`` over the CSR's and the CSC's row
+  segments.  ``min`` reduces exactly in any order, so the rows need not
+  be sorted.
 * filter's warp/bitmask/history culls are the library's own
   (``IdempotenceHeuristics.cull`` on the enactor's heuristics object), so
   the frontier *content and order* — which feed last-write-wins
@@ -56,7 +61,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..graph.csr import (iota, row_lanes, transpose_cell_stats,
+from ..graph.csr import (iota, is_iota, row_lanes, transpose_cell_stats,
                          transpose_product)
 from ..obs.spans import CAT_FUSED
 from ..simt.primitives import (charge_compact, first_occurrence,
@@ -273,34 +278,64 @@ def _precheck_cc(en) -> Optional[str]:
     return None
 
 
+def _first_hook(g, cid: np.ndarray) -> None:
+    """Round 0's hook in closed form.  ``cid`` is still the identity, so
+    every edge hooks its larger endpoint under its smaller one, and each
+    vertex lands on the smallest of itself and its neighbours over both
+    edge directions: GraphBLAST's min-select product, reduced over the
+    cached row segments of the CSR and the CSC.  ``min`` is exact in any
+    order, so rows need not be sorted; where :attr:`transpose_ones`
+    proves every CSC row ascending, each in-row minimum is its first
+    entry."""
+    csc = g.csc
+    for h, ascending in ((g, False),
+                         (csc, g.artifacts.transpose_ones is not None)):
+        rows, starts = h.artifacts.segments
+        if len(rows):
+            lo = h.indices[starts] if ascending \
+                else np.minimum.reduceat(h.indices, starts)
+            cid[rows] = np.minimum(cid[rows], lo)
+
+
 def _run_cc(en, frontier: Frontier) -> Frontier:
     P = en.problem
     g = P.graph
     machine = P.machine
     cid = P.component_ids
     edge_sources, indices = g.edge_sources, g.indices
-    n = g.n
+    n, m = g.n, g.m
+
+    def hook(f, it):
+        # cond (endpoints in different components) + atomic_min; returns
+        # the survivors and the atomic's cells (None: no lane)
+        full = is_iota(f, m)
+        if it == 0 and full:
+            # the identity labelling: only self-loops fail the cond
+            keep = edge_sources != indices
+            surv = f if keep.all() else keep.nonzero()[0]
+            _first_hook(g, cid)
+            if machine is None or not len(surv):
+                return surv, None
+            return surv, np.maximum(edge_sources, indices)[surv]
+        cs = cid[edge_sources] if full else cid[edge_sources[f]]
+        cd = cid[indices] if full else cid[indices[f]]
+        mask = cs != cd
+        if mask.all():
+            surv = f
+        else:
+            # one index list compacts the survivors and both endpoints
+            keep = mask.nonzero()[0]
+            surv = keep if full else f[keep]
+            cs, cd = cs[keep], cd[keep]
+        if not len(surv):
+            return surv, None
+        hi = np.maximum(cs, cd)
+        np.minimum.at(cid, hi, np.minimum(cs, cd))
+        return surv, hi
 
     def step(f, it):
-        # hook: cond (endpoints in different components) + atomic_min
         with Stage(en, "filter(hook)", it, f) as st:
-            srcs = edge_sources[f]
-            dsts = indices[f]
-            cs = cid[srcs]
-            cd = cid[dsts]
-            mask = cs != cd
-            if mask.all():
-                surv, hs, hd = f, cs, cd
-            else:
-                surv = f[mask]
-                hs = cs[mask]
-                hd = cd[mask]
-            if len(surv):
-                hi = np.maximum(hs, hd)
-                lo = np.minimum(hs, hd)
-                np.minimum.at(cid, hi, lo)
-            else:
-                hi = None
+            surv, hi = hook(f, it)
             _charge_filter(machine, it, len(f), len(surv),
                            atomic=None if hi is None else ("atomic_min", hi))
             st.done(surv)
@@ -308,11 +343,19 @@ def _run_cc(en, frontier: Frontier) -> Frontier:
         vf = iota(n)
         while len(vf):
             with Stage(en, "filter(jump)", it, vf) as st:
-                parent = cid[vf]
-                grand = cid[parent]
-                cid[vf] = grand
-                keep = grand != parent
-                nvf = vf[keep]
+                if 2 * len(vf) > n:
+                    # most vertices still climb: one pass over the whole
+                    # array, with no index gather or scatter.  The others
+                    # point at a root, and a root never moves while
+                    # jumping, so they stay put and stay out
+                    grand = cid[cid]
+                    nvf = (grand != cid).nonzero()[0]
+                    cid[:] = grand
+                else:
+                    parent = cid[vf]
+                    grand = cid[parent]
+                    cid[vf] = grand
+                    nvf = vf[grand != parent]
                 _charge_filter(machine, it, len(vf), len(nvf))
                 st.done(nvf)
             vf = nvf

@@ -28,6 +28,7 @@ from ..core import atomics
 from ..core.loadbalance import LoadBalancer
 from ..graph.csr import Csr
 from ..simt.machine import Machine
+from ..simt.primitives import unique_by_sort
 from .result import PrimitiveResult, finish
 
 
@@ -132,7 +133,7 @@ class CcResult(PrimitiveResult):
 
     @property
     def num_components(self) -> int:
-        return int(len(np.unique(self.component_ids)))
+        return len(unique_by_sort(self.component_ids))
 
 
 def cc(graph: Csr, *, machine: Optional[Machine] = None,

@@ -22,6 +22,7 @@ from engines import (ALL_ENGINES, assert_engine_identity,
 from repro.core import Frontier
 from repro.core.engine import (clear_fallbacks, engine, engine_mode,
                                fallback_log, last_fallback, set_engine)
+from repro.dynamic.delta import MutationBatch, apply
 from repro.graph import from_edges
 from repro.graph.build import with_random_weights
 from repro.graph.generators import rmat
@@ -87,6 +88,32 @@ def test_cc_cross_engine_identity(data):
     n, edges = data
     g = from_edges(edges, n=n, undirected=True)
     run_all_engines("cc", g)
+
+
+@given(edge_lists(), st.integers(0, 3),
+       st.lists(st.tuples(st.integers(0, 26), st.integers(0, 26)),
+                min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_cc_directed_loops_and_unsorted_rows(data, isolated, inserts):
+    """The first hook's closed form where its shortcuts could go wrong:
+    directed input with self-loops (which fail the hook's cond), parallel
+    edges and isolated vertices; a version whose inserts land at row
+    ends, so its CSR rows are out of order; and that version's reverse,
+    whose CSC is the unsorted graph.
+
+    Every round with survivors merges two components, so a correct run
+    ends within ``n`` rounds; capping fused and pooled there turns a
+    runner that never empties its frontier into a mismatch instead of a
+    hang.  la refuses a capped run, so it is checked uncapped."""
+    n, edges = data
+    n += isolated
+    g = from_edges(edges, n=n)
+    batch = MutationBatch(inserts=[(u % n, v % n) for u, v in inserts])
+    h = apply(g, batch)
+    for graph in (g, h, h.csc):
+        run_all_engines("cc", graph, engines=("pooled", "fused"),
+                        max_iterations=n + 1)
+        run_all_engines("cc", graph, engines=("pooled", "la"))
 
 
 @given(edge_lists(), st.integers(0, 23))

@@ -30,7 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SUPERSTEP_PATH = (
     "src/repro/core", "src/repro/simt/primitives.py",
     "src/repro/primitives/bfs.py", "src/repro/primitives/sssp.py",
-    "src/repro/primitives/bc.py", "src/repro/primitives/mst.py",
+    "src/repro/primitives/bc.py", "src/repro/primitives/cc.py",
+    "src/repro/primitives/pagerank.py", "src/repro/primitives/ppr.py",
+    "src/repro/primitives/mst.py",
     "src/repro/primitives/bipartite.py", "src/repro/primitives/salsa.py",
     "src/repro/primitives/hits.py", "src/repro/primitives/wtf.py",
     "src/repro/graph/csr.py", "src/repro/la", "src/repro/multi",
